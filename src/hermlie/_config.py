@@ -10,7 +10,6 @@ import os
 # ~1000x accumulated double-precision rounding at n <= 6
 VALIDITY_TOL = 1e-9
 FLATNESS_TOL = 1e-8
-ORACLE_TOL = 1e-12
 
 TOL_ENV_VAR = "HERMLIE_TOL"
 

@@ -100,9 +100,6 @@ def main(argv=None) -> int:
         return 1
 
 
-run_cli = main
-
-
 def _dispatch(args) -> int:
     if args.command == "validate":
         return _cmd_validate(args)

@@ -43,8 +43,6 @@ from .tensors import (
     transform_frame,
 )
 
-_FORMULA_GUARD = 1e-12  # dual-route agreement required inside gauduchon_connection
-
 
 @dataclass(frozen=True)
 class UnitaryStructure:
@@ -138,9 +136,6 @@ class ResidualReport:
     def valid(self) -> bool | None:
         return None if self.tol is None else self.max_abs <= self.tol
 
-    def passed(self, tol: float) -> bool:
-        return self.max_abs <= tol
-
 
 @dataclass(frozen=True)
 class BracketTables:
@@ -158,14 +153,6 @@ class BracketTables:
 
     n: int
     table: np.ndarray
-
-    def holomorphic(self) -> np.ndarray:
-        """Coefficients of [e_i, e_k] on the e-frame: hol[i,k,j] = C^j_{ik}."""
-        return self.table[: self.n, : self.n, : self.n]
-
-    def mixed(self) -> np.ndarray:
-        """Coefficients of [ebar_j, e_i] on all 2n directions."""
-        return self.table[self.n :, : self.n, :]
 
 
 @dataclass(frozen=True)
@@ -228,30 +215,10 @@ def chern_torsion(U: UnitaryStructure) -> TorsionData:
 
 
 def gauduchon_connection(U: UnitaryStructure, s: float) -> ConnectionFamily:
-    """Connection coefficients gamma = D + s*T and their conjugate companion.
-
-    The coefficients are also assembled along the independent route
-    gamma = (1-s/2) D^j_{ik} + (s/2) D^j_{ki} - (s/2) C^j_{ik} (and the
-    matching expansion for gamma_bar); the two must agree to machine
-    precision or an AssertionError flags an implementation fault.
-    """
+    """Connection coefficients gamma = D + s*T and their conjugate companion."""
     T = chern_torsion(U).T
     gamma = U.D + s * T
     gamma_bar = -np.conj(gamma.transpose(1, 0, 2))
-
-    direct = (1 - s / 2) * U.D + (s / 2) * U.D.transpose(0, 2, 1) - (s / 2) * U.C
-    cD = np.conj(U.D)
-    cC = np.conj(U.C)
-    direct_bar = (
-        -(1 - s / 2) * cD.transpose(1, 0, 2)
-        - (s / 2) * cD.transpose(2, 0, 1)
-        + (s / 2) * cC.transpose(1, 0, 2)
-    )
-    scale = 1.0 + max_abs(gamma)
-    drift = max(max_abs(gamma - direct), max_abs(gamma_bar - direct_bar))
-    assert drift <= _FORMULA_GUARD * scale, (
-        f"connection routes disagree by {drift:.3e}"
-    )
     return ConnectionFamily(s=float(s), gamma=frozen(gamma), gamma_bar=frozen(gamma_bar))
 
 
@@ -292,11 +259,24 @@ def _direction_label(n: int, a: int):
     return ("e", a + 1) if a < n else ("ebar", a - n + 1)
 
 
-def _curvature_tensor(A: np.ndarray, brk: np.ndarray) -> np.ndarray:
-    """R[a,b] = A_a A_b - A_b A_a - A_{[a,b]} for every ordered pair."""
-    prod = np.einsum("axy,byz->abxz", A, A, optimize=True)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    lin = np.einsum("abc,cxy->abxy", brk, A, optimize=True)
+def _curvature_tensor(
+    A: np.ndarray, brk: np.ndarray, A2=None, batch=("", ""), block=slice(None)
+) -> np.ndarray:
+    """R[a,b] = A_a A_b - A_b A_a - A_{[a,b]} for every ordered pair.
+
+    With a second operand A2 this is the bilinear form whose value on
+    (A, A) is R: A_a A2_b - A_b A2_a - brk[a,b,c] A2_c, where brk is
+    the bracket table belonging to A.  batch names leading axes of
+    (A, brk) and of A2, which come first in the result in that order.
+    block restricts both matrix indices of R[a,b].
+    """
+    p, q = batch
+    A2 = A if A2 is None else A2
+    prod = np.einsum(
+        f"{p}axy,{q}byz->{p}{q}abxz", A[..., block, :], A2[..., :, block], optimize=True
+    )
+    comm = prod - prod.swapaxes(-4, -3)
+    lin = np.einsum(f"{p}abc,{q}cxy->{p}{q}abxy", brk, A2[..., block, block], optimize=True)
     return comm - lin
 
 
@@ -388,23 +368,31 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
 
 def jacobi_residual_tensors(C: np.ndarray, D: np.ndarray):
     """The three Jacobi residual arrays, indexed [i,j,k,l] (0-based)."""
-    cD = np.conj(D)
-    fam1 = (
-        np.einsum("rij,lrk->ijkl", C, C, optimize=True)
-        + np.einsum("rjk,lri->ijkl", C, C, optimize=True)
-        + np.einsum("rki,lrj->ijkl", C, C, optimize=True)
-    )
-    fam2 = (
-        np.einsum("rik,ljr->ijkl", C, D, optimize=True)
-        + np.einsum("rji,lrk->ijkl", D, D, optimize=True)
-        - np.einsum("rjk,lri->ijkl", D, D, optimize=True)
-    )
+    return _jacobi_bilinear(C, D, C, D)
+
+
+def _jacobi_bilinear(C1, D1, C2, D2, batch=("", "")):
+    """The bilinear forms whose values on ((C, D), (C, D)) are the Jacobi residuals.
+
+    Every term pairs a factor of (C1, D1) with a factor of (C2, D2),
+    in that order.  batch names leading axes of (C1, D1) and of
+    (C2, D2), which come first in the result in that order.
+    """
+    p, q = batch
+
+    def term(spec, X, Y):
+        left, right = spec.split(",")
+        return np.einsum(f"{p}{left},{q}{right}->{p}{q}ijkl", X, Y, optimize=True)
+
+    cD2 = np.conj(D2)
+    fam1 = term("rij,lrk", C1, C2) + term("rjk,lri", C1, C2) + term("rki,lrj", C1, C2)
+    fam2 = term("rik,ljr", C1, D2) + term("rji,lrk", D1, D2) - term("rjk,lri", D1, D2)
     fam3 = (
-        np.einsum("rik,rjl->ijkl", C, cD, optimize=True)
-        - np.einsum("jrk,irl->ijkl", C, cD, optimize=True)
-        + np.einsum("jri,krl->ijkl", C, cD, optimize=True)
-        - np.einsum("lri,kjr->ijkl", D, cD, optimize=True)
-        + np.einsum("lrk,ijr->ijkl", D, cD, optimize=True)
+        term("rik,rjl", C1, cD2)
+        - term("jrk,irl", C1, cD2)
+        + term("jri,krl", C1, cD2)
+        - term("lri,kjr", D1, cD2)
+        + term("lrk,ijr", D1, cD2)
     )
     return fam1, fam2, fam3
 

@@ -117,10 +117,6 @@ def validate_real(P: RealPresentation, tol: float | None = None) -> ResidualRepo
     return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol)
 
 
-def is_valid_real(P: RealPresentation, tol: float | None = None) -> bool:
-    return bool(validate_real(P, tol).valid)
-
-
 def adapted_unitary_frame(P: RealPresentation) -> np.ndarray:
     """A G-orthonormal J-adapted frame, returned as a 2n x n complex matrix.
 

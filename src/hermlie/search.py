@@ -9,10 +9,12 @@ sqrt(w) * max(0, tau - |T|) that pushes the torsion norm up when
 hunting for non-Kahler candidates.
 
 Apart from the hinge, every residual entry is a homogeneous quadratic
-polynomial in the unknowns, so the exact Jacobian is assembled once per
-problem from the bilinear structure (polarization) and evaluated as
-J(x) = L + 2 B x.  Levenberg-Marquardt then runs with the fixed
-damping schedule: reject doubles the damping, accept halves it.
+x^T B x in the unknowns.  The symmetric bilinear form B is assembled
+once per (n, s, mode, weights) from the bilinear Jacobi and curvature
+kernels evaluated on the basis vectors, one basis row at a time, and
+only its nonzero entries are kept.  The Jacobian is J(x) = 2 B x and
+the residual is J(x) x / 2.  Levenberg-Marquardt then runs with the
+fixed damping schedule: reject doubles the damping, accept halves it.
 
 Restart seeds are preassigned (problem.seed + restart index), so the
 summary of a multistart run is deterministic no matter how restarts
@@ -28,7 +30,11 @@ import numpy as np
 
 from .core import (
     UnitaryStructure,
+    _curvature_tensor,
+    _jacobi_bilinear,
+    bracket_tables,
     chern_torsion,
+    connection_endomorphisms,
     curvature,
     jacobi_residual_tensors,
 )
@@ -184,20 +190,6 @@ def point_from_torsion(problem: SearchProblem, T: np.ndarray) -> np.ndarray:
 # residuals
 
 
-def _torsion_linear_map(problem: SearchProblem) -> np.ndarray:
-    """Real matrix M with (T entries as interleaved re/im) = M @ x."""
-    d = unknown_count(problem)
-    n = problem.n
-    M = np.zeros((2 * n**3, d))
-    for col in range(d):
-        x = np.zeros(d)
-        x[col] = 1.0
-        T = chern_torsion(structure_from_point(problem, x)).T
-        M[0::2, col] = T.real.ravel()
-        M[1::2, col] = T.imag.ravel()
-    return M
-
-
 def _quadratic_part(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
     """All polynomial residual entries (Jacobi then curvature), weighted."""
     U = structure_from_point(problem, x)
@@ -219,7 +211,7 @@ def _quadratic_part(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
 def _hinge(x: np.ndarray, problem: SearchProblem):
     """Hinge value and its gradient row (zero when inactive)."""
     w = np.sqrt(problem.torsion_reward)
-    M = _torsion_model(problem)
+    M = _torsion_model(problem.n, problem.s, problem.mode)
     t = M @ x
     norm = float(np.linalg.norm(t))
     if norm >= problem.torsion_target:
@@ -246,65 +238,107 @@ def residual_vector(x, problem: SearchProblem) -> np.ndarray:
 
 
 class _QuadraticModel:
-    """Exact (r0, L, B) of a quadratic residual map, via polarization."""
+    """Sparse symmetric bilinear form B with _quadratic_part(x) = x^T B x.
 
-    def __init__(self, r0, L, B):
-        self.r0 = r0
-        self.L = L
-        self.B = B
+    Entry k is B[r, a, cols[k]] = vals[k] with flat[k] = r * d + a, so
+    one bincount over flat gives B x.  The entries of one basis row a
+    are stored together; zeros of B are not stored.
+    """
+
+    def __init__(self, m: int, d: int, flat, cols, vals):
+        self.m = m
+        self.d = d
+        self.flat = flat
+        self.cols = cols
+        self.vals = vals
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.r0 + self.L @ x + (self.B @ x) @ x
+        return 0.5 * (self.jacobian(x) @ x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.L + 2.0 * (self.B @ x)
-
-    @classmethod
-    def build(cls, fn, d: int):
-        r0 = fn(np.zeros(d))
-        m = r0.shape[0]
-        L = np.zeros((m, d))
-        Q = np.zeros((d, m))  # pure quadratic values on basis vectors
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            plus = fn(e)
-            minus = fn(-e)
-            L[:, i] = 0.5 * (plus - minus)
-            Q[i] = 0.5 * (plus + minus) - r0
-        B = np.zeros((m, d, d))
-        for i in range(d):
-            B[:, i, i] = Q[i]
-        for i in range(d):
-            e_i = np.zeros(d)
-            e_i[i] = 1.0
-            for j in range(i + 1, d):
-                e_j = np.zeros(d)
-                e_j[j] = 1.0
-                mixed = fn(e_i + e_j) - r0 - L @ (e_i + e_j) - Q[i] - Q[j]
-                B[:, i, j] = 0.5 * mixed
-                B[:, j, i] = 0.5 * mixed
-        return cls(r0, L, B)
+        Bx = np.bincount(self.flat, weights=self.vals * x[self.cols], minlength=self.m * self.d)
+        return 2.0 * Bx.reshape(self.m, self.d)
 
 
 @functools.lru_cache(maxsize=8)
+def _basis(n: int, s: float, mode: str) -> tuple:
+    """The structures decoded from the unit vectors of the unknown layout."""
+    problem = SearchProblem(n=n, s=s, mode=mode)
+    return tuple(structure_from_point(problem, e) for e in np.eye(unknown_count(problem)))
+
+
+@functools.lru_cache(maxsize=8)
+def _quadratic_model(
+    n: int, s: float, mode: str, jacobi_weight: float, flatness_weight: float
+) -> _QuadraticModel:
+    """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
+    forms q of the Jacobi and curvature kernels, one basis row a at a time."""
+    basis = _basis(n, s, mode)
+    d = len(basis)
+    Cb = np.array([U.C for U in basis]).reshape(d, n, n, n)
+    Db = np.array([U.D for U in basis]).reshape(d, n, n, n)
+    shape = (d, 2 * n, 2 * n, 2 * n)
+    A = np.array([connection_endomorphisms(U, s) for U in basis]).reshape(shape)
+    brk = np.array([bracket_tables(U).table for U in basis]).reshape(shape)
+    wj = np.sqrt(jacobi_weight)
+    wf = np.sqrt(flatness_weight)
+
+    def rows(jacobi, curv):
+        # residual rows of q over the b axis, laid out as _quadratic_part
+        jac = np.stack(jacobi, axis=1).reshape(d, 3, 1, n**4)
+        cur = curv.reshape(d, 4 * n * n, 1, n * n)
+        return np.concatenate(
+            [
+                wj * np.concatenate([jac.real, jac.imag], axis=2).reshape(d, -1),
+                wf * np.concatenate([cur.real, cur.imag], axis=2).reshape(d, -1),
+            ],
+            axis=1,
+        )
+
+    m = 14 * n**4  # re and im of 3 Jacobi families of n^4 and 4n^2 curvature blocks of n^2
+    block = slice(0, n)  # the curvature rows are the (1,0) blocks R[a, b, :n, :n]
+    flat, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for a in range(d):
+        ab = rows(
+            _jacobi_bilinear(Cb[a], Db[a], Cb, Db, ("", "Z")),
+            _curvature_tensor(A[a], brk[a], A, ("", "Z"), block),
+        )
+        ba = rows(
+            _jacobi_bilinear(Cb, Db, Cb[a], Db[a], ("Z", "")),
+            _curvature_tensor(A, brk, A[a], ("Z", ""), block),
+        )
+        sym = 0.5 * (ab + ba)  # sym[b, row] = B[row, a, b]
+        b_idx, row_idx = np.nonzero(sym)
+        flat.append(row_idx * d + a)
+        cols.append(b_idx)
+        vals.append(sym[b_idx, row_idx])
+    return _QuadraticModel(m, d, np.concatenate(flat), np.concatenate(cols), np.concatenate(vals))
+
+
 def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:
-    d = unknown_count(problem)
-    return _QuadraticModel.build(lambda x: _quadratic_part(x, problem), d)
+    """The quadratic model of the problem, cached on what defines it."""
+    return _quadratic_model(
+        problem.n, problem.s, problem.mode, problem.jacobi_weight, problem.flatness_weight
+    )
 
 
 @functools.lru_cache(maxsize=8)
-def _torsion_model(problem: SearchProblem) -> np.ndarray:
-    return _torsion_linear_map(problem)
+def _torsion_model(n: int, s: float, mode: str) -> np.ndarray:
+    """Real matrix M with (T entries as interleaved re/im) = M @ x."""
+    T = np.array([chern_torsion(U).T for U in _basis(n, s, mode)]).reshape(-1, n**3)
+    M = np.zeros((2 * n**3, T.shape[0]))
+    M[0::2] = T.real.T
+    M[1::2] = T.imag.T
+    return M
 
 
 def jacobian(x, problem: SearchProblem) -> np.ndarray:
     """Exact derivative of residual_vector at x.
 
-    Every polynomial entry has degree <= 2, so the derivative is
-    L + 2 B x from the polarized bilinear structure; the hinge row is
-    differentiated analytically.  Central finite differences of
-    residual_vector reproduce this to rounding.
+    Every polynomial entry is a homogeneous quadratic x^T B x, so the
+    derivative is 2 B x, evaluated from the sparse B of the cached
+    model; the hinge row is differentiated analytically.  Central
+    finite differences of residual_vector reproduce this to rounding.
     """
     x = np.asarray(x, dtype=float)
     J = _polynomial_model(problem).jacobian(x)

@@ -91,6 +91,25 @@ class TestConnectionFamily:
             interp = (1 - s / 2) * chern + (s / 2) * bismut
             assert np.abs(gamma - interp).max() <= 1e-13
 
+    def test_matches_expanded_formula(self):
+        # gamma = (1-s/2) D^j_{ik} + (s/2) D^j_{ki} - (s/2) C^j_{ik}, and the
+        # matching expansion of gamma_bar, agree with gamma = D + s T
+        rng = np.random.default_rng(5)
+        for seed in range(12):
+            U = random_structure(1 + seed % 4, 300 + seed)
+            s = rng.uniform(-2.0, 4.0)
+            conn = hl.gauduchon_connection(U, s)
+            direct = (1 - s / 2) * U.D + (s / 2) * U.D.transpose(0, 2, 1) - (s / 2) * U.C
+            cD, cC = np.conj(U.D), np.conj(U.C)
+            direct_bar = (
+                -(1 - s / 2) * cD.transpose(1, 0, 2)
+                - (s / 2) * cD.transpose(2, 0, 1)
+                + (s / 2) * cC.transpose(1, 0, 2)
+            )
+            scale = 1.0 + np.abs(conn.gamma).max()
+            assert np.abs(conn.gamma - direct).max() <= 1e-12 * scale
+            assert np.abs(conn.gamma_bar - direct_bar).max() <= 1e-12 * scale
+
 
 class TestBracketTables:
     def test_abelian_zero(self):

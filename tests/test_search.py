@@ -91,6 +91,84 @@ class TestJacobian:
             assert np.abs(J - FD).max() / scale <= 1e-6
 
 
+def polarization_model(problem):
+    """(r0, L, B) of the residual polynomial from about d^2/2 evaluations of it."""
+    d = S.unknown_count(problem)
+
+    def fn(x):
+        return S._quadratic_part(x, problem)
+
+    r0 = fn(np.zeros(d))
+    L = np.zeros((r0.shape[0], d))
+    Q = np.zeros((d, r0.shape[0]))  # pure quadratic values on basis vectors
+    for i, e in enumerate(np.eye(d)):
+        plus, minus = fn(e), fn(-e)
+        L[:, i] = 0.5 * (plus - minus)
+        Q[i] = 0.5 * (plus + minus) - r0
+    B = np.zeros((r0.shape[0], d, d))
+    for i in range(d):
+        B[:, i, i] = Q[i]
+        for j in range(i + 1, d):
+            e = np.zeros(d)
+            e[[i, j]] = 1.0
+            B[:, i, j] = B[:, j, i] = 0.5 * (fn(e) - r0 - L @ e - Q[i] - Q[j])
+    return r0, L, B
+
+
+def dense_form(model):
+    B = np.zeros((model.m * model.d, model.d))
+    B[model.flat, model.cols] = model.vals
+    return B.reshape(model.m, model.d, model.d)
+
+
+MODEL_PROBLEMS = [
+    S.SearchProblem(n=2, s=0.7),
+    S.SearchProblem(n=3, s=1.0),
+    S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
+    S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
+    S.SearchProblem(n=2, s=2.0, torsion_reward=1.0),
+]
+MODEL_IDS = ["full-2", "full-3", "par-2", "par-3", "hunt"]
+
+
+class TestQuadraticModel:
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    def test_matches_polarization_oracle(self, problem):
+        r0, L, B = polarization_model(problem)
+        assert np.abs(r0).max() == 0.0 and np.abs(L).max() == 0.0  # homogeneous quadratics
+        model = S._polynomial_model(problem)
+        assert np.abs(dense_form(model) - B).max() <= 1e-14 * np.abs(B).max()
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    def test_half_jacobian_times_point_is_residual(self, problem):
+        rng = np.random.default_rng(17)
+        m = S._polynomial_model(problem).m
+        for trial in range(3):
+            x = rng.standard_normal(S.unknown_count(problem))
+            r = S.residual_vector(x, problem)[:m]
+            model_r = 0.5 * S.jacobian(x, problem)[:m] @ x
+            assert np.abs(model_r - r).max() <= 1e-13 * max(1.0, np.abs(r).max())
+
+    def test_torsion_map_matches_chern_torsion(self):
+        for problem in MODEL_PROBLEMS:
+            x = np.random.default_rng(3).standard_normal(S.unknown_count(problem))
+            T = hl.chern_torsion(S.structure_from_point(problem, x)).T.ravel()
+            t = S._torsion_model(problem.n, problem.s, problem.mode) @ x
+            assert np.abs(t[0::2] + 1j * t[1::2] - T).max() <= 1e-14 * max(1.0, np.abs(T).max())
+
+    def test_stored_size_is_bounded(self):
+        # the dense (m, d, d) form at n = 3 full mode takes 47 MB
+        model = S._polynomial_model(S.SearchProblem(n=3, s=1.0))
+        assert model.flat.nbytes + model.cols.nbytes + model.vals.nbytes < 5e6
+
+    def test_cached_on_what_defines_the_model(self):
+        a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8, torsion_reward=1.0)
+        b = S.SearchProblem(n=2, s=0.7, seed=2, max_iters=10, kahler_tol=1e-3)
+        assert S._polynomial_model(a) is S._polynomial_model(b)
+        c = S.SearchProblem(n=2, s=0.7, flatness_weight=2.0)
+        assert S._polynomial_model(c) is not S._polynomial_model(a)
+
+
 class TestLmMinimize:
     def test_zero_iterations_on_solution(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)

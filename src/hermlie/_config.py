@@ -5,7 +5,10 @@ variable ``HERMLIE_TOL`` (a decimal value, e.g. ``1e-10``).  All other
 tolerances are fixed module constants.
 """
 
+import math
 import os
+
+from .exceptions import ValidationError
 
 # ~1000x accumulated double-precision rounding at n <= 6
 VALIDITY_TOL = 1e-9
@@ -14,15 +17,22 @@ FLATNESS_TOL = 1e-8
 TOL_ENV_VAR = "HERMLIE_TOL"
 
 
-def default_tol() -> float:
-    """Validity tolerance, honouring the HERMLIE_TOL override."""
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return VALIDITY_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TOL_ENV_VAR} must be a decimal number, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive, got {value}")
+def validity_tol(tol: float | None = None) -> float:
+    """tol, or the validity tolerance honouring the HERMLIE_TOL override.
+
+    Raises ValidationError unless the result is positive and finite.
+    """
+    name = "tolerance"
+    if tol is None:
+        name, raw = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR, VALIDITY_TOL)
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValidationError(f"{name} must be a decimal number, got {raw!r}") from None
+    return positive_finite(name, tol)
+
+
+def positive_finite(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import default_tol
+from ._config import validity_tol
 from .exceptions import DimensionMismatchError
 from .tensors import (
     antisymmetrize_lower,
@@ -121,7 +121,7 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residuals of an identity family, keyed by index tuple.
+    """Residuals of an identity family, keyed by index tuple or by sub-family.
 
     When the producing operation was given a tolerance it is recorded
     here and ``valid`` reports the max_abs <= tol judgment.
@@ -333,11 +333,11 @@ def connection_flatness_residuals(U: UnitaryStructure, s: float):
     )
 
 
-def _tensor_report(name: str, res: np.ndarray, prefix=()) -> ResidualReport:
+def _tensor_report(name: str, res: np.ndarray) -> ResidualReport:
     per = {}
     it = np.nditer(res, flags=["multi_index"])
     for value in it:
-        per[prefix + tuple(i + 1 for i in it.multi_index)] = complex(value)
+        per[tuple(i + 1 for i in it.multi_index)] = complex(value)
     return ResidualReport(name=name, max_abs=max_abs(res), per_identity=per)
 
 
@@ -350,20 +350,17 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
                        + C^j_{ri} conj(D^k_{rl}) - D^l_{ri} conj(D^k_{jr})
                        + D^l_{rk} conj(D^i_{jr}) )
 
-    The structure is declared valid iff max_abs <= tol (default: the
-    package validity tolerance).  No separate integrability check
-    exists here: C carries no (0,1) part by construction.
+    per_identity maps ("ccc",), ("cdd",) and ("cdbar",) to the largest
+    residual modulus of each family.  The structure is declared valid
+    iff max_abs <= tol (default: the package validity tolerance).  No
+    separate integrability check exists here: C carries no (0,1) part
+    by construction.
     """
     res = jacobi_residual_tensors(U.C, U.D)
-    per = {}
-    worst = 0.0
-    for fam, arr in zip(("ccc", "cdd", "cdbar"), res):
-        rep = _tensor_report(fam, arr, prefix=(fam,))
-        per.update(rep.per_identity)
-        worst = max(worst, rep.max_abs)
-    if tol is None:
-        tol = default_tol()
-    return ResidualReport(name="jacobi", max_abs=worst, per_identity=per, tol=tol)
+    per = {(fam,): max_abs(arr) for fam, arr in zip(("ccc", "cdd", "cdbar"), res)}
+    return ResidualReport(
+        name="jacobi", max_abs=max(per.values()), per_identity=per, tol=validity_tol(tol)
+    )
 
 
 def jacobi_residual_tensors(C: np.ndarray, D: np.ndarray):
@@ -532,8 +529,7 @@ def kahler_flatness_summary(
     changes; the flatness residual is the Frobenius norm of the full
     curvature tensor.  Kahler iff the torsion norm is at or below tol.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = validity_tol(tol)
     tor = chern_torsion(U)
     rows = tuple((float(s), curvature(U, s).frobenius) for s in s_grid)
     return FlatnessSummary(

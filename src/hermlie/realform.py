@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import default_tol
+from ._config import validity_tol
 from .core import ResidualReport, UnitaryStructure, bracket_tables
 from .exceptions import (
     DimensionMismatchError,
     FrameConstructionError,
     IntegrabilityError,
+    ValidationError,
 )
 from .tensors import frozen, max_abs
 
@@ -61,7 +62,7 @@ class RealPresentation:
             if M.shape != (d, d):
                 raise DimensionMismatchError(f"{name}: expected {(d, d)}, got {M.shape}")
         if not (np.isfinite(f).all() and np.isfinite(G).all() and np.isfinite(J).all()):
-            raise ValueError("real presentation entries must be finite")
+            raise ValidationError("real presentation entries must be finite")
         object.__setattr__(self, "f", frozen(0.5 * (f - f.transpose(0, 2, 1))))
         object.__setattr__(self, "G", frozen(0.5 * (G + G.T)))
         object.__setattr__(self, "J", frozen(J))
@@ -69,10 +70,6 @@ class RealPresentation:
     @property
     def n(self) -> int:
         return self.dim // 2
-
-
-def _real_bracket(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("cab,a,b->c", f, x, y)
 
 
 def validate_real(P: RealPresentation, tol: float | None = None) -> ResidualReport:
@@ -83,8 +80,7 @@ def validate_real(P: RealPresentation, tol: float | None = None) -> ResidualRepo
     rather than raised), and the integrability expression
     [x,y] - [Jx,Jy] + J[Jx,y] + J[x,Jy] on all basis pairs.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = validity_tol(tol)
     d, f, G, J = P.dim, P.f, P.G, P.J
     per = {}
 
@@ -216,8 +212,7 @@ def to_unitary_structure(P: RealPresentation, tol: float | None = None) -> Unita
     Raises IntegrabilityError (carrying the largest offending component)
     when [e_i, e_k] has a (0,1) part above tol.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = validity_tol(tol)
     C, D, offdiag = complex_structure_constants(P)
     if offdiag > tol:
         raise IntegrabilityError(

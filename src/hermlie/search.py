@@ -24,10 +24,12 @@ would be scheduled.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import positive_finite
 from .core import (
     UnitaryStructure,
     _curvature_tensor,
@@ -38,7 +40,7 @@ from .core import (
     curvature,
     jacobi_residual_tensors,
 )
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, ValidationError
 from .tensors import antisymmetrize_lower
 
 FULL = "full"
@@ -79,11 +81,15 @@ class SearchProblem:
 
     def __post_init__(self):
         if self.mode not in (FULL, PARALLEL_FRAME):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("n, restarts and max_iters must be positive")
-        if min(self.jacobi_weight, self.flatness_weight, self.torsion_reward) < 0:
-            raise ValueError("weights must be nonnegative")
+            raise ValidationError("n, restarts and max_iters must be positive")
+        if not math.isfinite(self.s):
+            raise ValidationError(f"s must be finite, got {self.s}")
+        if not min(self.jacobi_weight, self.flatness_weight, self.torsion_reward) >= 0:
+            raise ValidationError("weights must be nonnegative")
+        positive_finite("tol", self.tol)
+        positive_finite("kahler_tol", self.kahler_tol)
 
 
 @dataclass(frozen=True)

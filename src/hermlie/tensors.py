@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, ValidationError
 
 
 def as_coefficient_tensor(entries, n: int, name: str = "tensor") -> np.ndarray:
     """Validate and return a complex n x n x n coefficient array.
 
-    Raises DimensionMismatchError on wrong shape, ValueError on
+    Raises DimensionMismatchError on wrong shape, ValidationError on
     non-finite entries.
     """
     arr = np.asarray(entries, dtype=complex)
@@ -26,7 +26,7 @@ def as_coefficient_tensor(entries, n: int, name: str = "tensor") -> np.ndarray:
             f"{name}: expected shape {(n, n, n)}, got {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: entries must be finite")
+        raise ValidationError(f"{name}: entries must be finite")
     return arr
 
 

@@ -46,12 +46,12 @@ class TorsionIdentitySuite:
     s: float
     n: int
     out_of_hypothesis: bool
-    reports: dict
+    residuals: dict  # family -> max |residual|
     statuses: dict
 
     @property
     def max_abs(self) -> float:
-        return max(r.max_abs for r in self.reports.values())
+        return max(self.residuals.values())
 
 
 def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySuite:
@@ -117,11 +117,11 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
     )
     conjugate = conj_lhs - rhs
 
-    reports = {
-        "exchange": _quiet_report("exchange", exchange),
-        "cyclic": _quiet_report("cyclic", cyclic),
-        "exchange_reduced": _quiet_report("exchange_reduced", exchange_reduced),
-        "conjugate": _quiet_report("conjugate", conjugate),
+    residuals = {
+        "exchange": max_abs(exchange),
+        "cyclic": max_abs(cyclic),
+        "exchange_reduced": max_abs(exchange_reduced),
+        "conjugate": max_abs(conjugate),
     }
     statuses = {
         "exchange": "evaluated",
@@ -135,14 +135,9 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
         s=float(s),
         n=n,
         out_of_hypothesis=(s == 0),
-        reports=reports,
+        residuals=residuals,
         statuses=statuses,
     )
-
-
-def _quiet_report(name: str, arr: np.ndarray) -> ResidualReport:
-    # max-only residual report; per-tuple detail is rarely needed here
-    return ResidualReport(name=name, max_abs=max_abs(arr), per_identity={(name,): max_abs(arr)})
 
 
 def half_flat_trace(T: TorsionData) -> float:
@@ -410,20 +405,23 @@ def common_kernel(T: TorsionData, tol: float | None = None):
     at or below tol (default 1e-8 times the stack norm), else None.
     For T = 0 the first basis vector is returned by convention.
     """
-    fam = torsion_operator_family(T)
-    n = fam.shape[0]
-    stack = fam.reshape(n * n, n)
-    scale = float(np.linalg.norm(stack))
-    if scale == 0.0:
-        e1 = np.zeros(n, dtype=complex)
-        e1[0] = 1.0
-        return e1
+    w, smallest = _kernel_candidate(T.T)
     if tol is None:
-        tol = 1e-8 * scale
+        tol = 1e-8 * frobenius(T.T)
+    return w if smallest <= tol else None
+
+
+def _kernel_candidate(Tm: np.ndarray):
+    """Smallest right singular vector of the operator stack and its singular value.
+
+    For T = 0 the vector is the first basis vector, with value 0.
+    """
+    n = Tm.shape[0]
+    stack = Tm.transpose(1, 0, 2).reshape(n * n, n)
+    if not stack.any():
+        return np.eye(n, dtype=complex)[0], 0.0
     _, sing, Vh = np.linalg.svd(stack)
-    if sing[-1] <= tol:
-        return np.conj(Vh[-1])
-    return None
+    return np.conj(Vh[-1]), float(sing[-1])
 
 
 def _householder_to_last(w: np.ndarray) -> np.ndarray:
@@ -487,12 +485,8 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
         norm = frobenius(Tm)
         if norm <= tol:
             return DescentResult(0.0, False, "completed", tuple(steps))
-        data = TorsionData(T=Tm, eta=np.einsum("kkr->r", Tm))
-        fam = torsion_operator_family(data)
-        stack = fam.reshape(-1, Tm.shape[0])
-        sing = np.linalg.svd(stack, compute_uv=False)
-        w = common_kernel(data)
-        if w is None:
+        w, smallest = _kernel_candidate(Tm)
+        if smallest > 1e-8 * norm:
             return DescentResult(norm, False, "stuck", tuple(steps))
         V = _householder_to_last(w)
         Tm = transform_frame(Tm, V)
@@ -506,7 +500,7 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
             )
         )
         steps.append(
-            DescentStep(dim=m, kernel_singular_value=float(sing[-1]), peel_residual=peel)
+            DescentStep(dim=m, kernel_singular_value=smallest, peel_residual=peel)
         )
         if peel > max(tol, 1e-9 * max(1.0, norm)):
             return DescentResult(norm, False, "stuck", tuple(steps))

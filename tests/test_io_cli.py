@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie import structio
+from hermlie import batteries, structio
 from hermlie.cli import main
 
 from conftest import random_structure
@@ -196,10 +196,50 @@ class TestCli:
         header = out.strip().split("\n")[0]
         assert header.startswith("restart,seed_used,iterations,")
 
-    def test_verify_theorems_surface(self, capsys):
-        assert main(["verify-theorems", "--suite", "surface"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+    @pytest.mark.parametrize("suite", ["lemma31", "surface", "all"])
+    def test_verify_theorems_passes(self, suite, capsys):
+        assert main(["verify-theorems", "--suite", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("PASS") for line in lines)
+        assert not any(line.startswith("FAIL") for line in lines)
+        assert lines[-1] == "all checks passed"
+
+    def test_verify_theorems_reports_failure(self, capsys, monkeypatch):
+        failing = (batteries.Check("injected failure", False),)
+        monkeypatch.setitem(batteries.SUITES, "surface", lambda: failing)
+        assert main(["verify-theorems", "--suite", "surface"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  injected failure" in lines
+        assert lines[-1] == "some checks FAILED"
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["search", "--n", "0", "--s", "1"], {}),
+            (["search", "--n", "2", "--s", "1", "--restarts", "0"], {}),
+            (["search", "--n", "2", "--s", "nan"], {}),
+            (["catalog", "bdf4", "--q", "abc"], {}),
+            (["catalog", "bdf-general", "--q", "x"], {}),
+            (["catalog", "samelson", "--c", "nan"], {}),
+            (["validate", "{file}"], {"HERMLIE_TOL": "abc"}),
+            (["validate", "{file}", "--tol", "nan"], {}),
+            (["analyze", "{file}", "--s-grid", "nan,1"], {}),
+        ],
+        ids=[
+            "search-n0", "search-restarts0", "search-s-nan", "bdf4-q-abc", "bdf-general-q-x",
+            "samelson-c-nan", "env-tol-abc", "validate-tol-nan", "analyze-grid-nan",
+        ],
+    )
+    def test_bad_input_is_an_error(self, argv, env, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        path.write_bytes(structio.emit_structure(hl.samelson_su2_r(1.0)))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code = main([arg.replace("{file}", str(path)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code in (1, 2)
+        assert captured.err.startswith("error:")
+        assert "nan" not in captured.out
 
     def test_bdf_general_catalog(self, tmp_path, capsys):
         path = tmp_path / "b6.json"

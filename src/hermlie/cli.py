@@ -160,6 +160,7 @@ def _cmd_search(args) -> int:
             "restart": idx,
             "seed_used": res.seed_used,
             "iterations": res.iterations,
+            "stop_reason": res.stop_reason,
             "final_jacobi": res.final_jacobi,
             "final_flatness": res.final_flatness,
             "torsion_norm": res.torsion_norm,
@@ -175,6 +176,10 @@ def _cmd_search(args) -> int:
 
 def _cmd_catalog(args) -> int:
     name = args.name
+    for option, value in (("--c", args.c), ("--eps", args.eps)):
+        if not math.isfinite(value):
+            print(f"error: {option} must be a finite number", file=sys.stderr)
+            return 2
     q = _numbers(args.q, "--q") if name.startswith("bdf") else ()
     if q is None:
         return 2

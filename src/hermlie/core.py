@@ -28,12 +28,13 @@ A; its vanishing at parameter s is what "flat" means throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._config import validity_tol
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, ValidationError
 from .tensors import (
     antisymmetrize_lower,
     as_coefficient_tensor,
@@ -528,10 +529,15 @@ def kahler_flatness_summary(
     All reported scalars are invariant under constant unitary frame
     changes; the flatness residual is the Frobenius norm of the full
     curvature tensor.  Kahler iff the torsion norm is at or below tol.
+    Raises ValidationError when a flatness residual overflows.
     """
     tol = validity_tol(tol)
     tor = chern_torsion(U)
-    rows = tuple((float(s), curvature(U, s).frobenius) for s in s_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = tuple((float(s), curvature(U, s).frobenius) for s in s_grid)
+    for s, flat in rows:
+        if not math.isfinite(flat):
+            raise ValidationError(f"flatness residual at s={s!r} is not finite")
     return FlatnessSummary(
         torsion_norm=tor.norm,
         eta_norm=tor.eta_norm,

@@ -61,10 +61,15 @@ class RealPresentation:
         for name, M in (("G", G), ("J", J)):
             if M.shape != (d, d):
                 raise DimensionMismatchError(f"{name}: expected {(d, d)}, got {M.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = 0.5 * (f - f.transpose(0, 2, 1))
+            G = 0.5 * (G + G.T)
         if not (np.isfinite(f).all() and np.isfinite(G).all() and np.isfinite(J).all()):
-            raise ValidationError("real presentation entries must be finite")
-        object.__setattr__(self, "f", frozen(0.5 * (f - f.transpose(0, 2, 1))))
-        object.__setattr__(self, "G", frozen(0.5 * (G + G.T)))
+            raise ValidationError(
+                "real presentation entries must be finite, and so must their (anti)symmetric parts"
+            )
+        object.__setattr__(self, "f", frozen(f))
+        object.__setattr__(self, "G", frozen(G))
         object.__setattr__(self, "J", frozen(J))
 
     @property

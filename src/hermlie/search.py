@@ -11,10 +11,16 @@ hunting for non-Kahler candidates.
 Apart from the hinge, every residual entry is a homogeneous quadratic
 x^T B x in the unknowns.  The symmetric bilinear form B is assembled
 once per (n, s, mode, weights) from the bilinear Jacobi and curvature
-kernels evaluated on the basis vectors, one basis row at a time, and
-only its nonzero entries are kept.  The Jacobian is J(x) = 2 B x and
-the residual is J(x) x / 2.  Levenberg-Marquardt then runs with the
-fixed damping schedule: reject doubles the damping, accept halves it.
+kernels evaluated on the basis vectors, one basis row at a time and
+only for b >= a, and only its nonzero entries are kept.  Residual rows
+that vanish for every x are dropped from the model (104 of 224 at n = 2);
+jacobian() scatters the others back into the documented layout.  The
+Jacobian is J(x) = 2 B x and the residual is J(x) x / 2.
+
+Levenberg-Marquardt runs with the fixed damping schedule (reject
+doubles the damping, accept halves it) and evaluates the model once
+per iteration, at the candidate point.  Each restart records why it
+stopped: tol, step_floor, damping_ceiling, stagnation or max_iters.
 
 Restart seeds are preassigned (problem.seed + restart index), so the
 summary of a multistart run is deterministic no matter how restarts
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,9 @@ NOT_CONVERGED = "not_converged"
 _INITIAL_DAMPING = 1e-3
 _DAMPING_CEILING = 1e12
 _STEP_FLOOR = 1e-15
+# stop when the residual norm fell by at most this fraction over this many accepted steps
+_STAGNATION_DECREASE = 1e-6
+_STAGNATION_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,7 @@ class SearchResult:
     iterations: int
     seed_used: int
     residual_norm: float
+    stop_reason: str
     used_gradient_fallback: bool = False
     residual_history: tuple = ()  # norm after each accepted step, start included
 
@@ -111,6 +122,7 @@ class MultistartSummary:
     problem: SearchProblem
     results: tuple
     counts: dict
+    stop_reasons: dict  # stop reason -> number of restarts
 
     def count(self, classification: str) -> int:
         return self.counts.get(classification, 0)
@@ -243,27 +255,23 @@ def residual_vector(x, problem: SearchProblem) -> np.ndarray:
     return r
 
 
+@dataclass(frozen=True, eq=False)
 class _QuadraticModel:
-    """Sparse symmetric bilinear form B with _quadratic_part(x) = x^T B x.
+    """Sparse symmetric bilinear form B of the residual rows that can be nonzero.
 
-    Entry k is B[r, a, cols[k]] = vals[k] with flat[k] = r * d + a, so
-    one bincount over flat gives B x.  The entries of one basis row a
-    are stored together; zeros of B are not stored.
+    Model row i is row rows[i] of the m-row layout of _quadratic_part,
+    which equals x^T B[i] x there; the other rows vanish for every x and
+    are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
+    flat[k] = i * d + a, so one bincount over flat gives B x.  Zeros of
+    B are not stored either.
     """
 
-    def __init__(self, m: int, d: int, flat, cols, vals):
-        self.m = m
-        self.d = d
-        self.flat = flat
-        self.cols = cols
-        self.vals = vals
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.jacobian(x) @ x)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        Bx = np.bincount(self.flat, weights=self.vals * x[self.cols], minlength=self.m * self.d)
-        return 2.0 * Bx.reshape(self.m, self.d)
+    m: int
+    d: int
+    rows: np.ndarray
+    flat: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,7 +286,10 @@ def _quadratic_model(
     n: int, s: float, mode: str, jacobi_weight: float, flatness_weight: float
 ) -> _QuadraticModel:
     """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
-    forms q of the Jacobi and curvature kernels, one basis row a at a time."""
+    forms q of the Jacobi and curvature kernels, one basis row a at a time.
+
+    Only b >= a is computed; B[:, b, a] is emitted from the same values.
+    """
     basis = _basis(n, s, mode)
     d = len(basis)
     Cb = np.array([U.C for U in basis]).reshape(d, n, n, n)
@@ -291,34 +302,48 @@ def _quadratic_model(
 
     def rows(jacobi, curv):
         # residual rows of q over the b axis, laid out as _quadratic_part
-        jac = np.stack(jacobi, axis=1).reshape(d, 3, 1, n**4)
-        cur = curv.reshape(d, 4 * n * n, 1, n * n)
+        k = len(curv)
+        jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
+        cur = curv.reshape(k, 4 * n * n, 1, n * n)
         return np.concatenate(
             [
-                wj * np.concatenate([jac.real, jac.imag], axis=2).reshape(d, -1),
-                wf * np.concatenate([cur.real, cur.imag], axis=2).reshape(d, -1),
+                wj * np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
+                wf * np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1),
             ],
             axis=1,
         )
 
     m = 14 * n**4  # re and im of 3 Jacobi families of n^4 and 4n^2 curvature blocks of n^2
     block = slice(0, n)  # the curvature rows are the (1,0) blocks R[a, b, :n, :n]
-    flat, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    row, left, right, vals = [], [], [], []
     for a in range(d):
+        tail = slice(a, d)
         ab = rows(
-            _jacobi_bilinear(Cb[a], Db[a], Cb, Db, ("", "Z")),
-            _curvature_tensor(A[a], brk[a], A, ("", "Z"), block),
+            _jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
+            _curvature_tensor(A[a], brk[a], A[tail], ("", "Z"), block),
         )
         ba = rows(
-            _jacobi_bilinear(Cb, Db, Cb[a], Db[a], ("Z", "")),
-            _curvature_tensor(A, brk, A[a], ("Z", ""), block),
+            _jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
+            _curvature_tensor(A[tail], brk[tail], A[a], ("Z", ""), block),
         )
-        sym = 0.5 * (ab + ba)  # sym[b, row] = B[row, a, b]
+        sym = 0.5 * (ab + ba)  # sym[b - a, r] = B[r, a, b] = B[r, b, a]
         b_idx, row_idx = np.nonzero(sym)
-        flat.append(row_idx * d + a)
-        cols.append(b_idx)
-        vals.append(sym[b_idx, row_idx])
-    return _QuadraticModel(m, d, np.concatenate(flat), np.concatenate(cols), np.concatenate(vals))
+        v = sym[b_idx, row_idx]
+        b_idx += a
+        mirror = b_idx > a
+        # within every (r, a) bin of B x the b values come in ascending order
+        row += [row_idx, row_idx[mirror]]
+        left += [np.full(len(b_idx), a), b_idx[mirror]]
+        right += [b_idx, np.full(int(mirror.sum()), a)]
+        vals += [v, v[mirror]]
+    row = np.concatenate(row)
+    live = np.flatnonzero(np.bincount(row, minlength=m))
+    compact = np.zeros(m, np.intp)
+    compact[live] = np.arange(len(live))
+    return _QuadraticModel(
+        m, d, live, compact[row] * d + np.concatenate(left), np.concatenate(right),
+        np.concatenate(vals),
+    )
 
 
 def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:
@@ -338,28 +363,39 @@ def _torsion_model(n: int, s: float, mode: str) -> np.ndarray:
     return M
 
 
+def _evaluate(x: np.ndarray, problem: SearchProblem):
+    """(J, r, ||r||) at x over the model rows, then the hinge row when hunting.
+
+    J = 2 B x is one bincount and r = J x / 2; the hinge costs one M @ x.
+    """
+    model = _polynomial_model(problem)
+    hunt = problem.torsion_reward > 0
+    k = len(model.rows) + hunt
+    Bx = np.bincount(model.flat, weights=model.vals * x[model.cols], minlength=k * model.d)
+    J = 2.0 * Bx.reshape(k, model.d)
+    r = 0.5 * (J @ x)
+    if hunt:
+        r[-1], J[-1] = _hinge(x, problem)
+    return J, r, float(np.linalg.norm(r))
+
+
 def jacobian(x, problem: SearchProblem) -> np.ndarray:
-    """Exact derivative of residual_vector at x.
+    """Exact derivative of residual_vector at x, in its full row layout.
 
     Every polynomial entry is a homogeneous quadratic x^T B x, so the
     derivative is 2 B x, evaluated from the sparse B of the cached
-    model; the hinge row is differentiated analytically.  Central
-    finite differences of residual_vector reproduce this to rounding.
+    model; the rows the model drops are zero.  The hinge row is
+    differentiated analytically.  Central finite differences of
+    residual_vector reproduce this to rounding.
     """
     x = np.asarray(x, dtype=float)
-    J = _polynomial_model(problem).jacobian(x)
-    if problem.torsion_reward > 0:
-        _, grad = _hinge(x, problem)
-        J = np.vstack([J, grad])
-    return J
-
-
-def _model_residual(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
-    r = _polynomial_model(problem)(x)
-    if problem.torsion_reward > 0:
-        value, _ = _hinge(x, problem)
-        r = np.append(r, value)
-    return r
+    J, _, _ = _evaluate(x, problem)
+    model = _polynomial_model(problem)
+    live = len(model.rows)
+    full = np.zeros((model.m + len(J) - live, model.d))
+    full[model.rows] = J[:live]
+    full[model.m :] = J[live:]
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +406,43 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
     """Damped least squares from one start point.
 
     Damping doubles on a rejected step and halves on an accepted one,
-    starting from 1e-3; iteration stops when the residual 2-norm
-    reaches problem.tol, the step collapses, the damping blows up, or
-    max_iters is hit.  Accepted steps never increase the residual norm.
-    Singular or non-finite normal equations fall back to a small
-    gradient step and are flagged on the result.
+    starting from 1e-3.  The model is evaluated once per iteration, at
+    the candidate; an accepted candidate's J and r serve the next
+    iteration and a rejected step reuses the current ones.  Iteration
+    stops, with that stop_reason on the result, when
+      tol              the residual 2-norm reaches problem.tol,
+      step_floor       an accepted step is below 1e-15 (1 + |x|),
+      damping_ceiling  the damping reaches 1e12,
+      stagnation       the residual norm fell by at most a 1e-6 fraction
+                       over the last 10 accepted steps,
+      max_iters        problem.max_iters iterations have run.
+    Accepted steps never increase the residual norm.  Singular or
+    non-finite normal equations fall back to a small gradient step and
+    are flagged on the result.
     """
     x = np.asarray(start, dtype=float).copy()
-    r = _model_residual(x, problem)
-    norm = float(np.linalg.norm(r))
+    J, r, norm = _evaluate(x, problem)
     mu = _INITIAL_DAMPING
     iterations = 0
     fallback = False
     history = [norm]
 
-    while norm > problem.tol and iterations < problem.max_iters and mu < _DAMPING_CEILING:
+    while True:
+        if norm <= problem.tol:
+            stop = "tol"
+            break
+        if mu >= _DAMPING_CEILING:
+            stop = "damping_ceiling"
+            break
+        if iterations >= problem.max_iters:
+            stop = "max_iters"
+            break
         iterations += 1
-        J = jacobian(x, problem)
         g = J.T @ r
         H = J.T @ J
+        H.flat[:: H.shape[0] + 1] += mu
         try:
-            step = np.linalg.solve(H + mu * np.eye(H.shape[0]), -g)
+            step = np.linalg.solve(H, -g)
             if not np.all(np.isfinite(step)):
                 raise np.linalg.LinAlgError("non-finite step")
         except np.linalg.LinAlgError:
@@ -398,18 +450,23 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
             gn = float(np.linalg.norm(g))
             step = -g * (1e-3 / (1.0 + gn))
         cand = x + step
-        cand_r = _model_residual(cand, problem)
-        cand_norm = float(np.linalg.norm(cand_r))
+        cand_J, cand_r, cand_norm = _evaluate(cand, problem)
         if cand_norm <= norm:
-            x, r, norm = cand, cand_r, cand_norm
+            x, J, r, norm = cand, cand_J, cand_r, cand_norm
             history.append(norm)
             mu *= 0.5
             if float(np.linalg.norm(step)) <= _STEP_FLOOR * (1.0 + float(np.linalg.norm(x))):
+                stop = "step_floor"
                 break
+            if norm > problem.tol and len(history) > _STAGNATION_STEPS:
+                before = history[-1 - _STAGNATION_STEPS]
+                if before - norm <= _STAGNATION_DECREASE * before:
+                    stop = "stagnation"
+                    break
         else:
             mu *= 2.0
 
-    return _classify(problem, x, iterations, seed_used, norm, fallback, tuple(history))
+    return _classify(problem, x, iterations, seed_used, norm, stop, fallback, tuple(history))
 
 
 def _classify(
@@ -418,6 +475,7 @@ def _classify(
     iterations: int,
     seed_used: int,
     residual_norm: float,
+    stop_reason: str,
     fallback: bool,
     history: tuple = (),
 ) -> SearchResult:
@@ -441,6 +499,7 @@ def _classify(
         iterations=iterations,
         seed_used=seed_used,
         residual_norm=residual_norm,
+        stop_reason=stop_reason,
         used_gradient_fallback=fallback,
         residual_history=history,
     )
@@ -456,16 +515,18 @@ def multistart_search(problem: SearchProblem) -> MultistartSummary:
     """Run lm_minimize from `restarts` seeded random starts serially.
 
     Restart k draws its start from seed problem.seed + k; the summary
-    counts classifications.  Non-convergence is counted, never dropped:
-    absence of non-Kahler solutions is evidence about this search, not
-    a proof, and the bookkeeping keeps that explicit.
+    counts classifications and stop reasons.  Non-convergence is
+    counted, never dropped: absence of non-Kahler solutions is evidence
+    about this search, not a proof, and the bookkeeping keeps that
+    explicit.
     """
-    results = []
-    for k in range(problem.restarts):
-        seed_k = problem.seed + k
-        start = random_start(problem, seed_k)
-        results.append(lm_minimize(problem, start, seed_used=seed_k))
-    counts: dict = {}
-    for res in results:
-        counts[res.classification] = counts.get(res.classification, 0) + 1
-    return MultistartSummary(problem=problem, results=tuple(results), counts=counts)
+    results = tuple(
+        lm_minimize(problem, random_start(problem, problem.seed + k), seed_used=problem.seed + k)
+        for k in range(problem.restarts)
+    )
+    return MultistartSummary(
+        problem=problem,
+        results=results,
+        counts=dict(Counter(res.classification for res in results)),
+        stop_reasons=dict(Counter(res.stop_reason for res in results)),
+    )

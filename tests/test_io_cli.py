@@ -1,6 +1,7 @@
 """Structure files, report emission, and the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,7 +195,8 @@ class TestCli:
         assert "converged_kahler: 3" in out
         assert "converged_nonkahler: 0" in out
         header = out.strip().split("\n")[0]
-        assert header.startswith("restart,seed_used,iterations,")
+        assert header.startswith("restart,seed_used,iterations,stop_reason,")
+        assert out.strip().split("\n")[1].split(",")[3] == "tol"
 
     @pytest.mark.parametrize("suite", ["lemma31", "surface", "all"])
     def test_verify_theorems_passes(self, suite, capsys):
@@ -221,13 +223,18 @@ class TestCli:
             (["catalog", "bdf4", "--q", "abc"], {}),
             (["catalog", "bdf-general", "--q", "x"], {}),
             (["catalog", "samelson", "--c", "nan"], {}),
+            (["catalog", "complex-group", "--c", "nan"], {}),
+            (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], {}),
+            (["catalog", "bdf4", "--q", "1e308"], {}),
             (["validate", "{file}"], {"HERMLIE_TOL": "abc"}),
             (["validate", "{file}", "--tol", "nan"], {}),
             (["analyze", "{file}", "--s-grid", "nan,1"], {}),
+            (["analyze", "{file}", "--s-grid", "1e308"], {}),
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "bdf4-q-abc", "bdf-general-q-x",
-            "samelson-c-nan", "env-tol-abc", "validate-tol-nan", "analyze-grid-nan",
+            "samelson-c-nan", "complex-group-c-nan", "perturb-eps-nan", "bdf4-q-huge",
+            "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
         ],
     )
     def test_bad_input_is_an_error(self, argv, env, tmp_path, capsys, monkeypatch):
@@ -235,11 +242,29 @@ class TestCli:
         path.write_bytes(structio.emit_structure(hl.samelson_su2_r(1.0)))
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        code = main([arg.replace("{file}", str(path)) for arg in argv])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no NumPy overflow warning either
+            code = main([arg.replace("{file}", str(path)) for arg in argv])
         captured = capsys.readouterr()
         assert code in (1, 2)
         assert captured.err.startswith("error:")
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["catalog", "samelson", "--c", "nan"], "--c"),
+            (["catalog", "complex-group", "--c", "nan"], "--c"),
+            (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], "--eps"),
+            (["analyze", "{file}", "--s-grid", "0,1e308"], "s=1e+308"),
+        ],
+        ids=["samelson-c", "complex-group-c", "perturb-eps", "analyze-s"],
+    )
+    def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(structio.emit_structure(hl.samelson_su2_r(1.0)))
+        assert main([arg.replace("{file}", str(path)) for arg in argv]) in (1, 2)
+        assert named in capsys.readouterr().err
 
     def test_bdf_general_catalog(self, tmp_path, capsys):
         path = tmp_path / "b6.json"

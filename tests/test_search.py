@@ -116,9 +116,12 @@ def polarization_model(problem):
 
 
 def dense_form(model):
-    B = np.zeros((model.m * model.d, model.d))
+    """B of shape (m, d, d) in the full row layout; dropped rows are zero."""
+    B = np.zeros((len(model.rows) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    return B.reshape(model.m, model.d, model.d)
+    full = np.zeros((model.m, model.d, model.d))
+    full[model.rows] = B.reshape(-1, model.d, model.d)
+    return full
 
 
 MODEL_PROBLEMS = [
@@ -155,6 +158,13 @@ class TestQuadraticModel:
             T = hl.chern_torsion(S.structure_from_point(problem, x)).T.ravel()
             t = S._torsion_model(problem.n, problem.s, problem.mode) @ x
             assert np.abs(t[0::2] + 1j * t[1::2] - T).max() <= 1e-14 * max(1.0, np.abs(T).max())
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    def test_keeps_only_rows_that_can_be_nonzero(self, problem):
+        # with the oracle test: the dropped rows of B are zero, the kept ones are not
+        model = S._polynomial_model(problem)
+        assert np.array_equal(np.unique(model.flat // model.d), np.arange(len(model.rows)))
+        assert len(model.rows) < model.m
 
     def test_stored_size_is_bounded(self):
         # the dense (m, d, d) form at n = 3 full mode takes 47 MB
@@ -211,6 +221,61 @@ class TestLmMinimize:
             rep = hl.validate_structure(res.best_point, prob.tol)
             assert rep.max_abs <= 2 * prob.tol
             assert hl.curvature(res.best_point, prob.s).max_abs <= 2 * prob.tol
+
+
+class TestStopReason:
+    def test_tol_on_perturbed_samelson(self, samelson):
+        prob = S.SearchProblem(n=2, s=2.0, tol=1e-10, max_iters=200)
+        res = S.lm_minimize(prob, S.point_from_structure(prob, hl.perturb(samelson, 1e-3, 12)))
+        assert res.stop_reason == "tol"
+        assert res.residual_norm <= prob.tol
+
+    def test_max_iters(self):
+        prob = S.SearchProblem(n=2, s=1.5, max_iters=5)
+        res = S.lm_minimize(prob, S.random_start(prob, 3))
+        assert res.stop_reason == "max_iters"
+        assert res.iterations == 5
+
+    def test_stagnation_at_rigid_parameter(self):
+        prob = S.SearchProblem(
+            n=2, s=1.5, restarts=4, seed=20240810, torsion_reward=1.0,
+            tol=1e-8, max_iters=300,
+        )
+        summ = S.multistart_search(prob)
+        assert summ.stop_reasons == {"stagnation": 4}
+        for res in summ.results:
+            assert res.iterations < prob.max_iters
+            assert res.classification == S.NOT_CONVERGED
+            # over the last window of accepted steps the norm fell by at most the fraction
+            window = res.residual_history[-1 - S._STAGNATION_STEPS :]
+            assert window[0] - window[-1] <= S._STAGNATION_DECREASE * window[0]
+
+    def test_summary_counts_stop_reasons(self):
+        prob = S.SearchProblem(n=2, s=1.0, restarts=6, seed=99, max_iters=60)
+        summ = S.multistart_search(prob)
+        assert sum(summ.stop_reasons.values()) == prob.restarts
+        assert set(summ.stop_reasons) <= {
+            "tol", "step_floor", "damping_ceiling", "stagnation", "max_iters"
+        }
+        for reason, count in summ.stop_reasons.items():
+            assert count == sum(res.stop_reason == reason for res in summ.results)
+
+    @pytest.mark.parametrize("hunt", [0.0, 1.0], ids=["plain", "hunt"])
+    def test_one_model_evaluation_per_iteration(self, hunt, monkeypatch):
+        calls = []
+        evaluate = S._evaluate
+
+        def counting(x, problem):
+            calls.append(1)
+            return evaluate(x, problem)
+
+        monkeypatch.setattr(S, "_evaluate", counting)
+        prob = S.SearchProblem(n=2, s=1.5, torsion_reward=hunt, max_iters=80)
+        for seed in range(3):
+            calls.clear()
+            res = S.lm_minimize(prob, S.random_start(prob, seed))
+            assert res.iterations > 0
+            assert len(calls) == res.iterations + 1
 
 
 class TestMultistart:

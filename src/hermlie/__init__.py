@@ -10,18 +10,15 @@ Levenberg-Marquardt solver.
 """
 
 from .core import (
-    BracketTables,
     ConnectionFamily,
     CurvatureReport,
     FlatnessSummary,
     LeviCivitaReport,
-    RepresentationReport,
     ResidualReport,
     TorsionData,
     UnitaryStructure,
     bracket_tables,
     chern_torsion,
-    connection_flatness_residuals,
     covariant_torsion_derivatives,
     curvature,
     gauduchon_connection,
@@ -29,7 +26,6 @@ from .core import (
     kahler_flatness_summary,
     levi_civita,
     unitary_change,
-    unitary_representation,
     validate_structure,
 )
 from .realform import (

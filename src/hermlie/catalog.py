@@ -15,7 +15,7 @@ import numpy as np
 from .core import UnitaryStructure, jacobi_residual_tensors
 from .exceptions import DegenerateParameterError, ValidationError
 from .realform import RealPresentation
-from .tensors import antisymmetrize_lower, as_coefficient_tensor, max_abs
+from .tensors import antisymmetrize_lower, max_abs
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -39,14 +39,17 @@ def complex_group(C, n: int | None = None) -> UnitaryStructure:
     C = np.asarray(C, dtype=complex)
     if n is None:
         n = C.shape[0]
-    C = antisymmetrize_lower(as_coefficient_tensor(C, n, "C"))
-    fam1, _, _ = jacobi_residual_tensors(C, np.zeros_like(C))
+    U = UnitaryStructure(n=n, C=C, D=np.zeros((n, n, n), dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam1, _, _ = jacobi_residual_tensors(U.C, U.D)
     worst = max_abs(fam1)
+    if not np.isfinite(worst):
+        raise ValidationError("C is too large: its holomorphic Jacobi residual overflows")
     if worst > 1e-12:
         raise ValidationError(
             f"C violates the holomorphic Jacobi identity (residual {worst:.3e})"
         )
-    return UnitaryStructure(n=n, C=C, D=np.zeros_like(C))
+    return U
 
 
 def affine_complex_group(c: float = 1.0, n: int = 2) -> UnitaryStructure:
@@ -220,6 +223,7 @@ def perturb(U: UnitaryStructure, eps: float, seed: int) -> UnitaryStructure:
             rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         )
 
-    C = U.C + antisymmetrize_lower(noise())
-    D = U.D + noise()
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = U.C + antisymmetrize_lower(noise())
+        D = U.D + noise()
     return UnitaryStructure(n=n, C=C, D=D)

@@ -20,7 +20,7 @@ import numpy as np
 from . import batteries, catalog, search, structio
 from ._config import TOL_ENV_VAR
 from .core import kahler_flatness_summary, validate_structure
-from .exceptions import HermlieError
+from .exceptions import HermlieError, ValidationError
 from .realform import to_unitary_structure
 
 
@@ -174,6 +174,14 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _built_from(option: str, value, build, *build_args):
+    """build(*build_args), reporting a ValidationError against the option that set value."""
+    try:
+        return build(*build_args)
+    except ValidationError as exc:
+        raise ValidationError(f"{option} {value!r}: {exc}") from exc
+
+
 def _cmd_catalog(args) -> int:
     name = args.name
     for option, value in (("--c", args.c), ("--eps", args.eps)):
@@ -187,10 +195,10 @@ def _cmd_catalog(args) -> int:
         U = catalog.abelian(args.n)
         label = f"abelian(n={args.n})"
     elif name == "complex-group":
-        U = catalog.affine_complex_group(args.c, max(args.n, 2))
+        U = _built_from("--c", args.c, catalog.affine_complex_group, args.c, max(args.n, 2))
         label = f"complex-group(c={args.c}, n={max(args.n, 2)})"
     elif name == "samelson":
-        U = catalog.samelson_su2_r(args.c)
+        U = _built_from("--c", args.c, catalog.samelson_su2_r, args.c)
         label = f"samelson(c={args.c})"
     elif name == "bdf4":
         U = to_unitary_structure(catalog.bdf_flat_kahler_4d(q[0]))
@@ -216,7 +224,7 @@ def _cmd_catalog(args) -> int:
         if args.base is None:
             print("error: perturb needs --base FILE", file=sys.stderr)
             return 2
-        U = catalog.perturb(_load(args.base), args.eps, args.seed)
+        U = _built_from("--eps", args.eps, catalog.perturb, _load(args.base), args.eps, args.seed)
         label = f"perturb(eps={args.eps}, seed={args.seed})"
     else:  # pragma: no cover - argparse constrains choices
         raise AssertionError(name)

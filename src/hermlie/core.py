@@ -49,7 +49,8 @@ from .tensors import (
 class UnitaryStructure:
     """Structure constants (C, D) of a left-invariant Hermitian structure.
 
-    C is antisymmetrized exactly in its lower indices at construction.
+    C is antisymmetrized exactly in its lower indices at construction;
+    C, D and the antisymmetric part of C must be finite.
     Instances are immutable and safe to share across threads.
     """
 
@@ -62,7 +63,11 @@ class UnitaryStructure:
             raise DimensionMismatchError(f"n must be positive, got {self.n}")
         C = as_coefficient_tensor(self.C, self.n, "C")
         D = as_coefficient_tensor(self.D, self.n, "D")
-        object.__setattr__(self, "C", frozen(antisymmetrize_lower(C)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = antisymmetrize_lower(C)
+        if not np.isfinite(C).all():
+            raise ValidationError("C: the antisymmetric part of its entries must be finite")
+        object.__setattr__(self, "C", frozen(C))
         object.__setattr__(self, "D", frozen(D))
 
 
@@ -102,22 +107,22 @@ class ConnectionFamily:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Curvature blocks of the parameter-s connection.
+    """Curvature of the parameter-s connection on the (1,0) frame.
 
-    blocks maps an ordered direction pair (a, b) -- each of ("e", i) or
-    ("ebar", i) with 1-based i -- to the n x n matrix of R(a,b)
-    restricted to the (1,0) frame (rows = output index).  max_abs is
-    the flatness residual: the largest entry modulus over all blocks.
+    R[a, b, x, y] is entry (x, y) of R(dir_a, dir_b) restricted to the
+    (1,0) frame (x = output index), with directions 0..n-1 = e_1..e_n
+    and n..2n-1 = ebar_1..ebar_n; shape (2n, 2n, n, n), read-only.
+    max_abs is the flatness residual: the largest entry modulus of R.
     """
 
     s: float
-    blocks: dict
+    R: np.ndarray
     max_abs: float
 
     @property
     def frobenius(self) -> float:
         """Frame-change invariant size of the whole curvature tensor."""
-        return float(np.sqrt(sum(np.sum(np.abs(B) ** 2) for B in self.blocks.values())))
+        return frobenius(self.R)
 
 
 @dataclass(frozen=True)
@@ -139,58 +144,15 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class BracketTables:
-    """Full complexified bracket coefficients.
-
-    table[a, b, c] is the coefficient of direction c in [dir_a, dir_b],
-    with directions 0..n-1 = e_1..e_n and n..2n-1 = ebar_1..ebar_n:
-
-        [e_i, e_k]       = sum_j C^j_{ik} e_j
-        [ebar_j, e_i]    = sum_k ( D^j_{ki} ebar_k - conj(D^i_{kj}) e_k )
-        [ebar_j, ebar_k] = conj of [e_j, e_k]
-
-    Conjugation equivariance holds by construction.
-    """
-
-    n: int
-    table: np.ndarray
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    """Induced matrices in the unitary algebra and their defect.
-
-    p_holo[k] is the matrix attached to e_k (entry [i, j] = -gamma^j_{ik},
-    i.e. minus the connection matrix of the frame written in row
-    convention), p_conj[k] the one attached to ebar_k.  On a flat
-    structure the assignment is a Lie algebra homomorphism into u(n);
-    homomorphism_residual measures max |p([a,b]) - [p(a), p(b)]| over
-    all frame pairs and skew_residual measures max |p(X) + p(X)^H| over
-    the realified directions e_k + ebar_k and i(e_k - ebar_k).
-    """
-
-    s: float
-    p_holo: np.ndarray
-    p_conj: np.ndarray
-    homomorphism_residual: float
-    skew_residual: float
-
-
-@dataclass(frozen=True)
 class LeviCivitaReport:
     """Levi-Civita data on the complexified frame.
 
-    endo[a] is the 2n x 2n matrix of nabla_{dir_a}; gamma_ops/beta_ops
-    are the torsion-built pieces of the splitting nabla = chern + gamma
-    + beta; decomposition_residual is the max deviation from that
-    splitting and curvature_residual the max entry of the Riemannian
-    curvature of nabla (commutator construction).
+    endo[a] is the 2n x 2n matrix of nabla_{dir_a} and curvature_residual
+    the max entry of the Riemannian curvature of nabla (commutator
+    construction).
     """
 
     endo: np.ndarray
-    gamma_ops: np.ndarray
-    beta_ops: np.ndarray
-    decomposition_residual: float
     curvature_residual: float
 
 
@@ -223,8 +185,19 @@ def gauduchon_connection(U: UnitaryStructure, s: float) -> ConnectionFamily:
     return ConnectionFamily(s=float(s), gamma=frozen(gamma), gamma_bar=frozen(gamma_bar))
 
 
-def bracket_tables(U: UnitaryStructure) -> BracketTables:
-    """Complexified bracket coefficients on the 2n frame directions."""
+def bracket_tables(U: UnitaryStructure) -> np.ndarray:
+    """Complexified bracket coefficients on the 2n frame directions.
+
+    The read-only array table[a, b, c] is the coefficient of direction c
+    in [dir_a, dir_b], with directions 0..n-1 = e_1..e_n and
+    n..2n-1 = ebar_1..ebar_n:
+
+        [e_i, e_k]       = sum_j C^j_{ik} e_j
+        [ebar_j, e_i]    = sum_k ( D^j_{ki} ebar_k - conj(D^i_{kj}) e_k )
+        [ebar_j, ebar_k] = conj of [e_j, e_k]
+
+    Conjugation equivariance holds by construction.
+    """
     n = U.n
     table = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
     # [e_i, e_k] = C^j_{ik} e_j
@@ -235,7 +208,7 @@ def bracket_tables(U: UnitaryStructure) -> BracketTables:
     table[:n, n:, :] = -table[n:, :n, :].transpose(1, 0, 2)
     # [ebar_j, ebar_k] = conj(C^i_{jk}) ebar_i
     table[n:, n:, n:] = np.einsum("ijk->jki", np.conj(U.C))
-    return BracketTables(n=n, table=frozen(table))
+    return frozen(table)
 
 
 def connection_endomorphisms(U: UnitaryStructure, s: float) -> np.ndarray:
@@ -254,10 +227,6 @@ def connection_endomorphisms(U: UnitaryStructure, s: float) -> np.ndarray:
         A[n + k, :n, :n] = conn.gamma_bar[:, :, k]
         A[n + k, n:, n:] = np.conj(conn.gamma[:, :, k])
     return A
-
-
-def _direction_label(n: int, a: int):
-    return ("e", a + 1) if a < n else ("ebar", a - n + 1)
 
 
 def _curvature_tensor(
@@ -282,64 +251,10 @@ def _curvature_tensor(
 
 
 def curvature(U: UnitaryStructure, s: float) -> CurvatureReport:
-    """Curvature blocks of the parameter-s connection; max_abs = flatness residual."""
+    """Curvature tensor R[a, b] of the parameter-s connection on the (1,0) frame."""
     n = U.n
-    A = connection_endomorphisms(U, s)
-    brk = bracket_tables(U).table
-    R = _curvature_tensor(A, brk)
-    blocks = {}
-    for a in range(2 * n):
-        for b in range(2 * n):
-            blocks[(_direction_label(n, a), _direction_label(n, b))] = frozen(
-                R[a, b, :n, :n]
-            )
-    return CurvatureReport(s=float(s), blocks=blocks, max_abs=max_abs(R[:, :, :n, :n]))
-
-
-def connection_flatness_residuals(U: UnitaryStructure, s: float):
-    """The two identity families satisfied by flat left-invariant connections.
-
-    holomorphic family:
-        sum_r ( C^r_{ik} G^l_{jr} + G^r_{ji} G^l_{rk} - G^r_{jk} G^l_{ri} )
-    mixed family:
-        sum_r ( D^j_{ri} conj(G^k_{lr}) + G^l_{kr} conj(D^i_{rj})
-                + G^l_{ri} conj(G^k_{rj}) - G^r_{ki} conj(G^r_{lj}) )
-
-    with G the parameter-s coefficients.  Under the fixed index
-    identification (asserted forever in the test suite)
-
-        holomorphic[i,j,k,l] = -R(e_i, e_k)[l, j]
-        mixed[i,j,k,l]       = -R(e_i, ebar_j)[l, k]
-
-    these are exactly curvature entries, so both vanish iff the
-    structure is flat at s.
-    """
-    G = gauduchon_connection(U, s).gamma
-    cG = np.conj(G)
-    cD = np.conj(U.D)
-    holo = (
-        np.einsum("rik,ljr->ijkl", U.C, G, optimize=True)
-        + np.einsum("rji,lrk->ijkl", G, G, optimize=True)
-        - np.einsum("rjk,lri->ijkl", G, G, optimize=True)
-    )
-    mixed = (
-        np.einsum("jri,klr->ijkl", U.D, cG, optimize=True)
-        + np.einsum("lkr,irj->ijkl", G, cD, optimize=True)
-        + np.einsum("lri,krj->ijkl", G, cG, optimize=True)
-        - np.einsum("rki,rlj->ijkl", G, cG, optimize=True)
-    )
-    return (
-        _tensor_report("flat-connection-holomorphic", holo),
-        _tensor_report("flat-connection-mixed", mixed),
-    )
-
-
-def _tensor_report(name: str, res: np.ndarray) -> ResidualReport:
-    per = {}
-    it = np.nditer(res, flags=["multi_index"])
-    for value in it:
-        per[tuple(i + 1 for i in it.multi_index)] = complex(value)
-    return ResidualReport(name=name, max_abs=max_abs(res), per_identity=per)
+    R = _curvature_tensor(connection_endomorphisms(U, s), bracket_tables(U))[:, :, :n, :n]
+    return CurvatureReport(s=float(s), R=frozen(R), max_abs=max_abs(R))
 
 
 def validate_structure(U: UnitaryStructure, tol: float | None = None) -> ResidualReport:
@@ -399,46 +314,6 @@ def is_valid(U: UnitaryStructure, tol: float | None = None) -> bool:
     return bool(validate_structure(U, tol).valid)
 
 
-def unitary_representation(U: UnitaryStructure, s: float) -> RepresentationReport:
-    """Matrices of the frame monodromy map and their homomorphism defect.
-
-    p(e_k)[i, j] = -gamma^j_{ik} and p(ebar_k)[i, j] = -gamma_bar^j_{ik}
-    (row convention: the frame column transforms by the matrix acting
-    on the right).  On any structure p(X) is skew-Hermitian for real X;
-    on flat structures p is additionally a Lie algebra homomorphism,
-    and its defect equals the transposed curvature blocks entrywise.
-    """
-    n = U.n
-    conn = gauduchon_connection(U, s)
-    p = np.zeros((2 * n, n, n), dtype=complex)
-    for k in range(n):
-        p[k] = -conn.gamma[:, :, k].T
-        p[n + k] = -conn.gamma_bar[:, :, k].T
-    brk = bracket_tables(U).table
-
-    hom = 0.0
-    for a in range(2 * n):
-        for b in range(2 * n):
-            lhs = np.einsum("c,cxy->xy", brk[a, b], p)
-            rhs = p[a] @ p[b] - p[b] @ p[a]
-            hom = max(hom, max_abs(lhs - rhs))
-
-    skew = 0.0
-    for k in range(n):
-        real_dir = p[k] + p[n + k]
-        imag_dir = 1j * (p[k] - p[n + k])
-        skew = max(skew, max_abs(real_dir + real_dir.conj().T))
-        skew = max(skew, max_abs(imag_dir + imag_dir.conj().T))
-
-    return RepresentationReport(
-        s=float(s),
-        p_holo=frozen(p[:n]),
-        p_conj=frozen(p[n:]),
-        homomorphism_residual=hom,
-        skew_residual=skew,
-    )
-
-
 def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
     """Covariant derivatives of the torsion along the parameter-s connection.
 
@@ -472,17 +347,12 @@ def levi_civita(U: UnitaryStructure) -> LeviCivitaReport:
 
         2 <nabla_a b, c> = <[a,b], c> - <[a,c], b> - <[b,c], a>.
 
-    The report verifies the splitting nabla = chern + gamma + beta with
-
-        gamma(e_k) e_i = T^j_{ik} e_j,   gamma(ebar_k) e_i = -conj(T^i_{jk}) e_j,
-        beta(ebar_k) e_i = T^k_{ij} ebar_j,   beta(e_k) e_i = 0,
-
-    extended to the conjugate frame by conjugation, and returns the
-    Riemannian curvature residual of nabla via the same commutator
-    construction used for the Hermitian connection family.
+    The report returns the Riemannian curvature residual of nabla via
+    the same commutator construction used for the Hermitian connection
+    family.
     """
     n = U.n
-    brk = bracket_tables(U).table
+    brk = bracket_tables(U)
     # bilinear pairing in (e, ebar) coordinates
     P = np.zeros((2 * n, 2 * n))
     P[:n, n:] = np.eye(n)
@@ -495,29 +365,8 @@ def levi_civita(U: UnitaryStructure) -> LeviCivitaReport:
     coeff = 0.5 * np.einsum("abc,cd->abd", K, P, optimize=True)
     endo = coeff.transpose(0, 2, 1)  # endo[a][out, in]
 
-    T = chern_torsion(U).T
-    gamma_ops = np.zeros_like(endo)
-    beta_ops = np.zeros_like(endo)
-    for k in range(n):
-        g_h = T[:, :, k]  # gamma(e_k) e_i = T^j_{ik} e_j
-        g_c = -np.conj(T).transpose(1, 0, 2)[:, :, k]  # gamma(ebar_k) e_i
-        gamma_ops[k, :n, :n] = g_h
-        gamma_ops[k, n:, n:] = np.conj(g_c)
-        gamma_ops[n + k, :n, :n] = g_c
-        gamma_ops[n + k, n:, n:] = np.conj(g_h)
-        b_c = T[k, :, :].T  # beta(ebar_k) e_i = T^k_{ij} ebar_j -> [j, i]
-        beta_ops[n + k, n:, :n] = b_c
-        beta_ops[k, :n, n:] = np.conj(b_c)
-
-    chern = connection_endomorphisms(U, 0.0)
-    decomposition = max_abs(endo - (chern + gamma_ops + beta_ops))
-    R = _curvature_tensor(endo, brk)
     return LeviCivitaReport(
-        endo=frozen(endo),
-        gamma_ops=frozen(gamma_ops),
-        beta_ops=frozen(beta_ops),
-        decomposition_residual=decomposition,
-        curvature_residual=max_abs(R),
+        endo=frozen(endo), curvature_residual=max_abs(_curvature_tensor(endo, brk))
     )
 
 

@@ -235,7 +235,7 @@ def from_unitary_structure(U: UnitaryStructure) -> RealPresentation:
     """
     n = U.n
     d = 2 * n
-    brk = bracket_tables(U).table
+    brk = bracket_tables(U)
 
     # coordinates of the real basis vectors on (e, ebar)
     X = np.zeros((2 * n, d), dtype=complex)

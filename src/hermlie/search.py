@@ -218,11 +218,8 @@ def _quadratic_part(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
         flat = fam.ravel()
         parts.append(wj * flat.real)
         parts.append(wj * flat.imag)
-    rep = curvature(U, problem.s)
-    for key in sorted(rep.blocks):
-        block = rep.blocks[key].ravel()
-        parts.append(wf * block.real)
-        parts.append(wf * block.imag)
+    R = curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
+    parts.append(wf * np.concatenate([R.real, R.imag], axis=1).ravel())
     return np.concatenate(parts)
 
 
@@ -244,8 +241,9 @@ def residual_vector(x, problem: SearchProblem) -> np.ndarray:
     """Weighted residual entries at the point x (definition, not the model).
 
     Layout: re/im of the three Jacobi families (all index tuples), then
-    re/im of every curvature block entry at parameter s in sorted block
-    order, then the torsion hinge when torsion_reward > 0.
+    re/im of the curvature R[a, b, x, y] at parameter s in index order
+    (re then im of each n x n block R[a, b]), then the torsion hinge when
+    torsion_reward > 0.
     """
     x = np.asarray(x, dtype=float)
     r = _quadratic_part(x, problem)
@@ -296,7 +294,7 @@ def _quadratic_model(
     Db = np.array([U.D for U in basis]).reshape(d, n, n, n)
     shape = (d, 2 * n, 2 * n, 2 * n)
     A = np.array([connection_endomorphisms(U, s) for U in basis]).reshape(shape)
-    brk = np.array([bracket_tables(U).table for U in basis]).reshape(shape)
+    brk = np.array([bracket_tables(U) for U in basis]).reshape(shape)
     wj = np.sqrt(jacobi_weight)
     wf = np.sqrt(flatness_weight)
 

@@ -6,7 +6,13 @@ import pytest
 import hermlie as hl
 from hermlie.core import connection_endomorphisms
 
-from conftest import random_structure, random_unitary, realify
+from conftest import (
+    connection_flatness_residuals,
+    curvature_as_flatness_families,
+    random_structure,
+    random_unitary,
+    realify,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -113,11 +119,11 @@ class TestConnectionFamily:
 
 class TestBracketTables:
     def test_abelian_zero(self):
-        assert np.abs(hl.bracket_tables(hl.abelian(3)).table).max() == 0.0
+        assert np.abs(hl.bracket_tables(hl.abelian(3))).max() == 0.0
 
     def test_bdf_values(self, bdf4_structure):
         n = 2
-        tab = hl.bracket_tables(bdf4_structure).table
+        tab = hl.bracket_tables(bdf4_structure)
         # [ebar_2, e_1] = (i/sqrt2) ebar_2
         expected = np.zeros(2 * n, complex)
         expected[n + 1] = 1j / SQ2
@@ -127,7 +133,7 @@ class TestBracketTables:
 
     def test_samelson_mixed_bracket(self, samelson):
         n = 2
-        tab = hl.bracket_tables(samelson).table
+        tab = hl.bracket_tables(samelson)
         # [ebar_2, e_2] = -(i/sqrt2)(e_1 + ebar_1)
         expected = np.zeros(2 * n, complex)
         expected[0] = -1j / SQ2
@@ -137,13 +143,13 @@ class TestBracketTables:
     def test_conjugation_equivariance(self):
         U = random_structure(3, 31)
         n = U.n
-        tab = hl.bracket_tables(U).table
+        tab = hl.bracket_tables(U)
         swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
         conj_table = np.conj(tab[np.ix_(swap, swap, swap)])
         assert np.all(tab == conj_table)
 
     def test_antisymmetry(self):
-        tab = hl.bracket_tables(random_structure(2, 32)).table
+        tab = hl.bracket_tables(random_structure(2, 32))
         assert np.abs(tab + tab.transpose(1, 0, 2)).max() == 0.0
 
 
@@ -154,7 +160,7 @@ def curvature_by_realification(U, s):
     reassembled from the realified (re, im) blocks at the end.
     """
     A = connection_endomorphisms(U, s)
-    brk = hl.bracket_tables(U).table
+    brk = hl.bracket_tables(U)
     two_n = A.shape[1]
     worst = 0.0
     for a in range(two_n):
@@ -197,52 +203,43 @@ class TestCurvature:
 
     def test_block_antisymmetry_and_conjugate_relation(self):
         U = random_structure(3, 41)
-        rep = hl.curvature(U, 1.4)
+        R = hl.curvature(U, 1.4).R
         n = U.n
-        for a in ["e", "ebar"]:
-            for b in ["e", "ebar"]:
-                for i in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        B1 = rep.blocks[((a, i), (b, k))]
-                        B2 = rep.blocks[((b, k), (a, i))]
-                        assert np.allclose(B1, -B2, atol=1e-13)
-        for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                Bee = rep.blocks[(("e", i), ("e", k))]
-                Bbb = rep.blocks[(("ebar", i), ("ebar", k))]
-                assert np.allclose(Bbb, -np.conj(Bee).T, atol=1e-13)
+        assert R.shape == (2 * n, 2 * n, n, n)
+        # R(a, b) = -R(b, a) and R(ebar_i, ebar_k) = -R(e_i, e_k)^H
+        assert np.allclose(R, -R.swapaxes(0, 1), atol=1e-13)
+        assert np.allclose(R[n:, n:], -np.conj(R[:n, :n]).swapaxes(2, 3), atol=1e-13)
+
+    def test_tensor_is_read_only(self, samelson):
+        with pytest.raises(ValueError):
+            hl.curvature(samelson, 1.0).R[0, 0, 0, 0] = 1.0
 
 
 class TestFlatConnectionIdentities:
     def test_abelian_zero(self):
-        holo, mixed = hl.connection_flatness_residuals(hl.abelian(2), 1.0)
-        assert holo.max_abs == 0.0
-        assert mixed.max_abs == 0.0
+        holo, mixed = connection_flatness_residuals(hl.abelian(2), 1.0)
+        assert np.abs(holo).max() == 0.0
+        assert np.abs(mixed).max() == 0.0
 
     def test_samelson_flat_case(self, samelson):
-        holo, mixed = hl.connection_flatness_residuals(samelson, 2.0)
-        assert holo.max_abs <= 1e-14
-        assert mixed.max_abs <= 1e-14
+        holo, mixed = connection_flatness_residuals(samelson, 2.0)
+        assert np.abs(holo).max() <= 1e-14
+        assert np.abs(mixed).max() <= 1e-14
 
     def test_identification_with_curvature_blocks(self):
-        # fixed index identification, asserted forever:
-        #   holo[i,j,k,l] = -R(e_i, e_k)[l, j]
-        #   mixed[i,j,k,l] = -R(e_i, ebar_j)[l, k]
+        # fixed index identification, asserted forever (0-based):
+        #   holo[i,j,k,l] = -R[i, k, l, j]
+        #   mixed[i,j,k,l] = -R[i, n+j, l, k]
         for seed in range(100):
             n = 2 + seed % 2
             U = random_structure(n, 500 + seed)
             s = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)[seed % 6]
-            holo, mixed = hl.connection_flatness_residuals(U, s)
+            holo, mixed = connection_flatness_residuals(U, s)
             rep = hl.curvature(U, s)
+            want_holo, want_mixed = curvature_as_flatness_families(rep.R)
             scale = max(1.0, rep.max_abs)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            blk = rep.blocks[(("e", i), ("e", k))]
-                            assert abs(holo.per_identity[(i, j, k, l)] + blk[l - 1, j - 1]) <= 1e-12 * scale
-                            blk = rep.blocks[(("e", i), ("ebar", j))]
-                            assert abs(mixed.per_identity[(i, j, k, l)] + blk[l - 1, k - 1]) <= 1e-12 * scale
+            assert np.abs(holo - want_holo).max() <= 1e-12 * scale
+            assert np.abs(mixed - want_mixed).max() <= 1e-12 * scale
 
 
 class TestValidateStructure:
@@ -271,27 +268,58 @@ class TestValidateStructure:
             hl.UnitaryStructure(n=2, C=np.zeros((2, 2, 2)), D=np.zeros((3, 3, 3)))
 
 
+def unitary_representation(U, s):
+    """Matrices of the frame monodromy map, its homomorphism defect and skew defect.
+
+    p[k][i, j] = -gamma^j_{ik} for e_k and p[n + k][i, j] = -gamma_bar^j_{ik}
+    for ebar_k (row convention: the frame column transforms by the
+    matrix acting on the right).  defect[a, b] = p([a, b]) - [p(a), p(b)]
+    over all frame pairs; on flat structures it vanishes, and in general
+    it equals the transposed curvature blocks entrywise.  skew holds
+    p(X) + p(X)^H for the realified directions e_k + ebar_k and
+    i(e_k - ebar_k), which vanishes on any structure.
+    """
+    n = U.n
+    conn = hl.gauduchon_connection(U, s)
+    p = np.zeros((2 * n, n, n), dtype=complex)
+    for k in range(n):
+        p[k] = -conn.gamma[:, :, k].T
+        p[n + k] = -conn.gamma_bar[:, :, k].T
+    brk = hl.bracket_tables(U)
+    defect = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
+    for a in range(2 * n):
+        for b in range(2 * n):
+            defect[a, b] = np.einsum("c,cxy->xy", brk[a, b], p) - (p[a] @ p[b] - p[b] @ p[a])
+    skew = []
+    for k in range(n):
+        for X in (p[k] + p[n + k], 1j * (p[k] - p[n + k])):
+            skew.append(X + X.conj().T)
+    return p, defect, np.array(skew)
+
+
 class TestRepresentation:
     def test_abelian_trivial(self):
-        rep = hl.unitary_representation(hl.abelian(2), 1.0)
-        assert np.abs(rep.p_holo).max() == 0.0
-        assert rep.homomorphism_residual == 0.0
-        assert rep.skew_residual == 0.0
+        p, defect, skew = unitary_representation(hl.abelian(2), 1.0)
+        assert np.abs(p).max() == 0.0
+        assert np.abs(defect).max() == 0.0
+        assert np.abs(skew).max() == 0.0
 
     def test_bdf_flat_is_homomorphism(self, bdf4_structure):
-        rep = hl.unitary_representation(bdf4_structure, 1.0)
-        assert rep.homomorphism_residual <= 1e-14
-        assert rep.skew_residual <= 1e-14
+        _, defect, skew = unitary_representation(bdf4_structure, 1.0)
+        assert np.abs(defect).max() <= 1e-14
+        assert np.abs(skew).max() <= 1e-14
 
     def test_defect_equals_curvature(self):
         for seed in range(40):
             n = 2 + seed % 2
             U = random_structure(n, 700 + seed)
             s = (0.0, 0.5, 1.0, 2.0)[seed % 4]
-            rep = hl.unitary_representation(U, s)
+            _, defect, skew = unitary_representation(U, s)
             curv = hl.curvature(U, s)
-            assert rep.homomorphism_residual == pytest.approx(curv.max_abs, rel=1e-12)
-            assert rep.skew_residual <= 1e-13 * max(1.0, curv.max_abs)
+            assert np.abs(defect).max() == pytest.approx(curv.max_abs, rel=1e-12)
+            scale = max(1.0, curv.max_abs)
+            assert np.abs(defect - curv.R.swapaxes(2, 3)).max() <= 1e-12 * scale
+            assert np.abs(skew).max() <= 1e-13 * scale
 
 
 class TestCovariantDerivatives:
@@ -325,6 +353,32 @@ class TestCovariantDerivatives:
                 assert Tdbar[1, 0, 1, l] == pytest.approx(-lam * np.conj(G[0, 1, l]))
 
 
+def levi_civita_splitting(U):
+    """The torsion-built pieces of the splitting nabla^LC = chern + gamma + beta,
+
+        gamma(e_k) e_i = T^j_{ik} e_j,   gamma(ebar_k) e_i = -conj(T^i_{jk}) e_j,
+        beta(ebar_k) e_i = T^k_{ij} ebar_j,   beta(e_k) e_i = 0,
+
+    extended to the conjugate frame by conjugation, as 2n x 2n
+    endomorphisms [a][out, in] in the layout of levi_civita().endo.
+    """
+    n = U.n
+    T = hl.chern_torsion(U).T
+    gamma_ops = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    beta_ops = np.zeros_like(gamma_ops)
+    for k in range(n):
+        g_h = T[:, :, k]  # gamma(e_k) e_i = T^j_{ik} e_j
+        g_c = -np.conj(T).transpose(1, 0, 2)[:, :, k]  # gamma(ebar_k) e_i
+        gamma_ops[k, :n, :n] = g_h
+        gamma_ops[k, n:, n:] = np.conj(g_c)
+        gamma_ops[n + k, :n, :n] = g_c
+        gamma_ops[n + k, n:, n:] = np.conj(g_h)
+        b_c = T[k, :, :].T  # beta(ebar_k) e_i = T^k_{ij} ebar_j -> [j, i]
+        beta_ops[n + k, n:, :n] = b_c
+        beta_ops[k, :n, n:] = np.conj(b_c)
+    return gamma_ops, beta_ops
+
+
 class TestLeviCivita:
     def test_abelian(self):
         rep = hl.levi_civita(hl.abelian(2))
@@ -333,8 +387,9 @@ class TestLeviCivita:
 
     def test_bdf_levi_civita_is_chern(self, bdf4_structure):
         rep = hl.levi_civita(bdf4_structure)
-        assert np.abs(rep.gamma_ops).max() <= 1e-14
-        assert np.abs(rep.beta_ops).max() <= 1e-14
+        gamma_ops, beta_ops = levi_civita_splitting(bdf4_structure)
+        assert np.abs(gamma_ops).max() <= 1e-14
+        assert np.abs(beta_ops).max() <= 1e-14
         chern = connection_endomorphisms(bdf4_structure, 0.0)
         assert np.abs(rep.endo - chern).max() <= 1e-13
         assert rep.curvature_residual <= 1e-13
@@ -342,15 +397,18 @@ class TestLeviCivita:
     def test_samelson_biinvariant(self, samelson):
         rep = hl.levi_civita(samelson)
         # bi-invariant metric: nabla_a b = [a, b] / 2
-        half_ad = 0.5 * hl.bracket_tables(samelson).table.transpose(0, 2, 1)
+        half_ad = 0.5 * hl.bracket_tables(samelson).transpose(0, 2, 1)
         assert np.abs(rep.endo - half_ad).max() <= 1e-13
         assert rep.curvature_residual > 0.1
         assert hl.curvature(samelson, 2.0).max_abs <= 1e-14
 
     def test_decomposition_on_random(self):
         for seed in range(6):
-            rep = hl.levi_civita(random_structure(3, 900 + seed))
-            assert rep.decomposition_residual <= 1e-12
+            U = random_structure(3, 900 + seed)
+            gamma_ops, beta_ops = levi_civita_splitting(U)
+            chern = connection_endomorphisms(U, 0.0)
+            rep = hl.levi_civita(U)
+            assert np.abs(rep.endo - (chern + gamma_ops + beta_ops)).max() <= 1e-12
 
 
 class TestSummaryAndGauge:

@@ -224,7 +224,9 @@ class TestCli:
             (["catalog", "bdf-general", "--q", "x"], {}),
             (["catalog", "samelson", "--c", "nan"], {}),
             (["catalog", "complex-group", "--c", "nan"], {}),
+            (["catalog", "complex-group", "--c", "1e308"], {}),
             (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], {}),
+            (["catalog", "perturb", "--base", "{file}", "--eps", "1e308"], {}),
             (["catalog", "bdf4", "--q", "1e308"], {}),
             (["validate", "{file}"], {"HERMLIE_TOL": "abc"}),
             (["validate", "{file}", "--tol", "nan"], {}),
@@ -233,7 +235,8 @@ class TestCli:
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "bdf4-q-abc", "bdf-general-q-x",
-            "samelson-c-nan", "complex-group-c-nan", "perturb-eps-nan", "bdf4-q-huge",
+            "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
+            "perturb-eps-huge", "bdf4-q-huge",
             "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
         ],
     )
@@ -255,10 +258,13 @@ class TestCli:
         [
             (["catalog", "samelson", "--c", "nan"], "--c"),
             (["catalog", "complex-group", "--c", "nan"], "--c"),
+            (["catalog", "complex-group", "--c", "1e308"], "--c"),
             (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], "--eps"),
+            (["catalog", "perturb", "--base", "{file}", "--eps", "1e308"], "--eps"),
             (["analyze", "{file}", "--s-grid", "0,1e308"], "s=1e+308"),
         ],
-        ids=["samelson-c", "complex-group-c", "perturb-eps", "analyze-s"],
+        ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
+             "perturb-eps-huge", "analyze-s"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -40,6 +40,18 @@ class TestResidualVector:
         assert np.abs(jacobi_part).max() <= 1e-14
         assert np.abs(r).max() == pytest.approx(hl.curvature(samelson, 0.0).max_abs)
 
+    @pytest.mark.parametrize("mode", [S.FULL, S.PARALLEL_FRAME])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_curvature_rows_are_R_in_index_order(self, n, mode):
+        # after the 6 n^4 Jacobi rows: re then im of each R[a, b], a-major
+        prob = S.SearchProblem(n=n, s=1.3, mode=mode, flatness_weight=2.5)
+        x = np.random.default_rng(n).standard_normal(S.unknown_count(prob))
+        r = S.residual_vector(x, prob)
+        R = hl.curvature(S.structure_from_point(prob, x), prob.s).R.reshape(4 * n * n, n * n)
+        want = np.sqrt(prob.flatness_weight) * np.stack([R.real, R.imag], axis=1).ravel()
+        assert r.shape == (6 * n**4 + want.size,)
+        assert np.array_equal(r[6 * n**4 :], want)
+
     def test_point_encoding_roundtrip(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)
         x = S.point_from_structure(prob, samelson)

@@ -146,9 +146,8 @@ def _cmd_search(args) -> int:
         mode=args.mode,
         restarts=args.restarts,
         seed=args.seed,
+        hunt=args.hunt,
     )
-    if args.hunt:
-        kwargs["torsion_reward"] = 1.0
     if args.tol is not None:
         kwargs["tol"] = args.tol
     if args.max_iters is not None:

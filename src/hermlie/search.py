@@ -5,12 +5,12 @@ C plus all of D; parallel-frame mode: independent torsion entries, with
 C = 2(s-1) T and D = -s T induced).  The residual stacks the real and
 imaginary parts of every Jacobi identity and every curvature entry at
 the chosen parameter, optionally extended by a soft hinge
-sqrt(w) * max(0, tau - |T|) that pushes the torsion norm up when
-hunting for non-Kahler candidates.
+max(0, 0.5 - |T|) that pushes the torsion norm up when hunting for
+non-Kahler candidates.
 
 Apart from the hinge, every residual entry is a homogeneous quadratic
 x^T B x in the unknowns.  The symmetric bilinear form B is assembled
-once per (n, s, mode, weights) from the bilinear Jacobi and curvature
+once per (n, s, mode) from the bilinear Jacobi and curvature
 kernels evaluated on the basis vectors, one basis row at a time and
 only for b >= a, and only its nonzero entries are kept.  Residual rows
 that vanish for every x are dropped from the model (104 of 224 at n = 2);
@@ -60,6 +60,7 @@ NOT_CONVERGED = "not_converged"
 _INITIAL_DAMPING = 1e-3
 _DAMPING_CEILING = 1e12
 _STEP_FLOOR = 1e-15
+_TORSION_TARGET = 0.5  # the hunt's hinge pushes |T| up to this
 # stop when the residual norm fell by at most this fraction over this many accepted steps
 _STAGNATION_DECREASE = 1e-6
 _STAGNATION_STEPS = 10
@@ -69,20 +70,16 @@ _STAGNATION_STEPS = 10
 class SearchProblem:
     """Least-squares formulation of "find a flat structure at parameter s".
 
-    torsion_reward > 0 turns on the counterexample hunt: the residual
-    gains the hinge sqrt(torsion_reward) * max(0, torsion_target - |T|).
-    tol is the convergence threshold on the residual 2-norm and also
-    the classification threshold on the re-validated residuals;
-    kahler_tol classifies the torsion norm.
+    hunt turns on the counterexample hunt: the residual gains the
+    hinge max(0, 0.5 - |T|).  tol is the convergence threshold on the
+    residual 2-norm and also the classification threshold on the
+    re-validated residuals; kahler_tol classifies the torsion norm.
     """
 
     n: int
     s: float
     mode: str = FULL
-    jacobi_weight: float = 1.0
-    flatness_weight: float = 1.0
-    torsion_reward: float = 0.0
-    torsion_target: float = 0.5
+    hunt: bool = False
     restarts: int = 1
     seed: int = 0
     max_iters: int = 300
@@ -94,10 +91,12 @@ class SearchProblem:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValidationError("n, restarts and max_iters must be positive")
+        if self.mode == PARALLEL_FRAME and self.n < 2:
+            raise ValidationError("parallel_frame mode needs n >= 2: at n = 1 the torsion is zero")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.s):
             raise ValidationError(f"s must be finite, got {self.s}")
-        if not min(self.jacobi_weight, self.flatness_weight, self.torsion_reward) >= 0:
-            raise ValidationError("weights must be nonnegative")
         positive_finite("tol", self.tol)
         positive_finite("kahler_tol", self.kahler_tol)
 
@@ -113,7 +112,6 @@ class SearchResult:
     seed_used: int
     residual_norm: float
     stop_reason: str
-    used_gradient_fallback: bool = False
     residual_history: tuple = ()  # norm after each accepted step, start included
 
 
@@ -209,32 +207,28 @@ def point_from_torsion(problem: SearchProblem, T: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_part(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
-    """All polynomial residual entries (Jacobi then curvature), weighted."""
+    """All polynomial residual entries (Jacobi then curvature)."""
     U = structure_from_point(problem, x)
-    wj = np.sqrt(problem.jacobi_weight)
-    wf = np.sqrt(problem.flatness_weight)
     parts = []
     for fam in jacobi_residual_tensors(U.C, U.D):
         flat = fam.ravel()
-        parts.append(wj * flat.real)
-        parts.append(wj * flat.imag)
+        parts.append(flat.real)
+        parts.append(flat.imag)
     R = curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
-    parts.append(wf * np.concatenate([R.real, R.imag], axis=1).ravel())
+    parts.append(np.concatenate([R.real, R.imag], axis=1).ravel())
     return np.concatenate(parts)
 
 
 def _hinge(x: np.ndarray, problem: SearchProblem):
     """Hinge value and its gradient row (zero when inactive)."""
-    w = np.sqrt(problem.torsion_reward)
-    M = _torsion_model(problem.n, problem.s, problem.mode)
+    M = _polynomial_model(problem).torsion
     t = M @ x
     norm = float(np.linalg.norm(t))
-    if norm >= problem.torsion_target:
+    if norm >= _TORSION_TARGET:
         return 0.0, np.zeros_like(x)
     if norm == 0.0:
-        return w * problem.torsion_target, np.zeros_like(x)
-    grad = -w * (M.T @ t) / norm
-    return w * (problem.torsion_target - norm), grad
+        return _TORSION_TARGET, np.zeros_like(x)
+    return _TORSION_TARGET - norm, -(M.T @ t) / norm
 
 
 def residual_vector(x, problem: SearchProblem) -> np.ndarray:
@@ -243,11 +237,11 @@ def residual_vector(x, problem: SearchProblem) -> np.ndarray:
     Layout: re/im of the three Jacobi families (all index tuples), then
     re/im of the curvature R[a, b, x, y] at parameter s in index order
     (re then im of each n x n block R[a, b]), then the torsion hinge when
-    torsion_reward > 0.
+    hunting.
     """
     x = np.asarray(x, dtype=float)
     r = _quadratic_part(x, problem)
-    if problem.torsion_reward > 0:
+    if problem.hunt:
         value, _ = _hinge(x, problem)
         r = np.append(r, value)
     return r
@@ -255,13 +249,15 @@ def residual_vector(x, problem: SearchProblem) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _QuadraticModel:
-    """Sparse symmetric bilinear form B of the residual rows that can be nonzero.
+    """Sparse symmetric bilinear form B of the residual rows that can be nonzero,
+    and the linear torsion map.
 
     Model row i is row rows[i] of the m-row layout of _quadratic_part,
     which equals x^T B[i] x there; the other rows vanish for every x and
     are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
     flat[k] = i * d + a, so one bincount over flat gives B x.  Zeros of
-    B are not stored either.
+    B are not stored either.  torsion is the real matrix M with
+    (T entries as interleaved re/im) = M @ x.
     """
 
     m: int
@@ -270,33 +266,29 @@ class _QuadraticModel:
     flat: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    torsion: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _basis(n: int, s: float, mode: str) -> tuple:
-    """The structures decoded from the unit vectors of the unknown layout."""
-    problem = SearchProblem(n=n, s=s, mode=mode)
-    return tuple(structure_from_point(problem, e) for e in np.eye(unknown_count(problem)))
-
-
-@functools.lru_cache(maxsize=8)
-def _quadratic_model(
-    n: int, s: float, mode: str, jacobi_weight: float, flatness_weight: float
-) -> _QuadraticModel:
+def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
     """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
     forms q of the Jacobi and curvature kernels, one basis row a at a time.
 
     Only b >= a is computed; B[:, b, a] is emitted from the same values.
     """
-    basis = _basis(n, s, mode)
+    problem = SearchProblem(n=n, s=s, mode=mode)
+    basis = [structure_from_point(problem, e) for e in np.eye(unknown_count(problem))]
     d = len(basis)
     Cb = np.array([U.C for U in basis]).reshape(d, n, n, n)
     Db = np.array([U.D for U in basis]).reshape(d, n, n, n)
     shape = (d, 2 * n, 2 * n, 2 * n)
     A = np.array([connection_endomorphisms(U, s) for U in basis]).reshape(shape)
     brk = np.array([bracket_tables(U) for U in basis]).reshape(shape)
-    wj = np.sqrt(jacobi_weight)
-    wf = np.sqrt(flatness_weight)
+    # chern_torsion of every basis structure, as columns of M
+    T = (0.5 * (-Db + Db.transpose(0, 1, 3, 2) - Cb)).reshape(d, n**3)
+    M = np.zeros((2 * n**3, d))
+    M[0::2] = T.real.T
+    M[1::2] = T.imag.T
 
     def rows(jacobi, curv):
         # residual rows of q over the b axis, laid out as _quadratic_part
@@ -305,8 +297,8 @@ def _quadratic_model(
         cur = curv.reshape(k, 4 * n * n, 1, n * n)
         return np.concatenate(
             [
-                wj * np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
-                wf * np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1),
+                np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
+                np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1),
             ],
             axis=1,
         )
@@ -340,25 +332,13 @@ def _quadratic_model(
     compact[live] = np.arange(len(live))
     return _QuadraticModel(
         m, d, live, compact[row] * d + np.concatenate(left), np.concatenate(right),
-        np.concatenate(vals),
+        np.concatenate(vals), M,
     )
 
 
 def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:
-    """The quadratic model of the problem, cached on what defines it."""
-    return _quadratic_model(
-        problem.n, problem.s, problem.mode, problem.jacobi_weight, problem.flatness_weight
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _torsion_model(n: int, s: float, mode: str) -> np.ndarray:
-    """Real matrix M with (T entries as interleaved re/im) = M @ x."""
-    T = np.array([chern_torsion(U).T for U in _basis(n, s, mode)]).reshape(-1, n**3)
-    M = np.zeros((2 * n**3, T.shape[0]))
-    M[0::2] = T.real.T
-    M[1::2] = T.imag.T
-    return M
+    """The model of the problem, cached on what defines it: (n, s, mode)."""
+    return _quadratic_model(problem.n, problem.s, problem.mode)
 
 
 def _evaluate(x: np.ndarray, problem: SearchProblem):
@@ -367,12 +347,11 @@ def _evaluate(x: np.ndarray, problem: SearchProblem):
     J = 2 B x is one bincount and r = J x / 2; the hinge costs one M @ x.
     """
     model = _polynomial_model(problem)
-    hunt = problem.torsion_reward > 0
-    k = len(model.rows) + hunt
+    k = len(model.rows) + problem.hunt
     Bx = np.bincount(model.flat, weights=model.vals * x[model.cols], minlength=k * model.d)
     J = 2.0 * Bx.reshape(k, model.d)
     r = 0.5 * (J @ x)
-    if hunt:
+    if problem.hunt:
         r[-1], J[-1] = _hinge(x, problem)
     return J, r, float(np.linalg.norm(r))
 
@@ -415,14 +394,12 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
                        over the last 10 accepted steps,
       max_iters        problem.max_iters iterations have run.
     Accepted steps never increase the residual norm.  Singular or
-    non-finite normal equations fall back to a small gradient step and
-    are flagged on the result.
+    non-finite normal equations fall back to a small gradient step.
     """
     x = np.asarray(start, dtype=float).copy()
     J, r, norm = _evaluate(x, problem)
     mu = _INITIAL_DAMPING
     iterations = 0
-    fallback = False
     history = [norm]
 
     while True:
@@ -444,7 +421,6 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
             if not np.all(np.isfinite(step)):
                 raise np.linalg.LinAlgError("non-finite step")
         except np.linalg.LinAlgError:
-            fallback = True
             gn = float(np.linalg.norm(g))
             step = -g * (1e-3 / (1.0 + gn))
         cand = x + step
@@ -464,7 +440,7 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
         else:
             mu *= 2.0
 
-    return _classify(problem, x, iterations, seed_used, norm, stop, fallback, tuple(history))
+    return _classify(problem, x, iterations, seed_used, norm, stop, tuple(history))
 
 
 def _classify(
@@ -474,8 +450,7 @@ def _classify(
     seed_used: int,
     residual_norm: float,
     stop_reason: str,
-    fallback: bool,
-    history: tuple = (),
+    history: tuple,
 ) -> SearchResult:
     # hinge-free re-validation: reported residuals are pure Jacobi + flatness
     U = structure_from_point(problem, x)
@@ -498,7 +473,6 @@ def _classify(
         seed_used=seed_used,
         residual_norm=residual_norm,
         stop_reason=stop_reason,
-        used_gradient_fallback=fallback,
         residual_history=history,
     )
 

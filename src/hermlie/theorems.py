@@ -218,13 +218,11 @@ def surface_derivative_table(lam: complex, s: float) -> SurfaceDerivativeTable:
 class ObstructionReport:
     """Outcome of the surface obstruction chain at one parameter value.
 
-    All derived quantities are coefficient ratios (multiples of lam or
-    |lam|^2, with lam != 0 the standing torsion scalar), so no lam value
-    is ever needed; lambda_symbolic records that convention.
+    The forced constants are ratios to lam (or |lam|^2), the standing
+    torsion scalar lam != 0, so no lam value is ever needed.
     """
 
     s: float
-    lambda_symbolic: bool
     forced_constants: dict
     excluded_by: str
 
@@ -251,19 +249,12 @@ def surface_obstruction(s: float) -> ObstructionReport:
     s = float(s)
     forced: dict = {}
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return ObstructionReport(
-            s=s, lambda_symbolic=True, forced_constants=forced, excluded_by=OUT_OF_SCOPE
-        )
+        return ObstructionReport(s=s, forced_constants=forced, excluded_by=OUT_OF_SCOPE)
     if min(abs(s - 0.5), abs(s - 1)) <= _SPECIAL_RADIUS:
         table = surface_derivative_table(1.0, s)
         forced["cleared_factor"] = table.cleared_factor
         forced["cleared_t1_12_bar2_over_lam2"] = table.cleared_t1_12_bar2.real
-        return ObstructionReport(
-            s=s,
-            lambda_symbolic=True,
-            forced_constants=forced,
-            excluded_by=DENOMINATOR_EXCLUSION,
-        )
+        return ObstructionReport(s=s, forced_constants=forced, excluded_by=DENOMINATOR_EXCLUSION)
 
     quadratic = 7 * s**2 - 12 * s + 4
     denom = 4 * (s - 1) * (2 * s - 1)
@@ -272,12 +263,7 @@ def surface_obstruction(s: float) -> ObstructionReport:
     forced["Gamma1_21_over_lambda"] = -s * (3 * s**2 - 8 * s + 4) / denom
     forced["quadratic_7s2_12s_4"] = quadratic
     if abs(quadratic) > _QUADRATIC_TOL * max(1.0, s**2):
-        return ObstructionReport(
-            s=s,
-            lambda_symbolic=True,
-            forced_constants=forced,
-            excluded_by=QUADRATIC_MISMATCH,
-        )
+        return ObstructionReport(s=s, forced_constants=forced, excluded_by=QUADRATIC_MISMATCH)
 
     # the two quadratic roots survive to the Jacobi stage
     d1_21 = 5 * s - 4
@@ -289,15 +275,8 @@ def surface_obstruction(s: float) -> ObstructionReport:
     forced["jacobi_lhs_coefficient"] = lhs
     forced["jacobi_rhs_coefficient"] = rhs
     if abs(lhs - rhs) > _QUADRATIC_TOL:
-        return ObstructionReport(
-            s=s,
-            lambda_symbolic=True,
-            forced_constants=forced,
-            excluded_by=JACOBI_CONTRADICTION,
-        )
-    return ObstructionReport(
-        s=s, lambda_symbolic=True, forced_constants=forced, excluded_by=NO_OBSTRUCTION
-    )
+        return ObstructionReport(s=s, forced_constants=forced, excluded_by=JACOBI_CONTRADICTION)
+    return ObstructionReport(s=s, forced_constants=forced, excluded_by=NO_OBSTRUCTION)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_06_surface_rigidity_search():
     details = []
     for s in (0.3, ROOT_MINUS, 1.5, ROOT_PLUS, 3.0):
         prob = S.SearchProblem(
-            n=2, s=float(s), restarts=100, seed=SEED, torsion_reward=1.0,
+            n=2, s=float(s), restarts=100, seed=SEED, hunt=True,
             tol=1e-8, kahler_tol=1e-4, max_iters=400,
         )
         summ = S.multistart_search(prob)
@@ -116,7 +116,7 @@ def test_criterion_06_surface_rigidity_search():
         ok &= bad == 0
     for s in (0.0, 2.0):
         prob = S.SearchProblem(
-            n=2, s=s, restarts=100, seed=SEED, torsion_reward=1.0,
+            n=2, s=s, restarts=100, seed=SEED, hunt=True,
             tol=1e-8, kahler_tol=1e-4, max_iters=400,
         )
         summ = S.multistart_search(prob)
@@ -175,7 +175,7 @@ def test_criterion_10_jacobian_correctness():
         S.SearchProblem(n=3, s=1.0),
         S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
         S.SearchProblem(n=3, s=2.0, mode=S.PARALLEL_FRAME),
-        S.SearchProblem(n=2, s=2.0, torsion_reward=1.0),
+        S.SearchProblem(n=2, s=2.0, hunt=True),
     ]
     rng = np.random.default_rng(SEED)
     worst = 0.0

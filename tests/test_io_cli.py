@@ -220,6 +220,8 @@ class TestCli:
             (["search", "--n", "0", "--s", "1"], {}),
             (["search", "--n", "2", "--s", "1", "--restarts", "0"], {}),
             (["search", "--n", "2", "--s", "nan"], {}),
+            (["search", "--n", "1", "--s", "1.3", "--mode", "parallel_frame"], {}),
+            (["search", "--n", "2", "--s", "1", "--seed", "-5"], {}),
             (["catalog", "bdf4", "--q", "abc"], {}),
             (["catalog", "bdf-general", "--q", "x"], {}),
             (["catalog", "samelson", "--c", "nan"], {}),
@@ -234,7 +236,8 @@ class TestCli:
             (["analyze", "{file}", "--s-grid", "1e308"], {}),
         ],
         ids=[
-            "search-n0", "search-restarts0", "search-s-nan", "bdf4-q-abc", "bdf-general-q-x",
+            "search-n0", "search-restarts0", "search-s-nan", "search-n1-parallel",
+            "search-seed-negative", "bdf4-q-abc", "bdf-general-q-x",
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
             "perturb-eps-huge", "bdf4-q-huge",
             "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",

@@ -44,11 +44,11 @@ class TestResidualVector:
     @pytest.mark.parametrize("n", [2, 3])
     def test_curvature_rows_are_R_in_index_order(self, n, mode):
         # after the 6 n^4 Jacobi rows: re then im of each R[a, b], a-major
-        prob = S.SearchProblem(n=n, s=1.3, mode=mode, flatness_weight=2.5)
+        prob = S.SearchProblem(n=n, s=1.3, mode=mode)
         x = np.random.default_rng(n).standard_normal(S.unknown_count(prob))
         r = S.residual_vector(x, prob)
         R = hl.curvature(S.structure_from_point(prob, x), prob.s).R.reshape(4 * n * n, n * n)
-        want = np.sqrt(prob.flatness_weight) * np.stack([R.real, R.imag], axis=1).ravel()
+        want = np.stack([R.real, R.imag], axis=1).ravel()
         assert r.shape == (6 * n**4 + want.size,)
         assert np.array_equal(r[6 * n**4 :], want)
 
@@ -69,10 +69,10 @@ class TestResidualVector:
         assert np.abs(U.D + 1.5 * T).max() <= 1e-13
 
     def test_hunt_appends_hinge(self):
-        prob = S.SearchProblem(n=2, s=1.0, torsion_reward=4.0, torsion_target=0.5)
+        prob = S.SearchProblem(n=2, s=1.0, hunt=True)
         x = S.point_from_structure(prob, hl.abelian(2))
         r = S.residual_vector(x, prob)
-        assert r[-1] == pytest.approx(2.0 * 0.5)  # sqrt(4) * (tau - 0)
+        assert r[-1] == 0.5  # 0.5 - |T| with T = 0
 
 
 class TestJacobian:
@@ -89,7 +89,7 @@ class TestJacobian:
             S.SearchProblem(n=3, s=1.0),
             S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
             S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
-            S.SearchProblem(n=2, s=2.0, torsion_reward=1.0),
+            S.SearchProblem(n=2, s=2.0, hunt=True),
         ],
         ids=["full-2", "full-3", "par-2", "par-3", "hunt"],
     )
@@ -141,7 +141,7 @@ MODEL_PROBLEMS = [
     S.SearchProblem(n=3, s=1.0),
     S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
     S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
-    S.SearchProblem(n=2, s=2.0, torsion_reward=1.0),
+    S.SearchProblem(n=2, s=2.0, hunt=True),
 ]
 MODEL_IDS = ["full-2", "full-3", "par-2", "par-3", "hunt"]
 
@@ -168,7 +168,7 @@ class TestQuadraticModel:
         for problem in MODEL_PROBLEMS:
             x = np.random.default_rng(3).standard_normal(S.unknown_count(problem))
             T = hl.chern_torsion(S.structure_from_point(problem, x)).T.ravel()
-            t = S._torsion_model(problem.n, problem.s, problem.mode) @ x
+            t = S._polynomial_model(problem).torsion @ x
             assert np.abs(t[0::2] + 1j * t[1::2] - T).max() <= 1e-14 * max(1.0, np.abs(T).max())
 
     @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
@@ -184,11 +184,11 @@ class TestQuadraticModel:
         assert model.flat.nbytes + model.cols.nbytes + model.vals.nbytes < 5e6
 
     def test_cached_on_what_defines_the_model(self):
-        a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8, torsion_reward=1.0)
+        a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8, hunt=True)
         b = S.SearchProblem(n=2, s=0.7, seed=2, max_iters=10, kahler_tol=1e-3)
         assert S._polynomial_model(a) is S._polynomial_model(b)
-        c = S.SearchProblem(n=2, s=0.7, flatness_weight=2.0)
-        assert S._polynomial_model(c) is not S._polynomial_model(a)
+        for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME)):
+            assert S._polynomial_model(c) is not S._polynomial_model(a)
 
 
 class TestLmMinimize:
@@ -250,7 +250,7 @@ class TestStopReason:
 
     def test_stagnation_at_rigid_parameter(self):
         prob = S.SearchProblem(
-            n=2, s=1.5, restarts=4, seed=20240810, torsion_reward=1.0,
+            n=2, s=1.5, restarts=4, seed=20240810, hunt=True,
             tol=1e-8, max_iters=300,
         )
         summ = S.multistart_search(prob)
@@ -272,7 +272,25 @@ class TestStopReason:
         for reason, count in summ.stop_reasons.items():
             assert count == sum(res.stop_reason == reason for res in summ.results)
 
-    @pytest.mark.parametrize("hunt", [0.0, 1.0], ids=["plain", "hunt"])
+    def test_failed_solve_falls_back_to_gradient_step(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_first(H, g):
+            calls.append(1)
+            if len(calls) <= 3:
+                raise np.linalg.LinAlgError("singular")
+            return solve(H, g)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_first)
+        prob = S.SearchProblem(n=2, s=1.5, max_iters=40)
+        res = S.lm_minimize(prob, S.random_start(prob, 3))
+        assert res.iterations > 3 and len(calls) == res.iterations
+        assert res.stop_reason in {"tol", "step_floor", "damping_ceiling", "stagnation", "max_iters"}
+        assert len(res.residual_history) >= 2
+        assert all(b <= a for a, b in zip(res.residual_history, res.residual_history[1:]))
+
+    @pytest.mark.parametrize("hunt", [False, True], ids=["plain", "hunt"])
     def test_one_model_evaluation_per_iteration(self, hunt, monkeypatch):
         calls = []
         evaluate = S._evaluate
@@ -282,7 +300,7 @@ class TestStopReason:
             return evaluate(x, problem)
 
         monkeypatch.setattr(S, "_evaluate", counting)
-        prob = S.SearchProblem(n=2, s=1.5, torsion_reward=hunt, max_iters=80)
+        prob = S.SearchProblem(n=2, s=1.5, hunt=hunt, max_iters=80)
         for seed in range(3):
             calls.clear()
             res = S.lm_minimize(prob, S.random_start(prob, seed))
@@ -309,7 +327,7 @@ class TestMultistart:
 
     def test_gauge_sanity_on_converged_points(self):
         prob = S.SearchProblem(n=2, s=0.0, restarts=3, seed=21, tol=1e-11, max_iters=300,
-                               torsion_reward=1.0)
+                               hunt=True)
         summ = S.multistart_search(prob)
         converged = [r for r in summ.results if r.classification != S.NOT_CONVERGED]
         assert converged
@@ -329,7 +347,7 @@ class TestMultistart:
     def test_counterexample_hunt_finds_nonkahler_at_endpoints(self):
         for s in (0.0, 2.0):
             prob = S.SearchProblem(
-                n=2, s=s, restarts=12, seed=20240810, torsion_reward=1.0,
+                n=2, s=s, restarts=12, seed=20240810, hunt=True,
                 tol=1e-8, max_iters=300,
             )
             summ = S.multistart_search(prob)
@@ -337,7 +355,7 @@ class TestMultistart:
 
     def test_rigid_parameter_yields_none(self):
         prob = S.SearchProblem(
-            n=2, s=1.5, restarts=12, seed=20240810, torsion_reward=1.0,
+            n=2, s=1.5, restarts=12, seed=20240810, hunt=True,
             tol=1e-8, max_iters=300,
         )
         summ = S.multistart_search(prob)

@@ -270,11 +270,13 @@ class _QuadraticModel:
 
 
 @functools.lru_cache(maxsize=8)
+@np.errstate(over="ignore", invalid="ignore")
 def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
     """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
     forms q of the Jacobi and curvature kernels, one basis row a at a time.
 
     Only b >= a is computed; B[:, b, a] is emitted from the same values.
+    Raises ValidationError when an entry of B overflows.
     """
     problem = SearchProblem(n=n, s=s, mode=mode)
     basis = [structure_from_point(problem, e) for e in np.eye(unknown_count(problem))]
@@ -326,13 +328,16 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
         left += [np.full(len(b_idx), a), b_idx[mirror]]
         right += [b_idx, np.full(int(mirror.sum()), a)]
         vals += [v, v[mirror]]
+    vals = np.concatenate(vals)
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"the search model overflows at s={s!r}")
     row = np.concatenate(row)
     live = np.flatnonzero(np.bincount(row, minlength=m))
     compact = np.zeros(m, np.intp)
     compact[live] = np.arange(len(live))
     return _QuadraticModel(
         m, d, live, compact[row] * d + np.concatenate(left), np.concatenate(right),
-        np.concatenate(vals), M,
+        vals, M,
     )
 
 
@@ -379,6 +384,7 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
 # Levenberg-Marquardt
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchResult:
     """Damped least squares from one start point.
 
@@ -395,6 +401,7 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
       max_iters        problem.max_iters iterations have run.
     Accepted steps never increase the residual norm.  Singular or
     non-finite normal equations fall back to a small gradient step.
+    Raises ValidationError when the re-validated residuals overflow.
     """
     x = np.asarray(start, dtype=float).copy()
     J, r, norm = _evaluate(x, problem)
@@ -459,6 +466,8 @@ def _classify(
     )
     flat = curvature(U, problem.s).frobenius
     torsion = chern_torsion(U).norm
+    if not all(map(math.isfinite, (jac, flat, torsion))):
+        raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
     if max(jac, flat) <= problem.tol:
         cls = CONVERGED_KAHLER if torsion <= problem.kahler_tol else CONVERGED_NONKAHLER
     else:

@@ -89,12 +89,12 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
     # T^l_{ij,k} is Td itself and T^l_{ik,j} swaps the last two axes
     exchange_lhs = Td - Td.transpose(0, 1, 3, 2)
 
-    tt_i_jk = np.einsum("lir,rjk->lijk", T, T, optimize=True)
-    tt_j_ik = np.einsum("ljr,rik->lijk", T, T, optimize=True)
-    tt_k_ij = np.einsum("lkr,rij->lijk", T, T, optimize=True)
+    tt_i_jk = np.einsum("lir,rjk->lijk", T, T)
+    tt_j_ik = np.einsum("ljr,rik->lijk", T, T)
+    tt_k_ij = np.einsum("lkr,rij->lijk", T, T)
     exchange = exchange_lhs - (2 * (1 - s) * tt_i_jk + s * tt_j_ik - s * tt_k_ij)
 
-    tt_j_ki = np.einsum("ljr,rki->lijk", T, T, optimize=True)
+    tt_j_ki = np.einsum("ljr,rki->lijk", T, T)
     cyclic = (n - 2) * (s - 1) * (tt_i_jk + tt_j_ki + tt_k_ij)
 
     exchange_reduced = exchange_lhs - (2 - s) * tt_i_jk
@@ -102,18 +102,10 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
     factor = 4 * (s - 1) * (2 * s - 1)
     conj_lhs = factor * np.einsum("kijl->ijkl", Tdbar)
     rhs = (
-        -4 * s * (s - 1) ** 2 * np.einsum("rij,rkl->ijkl", T, cT, optimize=True)
-        - s
-        * (5 * s**2 - 10 * s + 4)
-        * (
-            np.einsum("kir,jlr->ijkl", T, cT, optimize=True)
-            - np.einsum("kjr,ilr->ijkl", T, cT, optimize=True)
-        )
-        + s**3
-        * (
-            np.einsum("lir,jkr->ijkl", T, cT, optimize=True)
-            - np.einsum("ljr,ikr->ijkl", T, cT, optimize=True)
-        )
+        -4 * s * (s - 1) ** 2 * np.einsum("rij,rkl->ijkl", T, cT)
+        - s * (5 * s**2 - 10 * s + 4)
+        * (np.einsum("kir,jlr->ijkl", T, cT) - np.einsum("kjr,ilr->ijkl", T, cT))
+        + s**3 * (np.einsum("lir,jkr->ijkl", T, cT) - np.einsum("ljr,ikr->ijkl", T, cT))
     )
     conjugate = conj_lhs - rhs
 
@@ -339,11 +331,11 @@ def parallel_frame_reduction(T: TorsionData, s: float):
     jac = validate_structure(U)
     flat = curvature(U, s).max_abs
 
-    nil = np.einsum("lir,rjk->lijk", Tm, Tm, optimize=True)
+    nil = np.einsum("lir,rjk->lijk", Tm, Tm)
     quad = quadratic_norm_identity(Tm, s)
 
     fam = np.einsum("kij->ikj", Tm)  # fam[i] = A_{e_i}
-    prod = np.einsum("axy,byz->abxz", fam, fam, optimize=True)
+    prod = np.einsum("axy,byz->abxz", fam, fam)
     anti = prod + prod.transpose(1, 0, 2, 3)
     absT2 = np.abs(Tm) ** 2
     # balance[i,j] = sum_r ( |T^j_{ri}|^2 - |T^i_{rj}|^2 )

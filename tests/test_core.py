@@ -1,10 +1,14 @@
 """Tensor kernel: torsion, connection family, brackets, curvature, identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import hermlie as hl
+from hermlie import core
 from hermlie.core import connection_endomorphisms
+from hermlie.tensors import frobenius
 
 from conftest import (
     connection_flatness_residuals,
@@ -430,6 +434,51 @@ class TestSummaryAndGauge:
         assert not summary.kahler
         flat = dict(summary.rows)
         assert flat[2.0] <= 1e-14 and flat[0.0] > 0.1 and flat[1.0] > 0.1
+
+    ORACLE_GRID = [0.0, 1.0, 2.0, -1.0, 0.5, 1.5, 3.0, 4.0, -37.5, 1e3, -1e4, 1e6, -1e6]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 30.0])
+    def test_rows_match_per_parameter_curvature(self, eps, samelson, bdf4_structure, affine):
+        # every row against a fresh curvature(U, s), on perturbed catalog fixtures
+        for seed, base in enumerate((samelson, bdf4_structure, affine, hl.abelian(3))):
+            U = hl.perturb(base, eps, 500 + seed) if eps else base
+            tor = hl.chern_torsion(U)
+            size = sum(map(frobenius, (U.C, U.D, connection_endomorphisms(U, 0.0))))
+            summary = hl.kahler_flatness_summary(U, self.ORACLE_GRID)
+            assert [s for s, _ in summary.rows] == self.ORACLE_GRID
+            for s, flat in summary.rows:
+                bound = 1e-13 * (size + abs(s) * tor.norm) ** 2
+                assert abs(flat - hl.curvature(U, s).frobenius) <= bound, (eps, seed, s)
+
+    def test_torsion_free_rows_are_exact(self, bdf4_structure):
+        # D symmetric in its lower indices with C = D^T - D gives T = 0 exactly
+        D = random_structure(3, 31).D
+        U = hl.UnitaryStructure(n=3, C=D.transpose(0, 2, 1) - D, D=D)
+        assert not hl.chern_torsion(U).T.any()
+        summary = hl.kahler_flatness_summary(U, self.ORACLE_GRID)
+        assert all(flat == hl.curvature(U, s).frobenius for s, flat in summary.rows)
+        assert min(flat for _, flat in summary.rows) > 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            flat_kahler = hl.kahler_flatness_summary(bdf4_structure, [0.0, 1e200, -1e200])
+        assert not hl.chern_torsion(bdf4_structure).T.any()
+        assert flat_kahler.rows == ((0.0, 0.0), (1e200, 0.0), (-1e200, 0.0))
+
+    def test_curvature_kernel_calls_do_not_grow_with_the_grid(self, samelson, monkeypatch):
+        calls = []
+        kernel = core._curvature_tensor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_curvature_tensor", counted)
+        counts = []
+        for points in (3, 2000):
+            calls.clear()
+            hl.kahler_flatness_summary(samelson, np.linspace(-1.0, 4.0, points))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_gauge_invariance_of_reported_scalars(self, samelson, bdf4_structure, affine):
         for U in (samelson, bdf4_structure, affine):

@@ -222,6 +222,7 @@ class TestCli:
             (["search", "--n", "2", "--s", "nan"], {}),
             (["search", "--n", "1", "--s", "1.3", "--mode", "parallel_frame"], {}),
             (["search", "--n", "2", "--s", "1", "--seed", "-5"], {}),
+            (["search", "--n", "2", "--s", "1e200", "--restarts", "2"], {}),
             (["catalog", "bdf4", "--q", "abc"], {}),
             (["catalog", "bdf-general", "--q", "x"], {}),
             (["catalog", "samelson", "--c", "nan"], {}),
@@ -237,7 +238,7 @@ class TestCli:
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "search-n1-parallel",
-            "search-seed-negative", "bdf4-q-abc", "bdf-general-q-x",
+            "search-seed-negative", "search-s-huge", "bdf4-q-abc", "bdf-general-q-x",
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
             "perturb-eps-huge", "bdf4-q-huge",
             "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
@@ -264,10 +265,13 @@ class TestCli:
             (["catalog", "complex-group", "--c", "1e308"], "--c"),
             (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], "--eps"),
             (["catalog", "perturb", "--base", "{file}", "--eps", "1e308"], "--eps"),
-            (["analyze", "{file}", "--s-grid", "0,1e308"], "s=1e+308"),
+            (["analyze", "{file}", "--s-grid", "0,1e308"],
+             "flatness residual at s=1e+308 is not finite"),
+            (["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
+             "the search model overflows at s=1e+200"),
         ],
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
-             "perturb-eps-huge", "analyze-s"],
+             "perturb-eps-huge", "analyze-s", "search-s-huge"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"

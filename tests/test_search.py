@@ -1,5 +1,7 @@
 """Least-squares search: residuals, exact Jacobian, LM behaviour, multistart."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -360,3 +362,14 @@ class TestMultistart:
         )
         summ = S.multistart_search(prob)
         assert summ.count(S.CONVERGED_NONKAHLER) == 0
+
+    @pytest.mark.parametrize("s, message", [
+        (1e200, "the search model overflows at s=1e+200"),
+        (1e100, "the search residuals overflow at s=1e+100"),
+        (-1e120, "the search residuals overflow at s=-1e+120"),
+    ], ids=["model", "residuals", "residuals-hunt"])
+    def test_overflowing_parameter_is_an_error(self, s, message):
+        # a finite model can still overflow in the LM and the re-validation
+        prob = S.SearchProblem(n=2, s=s, restarts=2, hunt=s < 0)
+        with pytest.raises(hl.exceptions.ValidationError, match=re.escape(message)):
+            S.multistart_search(prob)

@@ -50,7 +50,6 @@ from .theorems import (
     ObstructionReport,
     SurfaceDerivativeTable,
     TorsionIdentitySuite,
-    TorsionOperator,
     common_kernel,
     flat_torsion_identities,
     half_flat_trace,
@@ -67,7 +66,6 @@ from .search import (
     jacobian,
     lm_minimize,
     multistart_search,
-    residual_vector,
 )
 from .structio import emit_report, emit_structure, parse_structure
 

@@ -213,6 +213,8 @@ def perturb(U: UnitaryStructure, eps: float, seed: int) -> UnitaryStructure:
     """
     if eps < 0:
         raise DegenerateParameterError("eps must be nonnegative")
+    if seed < 0:
+        raise DegenerateParameterError(f"seed must be nonnegative, got {seed}")
     if eps == 0:
         return U
     rng = np.random.default_rng(seed)

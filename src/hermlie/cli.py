@@ -194,8 +194,8 @@ def _cmd_catalog(args) -> int:
         U = catalog.abelian(args.n)
         label = f"abelian(n={args.n})"
     elif name == "complex-group":
-        U = _built_from("--c", args.c, catalog.affine_complex_group, args.c, max(args.n, 2))
-        label = f"complex-group(c={args.c}, n={max(args.n, 2)})"
+        U = _built_from("--c", args.c, catalog.affine_complex_group, args.c, args.n)
+        label = f"complex-group(c={args.c}, n={args.n})"
     elif name == "samelson":
         U = _built_from("--c", args.c, catalog.samelson_su2_r, args.c)
         label = f"samelson(c={args.c})"

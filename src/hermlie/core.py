@@ -172,9 +172,14 @@ class FlatnessSummary:
 
 def chern_torsion(U: UnitaryStructure) -> TorsionData:
     """Chern torsion T^j_{ik} = (-D^j_{ik} + D^j_{ki} - C^j_{ik}) / 2 and its trace."""
-    T = 0.5 * (-U.D + U.D.transpose(0, 2, 1) - U.C)
+    T = _torsion(U.C, U.D)
     eta = np.einsum("kkr->r", T)
     return TorsionData(T=frozen(T), eta=frozen(eta))
+
+
+def _torsion(C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The T of chern_torsion for (C, D) over any leading axes."""
+    return 0.5 * (-D + D.swapaxes(-1, -2) - C)
 
 
 def gauduchon_connection(U: UnitaryStructure, s: float) -> ConnectionFamily:
@@ -198,17 +203,22 @@ def bracket_tables(U: UnitaryStructure) -> np.ndarray:
 
     Conjugation equivariance holds by construction.
     """
-    n = U.n
-    table = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    return frozen(_brackets(U.C, U.D))
+
+
+def _brackets(C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The table of bracket_tables for (C, D) over any leading axes."""
+    n = C.shape[-1]
+    table = np.zeros(C.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=complex)
     # [e_i, e_k] = C^j_{ik} e_j
-    table[:n, :n, :n] = np.einsum("jik->ikj", U.C)
+    table[..., :n, :n, :n] = np.einsum("...jik->...ikj", C)
     # [ebar_j, e_i] = D^j_{ki} ebar_k - conj(D^i_{kj}) e_k
-    table[n:, :n, n:] = np.einsum("jki->jik", U.D)
-    table[n:, :n, :n] = -np.einsum("ikj->jik", np.conj(U.D))
-    table[:n, n:, :] = -table[n:, :n, :].transpose(1, 0, 2)
+    table[..., n:, :n, n:] = np.einsum("...jki->...jik", D)
+    table[..., n:, :n, :n] = -np.einsum("...ikj->...jik", np.conj(D))
+    table[..., :n, n:, :] = -table[..., n:, :n, :].swapaxes(-3, -2)
     # [ebar_j, ebar_k] = conj(C^i_{jk}) ebar_i
-    table[n:, n:, n:] = np.einsum("ijk->jki", np.conj(U.C))
-    return frozen(table)
+    table[..., n:, n:, n:] = np.einsum("...ijk->...jki", np.conj(C))
+    return table
 
 
 def connection_endomorphisms(U: UnitaryStructure, s: float) -> np.ndarray:
@@ -222,15 +232,17 @@ def connection_endomorphisms(U: UnitaryStructure, s: float) -> np.ndarray:
 
 
 def _endomorphisms(gamma: np.ndarray) -> np.ndarray:
-    """The endomorphisms of connection_endomorphisms for any coefficients gamma."""
-    n = gamma.shape[0]
-    gamma_bar = -np.conj(gamma.transpose(1, 0, 2))
-    A = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        A[k, :n, :n] = gamma[:, :, k]
-        A[k, n:, n:] = np.conj(gamma_bar[:, :, k])
-        A[n + k, :n, :n] = gamma_bar[:, :, k]
-        A[n + k, n:, n:] = np.conj(gamma[:, :, k])
+    """The endomorphisms of connection_endomorphisms for any coefficients gamma,
+    over any leading axes of gamma.
+    """
+    n = gamma.shape[-1]
+    gamma_bar = -np.conj(gamma.swapaxes(-3, -2))
+    A = np.zeros(gamma.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=complex)
+    # A[k][x, y] = gamma[x, y, k]: the coefficients of direction k
+    A[..., :n, :n, :n] = np.moveaxis(gamma, -1, -3)
+    A[..., :n, n:, n:] = np.moveaxis(np.conj(gamma_bar), -1, -3)
+    A[..., n:, :n, :n] = np.moveaxis(gamma_bar, -1, -3)
+    A[..., n:, n:, n:] = np.moveaxis(np.conj(gamma), -1, -3)
     return A
 
 

@@ -2,11 +2,12 @@
 
 The unknowns are structure constants (full mode: independent entries of
 C plus all of D; parallel-frame mode: independent torsion entries, with
-C = 2(s-1) T and D = -s T induced).  The residual stacks the real and
-imaginary parts of every Jacobi identity and every curvature entry at
-the chosen parameter, optionally extended by a soft hinge
-max(0, 0.5 - |T|) that pushes the torsion norm up when hunting for
-non-Kahler candidates.
+C = 2(s-1) T and D = -s T induced).  A point decodes linearly through
+one index table of the independent antisymmetric entries (j, i, k),
+i < k.  The residual stacks the real and imaginary parts of every
+Jacobi identity and every curvature entry at the chosen parameter,
+optionally extended by a soft hinge max(0, 0.5 - |T|) that pushes the
+torsion norm up when hunting for non-Kahler candidates.
 
 Apart from the hinge, every residual entry is a homogeneous quadratic
 x^T B x in the unknowns.  The symmetric bilinear form B is assembled
@@ -39,11 +40,12 @@ import numpy as np
 from ._config import positive_finite
 from .core import (
     UnitaryStructure,
+    _brackets,
     _curvature_tensor,
+    _endomorphisms,
     _jacobi_bilinear,
-    bracket_tables,
+    _torsion,
     chern_torsion,
-    connection_endomorphisms,
     curvature,
     jacobi_residual_tensors,
 )
@@ -130,93 +132,67 @@ class MultistartSummary:
 # unknown vector layout
 
 
-def _independent_pairs(n: int):
-    return [(i, k) for i in range(n) for k in range(i + 1, n)]
+def _index_table(n: int):
+    """(j, i, k) of the independent entries X^j_{ik}, i < k, of an antisymmetric X,
+    in point order: j-major, then (i, k) row-major."""
+    i, k = np.triu_indices(n, 1)
+    return np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(k, n)
 
 
 def unknown_count(problem: SearchProblem) -> int:
     n = problem.n
-    m = n * len(_independent_pairs(n))  # complex freedoms of an antisymmetric tensor
+    return 2 * (len(_index_table(n)[0]) + (n**3 if problem.mode == FULL else 0))
+
+
+def _decode(x: np.ndarray, problem: SearchProblem):
+    """(C, D) of the points x[..., :], over any leading axes of x.
+
+    x holds (re, im) pairs: the index table entries of X (full mode: C,
+    parallel-frame mode: T), then in full mode all entries of D."""
+    n = problem.n
+    j, i, k = _index_table(n)
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    X = np.zeros(z.shape[:-1] + (n, n, n), dtype=complex)
+    X[..., j, i, k] = z[..., : len(j)]
+    X[..., j, k, i] = -z[..., : len(j)]
     if problem.mode == FULL:
-        return 2 * m + 2 * n**3
-    return 2 * m
+        return X, z[..., len(j) :].reshape(X.shape)
+    return 2 * (problem.s - 1) * X, -problem.s * X
 
 
-def _antisym_from_vector(x, n: int) -> np.ndarray:
-    out = np.zeros((n, n, n), dtype=complex)
-    pos = 0
-    for j in range(n):
-        for (i, k) in _independent_pairs(n):
-            out[j, i, k] = x[pos] + 1j * x[pos + 1]
-            out[j, k, i] = -out[j, i, k]
-            pos += 2
-    return out
-
-
-def _antisym_to_vector(X: np.ndarray, x, n: int) -> None:
-    pos = 0
-    for j in range(n):
-        for (i, k) in _independent_pairs(n):
-            x[pos] = X[j, i, k].real
-            x[pos + 1] = X[j, i, k].imag
-            pos += 2
+def _encode(problem: SearchProblem, X: np.ndarray, D=()) -> np.ndarray:
+    """The point of the antisymmetric tensor X, and of D in full mode."""
+    return np.concatenate([X[_index_table(problem.n)], np.ravel(D)]).view(float)
 
 
 def structure_from_point(problem: SearchProblem, x: np.ndarray) -> UnitaryStructure:
     """Decode an unknown vector into the structure it describes."""
-    n = problem.n
-    x = np.asarray(x, dtype=float)
-    if x.shape != (unknown_count(problem),):
+    if np.shape(x) != (unknown_count(problem),):
         raise DimensionMismatchError(
-            f"point has {x.shape}, problem wants ({unknown_count(problem)},)"
+            f"point has {np.shape(x)}, problem wants ({unknown_count(problem)},)"
         )
-    m = 2 * n * len(_independent_pairs(n))
-    if problem.mode == FULL:
-        C = _antisym_from_vector(x[:m], n)
-        D = x[m::2].reshape(n, n, n) + 1j * x[m + 1 :: 2].reshape(n, n, n)
-        return UnitaryStructure(n=n, C=C, D=D)
-    T = _antisym_from_vector(x, n)
-    return UnitaryStructure(n=n, C=2 * (problem.s - 1) * T, D=-problem.s * T)
+    C, D = _decode(x, problem)
+    return UnitaryStructure(n=problem.n, C=C, D=D)
 
 
 def point_from_structure(problem: SearchProblem, U: UnitaryStructure) -> np.ndarray:
     """Encode a structure as an unknown vector (full mode) exactly."""
     if problem.mode != FULL:
         raise ValueError("only full mode can encode an arbitrary structure")
-    n = problem.n
-    x = np.zeros(unknown_count(problem))
-    m = 2 * n * len(_independent_pairs(n))
-    _antisym_to_vector(U.C, x[:m], n)
-    x[m::2] = U.D.real.ravel()
-    x[m + 1 :: 2] = U.D.imag.ravel()
-    return x
+    if U.n != problem.n:
+        raise DimensionMismatchError(f"structure has n={U.n}, problem wants n={problem.n}")
+    return _encode(problem, U.C, U.D)
 
 
 def point_from_torsion(problem: SearchProblem, T: np.ndarray) -> np.ndarray:
     """Encode a torsion tensor as a parallel-frame unknown vector."""
     if problem.mode != PARALLEL_FRAME:
         raise ValueError("torsion points belong to parallel_frame mode")
-    n = problem.n
-    x = np.zeros(unknown_count(problem))
-    _antisym_to_vector(antisymmetrize_lower(np.asarray(T, complex)), x, n)
-    return x
+    return _encode(problem, antisymmetrize_lower(np.asarray(T, complex)))
 
 
 # ---------------------------------------------------------------------------
 # residuals
-
-
-def _quadratic_part(x: np.ndarray, problem: SearchProblem) -> np.ndarray:
-    """All polynomial residual entries (Jacobi then curvature)."""
-    U = structure_from_point(problem, x)
-    parts = []
-    for fam in jacobi_residual_tensors(U.C, U.D):
-        flat = fam.ravel()
-        parts.append(flat.real)
-        parts.append(flat.imag)
-    R = curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
-    parts.append(np.concatenate([R.real, R.imag], axis=1).ravel())
-    return np.concatenate(parts)
 
 
 def _hinge(x: np.ndarray, problem: SearchProblem):
@@ -231,30 +207,14 @@ def _hinge(x: np.ndarray, problem: SearchProblem):
     return _TORSION_TARGET - norm, -(M.T @ t) / norm
 
 
-def residual_vector(x, problem: SearchProblem) -> np.ndarray:
-    """Weighted residual entries at the point x (definition, not the model).
-
-    Layout: re/im of the three Jacobi families (all index tuples), then
-    re/im of the curvature R[a, b, x, y] at parameter s in index order
-    (re then im of each n x n block R[a, b]), then the torsion hinge when
-    hunting.
-    """
-    x = np.asarray(x, dtype=float)
-    r = _quadratic_part(x, problem)
-    if problem.hunt:
-        value, _ = _hinge(x, problem)
-        r = np.append(r, value)
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class _QuadraticModel:
     """Sparse symmetric bilinear form B of the residual rows that can be nonzero,
     and the linear torsion map.
 
-    Model row i is row rows[i] of the m-row layout of _quadratic_part,
-    which equals x^T B[i] x there; the other rows vanish for every x and
-    are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
+    Model row i is row rows[i] of the m-row residual layout (see
+    jacobian), which equals x^T B[i] x there; the other rows vanish for
+    every x and are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
     flat[k] = i * d + a, so one bincount over flat gives B x.  Zeros of
     B are not stored either.  torsion is the real matrix M with
     (T entries as interleaved re/im) = M @ x.
@@ -275,25 +235,21 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
     """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
     forms q of the Jacobi and curvature kernels, one basis row a at a time.
 
-    Only b >= a is computed; B[:, b, a] is emitted from the same values.
-    Raises ValidationError when an entry of B overflows.
+    The basis vectors are decoded in one call and their torsion,
+    connection and bracket tables built batched.  Only b >= a is
+    computed; B[:, b, a] is emitted from the same values.  Raises
+    ValidationError when an entry of B overflows.
     """
     problem = SearchProblem(n=n, s=s, mode=mode)
-    basis = [structure_from_point(problem, e) for e in np.eye(unknown_count(problem))]
-    d = len(basis)
-    Cb = np.array([U.C for U in basis]).reshape(d, n, n, n)
-    Db = np.array([U.D for U in basis]).reshape(d, n, n, n)
-    shape = (d, 2 * n, 2 * n, 2 * n)
-    A = np.array([connection_endomorphisms(U, s) for U in basis]).reshape(shape)
-    brk = np.array([bracket_tables(U) for U in basis]).reshape(shape)
-    # chern_torsion of every basis structure, as columns of M
-    T = (0.5 * (-Db + Db.transpose(0, 1, 3, 2) - Cb)).reshape(d, n**3)
-    M = np.zeros((2 * n**3, d))
-    M[0::2] = T.real.T
-    M[1::2] = T.imag.T
+    d = unknown_count(problem)
+    Cb, Db = _decode(np.eye(d), problem)  # (C, D) of every basis vector
+    T = _torsion(Cb, Db)
+    A = _endomorphisms(Db + s * T)
+    brk = _brackets(Cb, Db)
+    M = np.ascontiguousarray(T.reshape(d, -1).view(float).T)  # column a: T of basis vector a
 
     def rows(jacobi, curv):
-        # residual rows of q over the b axis, laid out as _quadratic_part
+        # residual rows of q over the b axis, in the residual layout
         k = len(curv)
         jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
         cur = curv.reshape(k, 4 * n * n, 1, n * n)
@@ -362,13 +318,14 @@ def _evaluate(x: np.ndarray, problem: SearchProblem):
 
 
 def jacobian(x, problem: SearchProblem) -> np.ndarray:
-    """Exact derivative of residual_vector at x, in its full row layout.
+    """Exact derivative of the residual at x, in its full row layout.
 
-    Every polynomial entry is a homogeneous quadratic x^T B x, so the
-    derivative is 2 B x, evaluated from the sparse B of the cached
-    model; the rows the model drops are zero.  The hinge row is
-    differentiated analytically.  Central finite differences of
-    residual_vector reproduce this to rounding.
+    Layout: re/im of the three Jacobi families (all index tuples), then
+    re then im of each n x n curvature block R[a, b] at parameter s, a-major,
+    then the torsion hinge when hunting.  Every polynomial entry is a
+    homogeneous quadratic x^T B x, so its derivative is 2 B x, from the
+    sparse B of the cached model; the rows the model drops are zero.
+    The hinge row is differentiated analytically.
     """
     x = np.asarray(x, dtype=float)
     J, _, _ = _evaluate(x, problem)

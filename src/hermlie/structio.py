@@ -37,6 +37,11 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.17g}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_structure(data: bytes | str) -> UnitaryStructure:
     """Parse and validate a structure file; errors carry the location."""
     if isinstance(data, bytes):
@@ -61,7 +66,7 @@ def parse_structure(data: bytes | str) -> UnitaryStructure:
             f"unsupported schema_version {doc['schema_version']!r} (want {SCHEMA_VERSION})"
         )
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict) or set(meta) - _META_FIELDS:
@@ -70,8 +75,11 @@ def parse_structure(data: bytes | str) -> UnitaryStructure:
         if not isinstance(value, str):
             raise ParseError(f"metadata.{key} must be a string")
 
-    C = np.zeros((n, n, n), dtype=complex)
-    D = np.zeros((n, n, n), dtype=complex)
+    try:
+        C = np.zeros((n, n, n), dtype=complex)
+        D = np.zeros((n, n, n), dtype=complex)
+    except MemoryError as exc:
+        raise ParseError(f"n={n} is too large: its n x n x n tensors do not fit in memory") from exc
     for label, target, lower_triangular in (("C", C, True), ("D", D, False)):
         entries = doc[label]
         if not isinstance(entries, list):
@@ -88,7 +96,7 @@ def parse_structure(data: bytes | str) -> UnitaryStructure:
                 )
             j, i, k = entry["j"], entry["i"], entry["k"]
             for name, idx in (("j", j), ("i", i), ("k", k)):
-                if not isinstance(idx, int) or not (1 <= idx <= n):
+                if not _is_int(idx) or not (1 <= idx <= n):
                     raise ParseError(f"{where}: index {name}={idx!r} out of range 1..{n}")
             if lower_triangular and i >= k:
                 raise ParseError(

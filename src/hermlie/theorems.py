@@ -275,18 +275,9 @@ def surface_obstruction(s: float) -> ObstructionReport:
 # torsion operators, parallel-frame reduction and the descent
 
 
-@dataclass(frozen=True)
-class TorsionOperator:
-    """A_X on the (1,0) space: matrix[k, j] = sum_i X_i T^k_{ij}; linear in X."""
-
-    X: np.ndarray
-    matrix: np.ndarray
-
-
-def torsion_operator(T: TorsionData, X) -> TorsionOperator:
-    X = np.asarray(X, dtype=complex)
-    M = np.einsum("i,kij->kj", X, T.T)
-    return TorsionOperator(X=frozen(X), matrix=frozen(M))
+def torsion_operator(T: TorsionData, X) -> np.ndarray:
+    """A_X on the (1,0) space: the read-only matrix[k, j] = sum_i X_i T^k_{ij}, linear in X."""
+    return frozen(np.einsum("i,kij->kj", np.asarray(X, dtype=complex), T.T))
 
 
 def torsion_operator_family(T: TorsionData) -> np.ndarray:
@@ -303,7 +294,6 @@ class ParallelFrameDiagnostics:
     nilpotency_max: float
     quadratic_norm_max: float
     anticommutator_max: float
-    norm_balance_max: float
 
 
 def parallel_frame_reduction(T: TorsionData, s: float):
@@ -321,9 +311,8 @@ def parallel_frame_reduction(T: TorsionData, s: float):
               + (5s^2-10s+4) ( T^i_{ir} conj(T^j_{jr}) - |T^i_{jr}|^2 )
               - s^2 ( |T^j_{ir}|^2 - T^j_{jr} conj(T^i_{ir}) ) ]
 
-    for every (i, j), and the s = 1 operator diagnostics: pairwise
-    anticommutators of the A_X family and the norm balance
-    sum_r ( |T^j_{ri}|^2 - |T^i_{rj}|^2 ).
+    for every (i, j), and the s = 1 operator diagnostic: pairwise
+    anticommutators of the A_X family.
     """
     Tm = antisymmetrize_lower(np.asarray(T.T, dtype=complex))
     n = Tm.shape[0]
@@ -337,9 +326,6 @@ def parallel_frame_reduction(T: TorsionData, s: float):
     fam = np.einsum("kij->ikj", Tm)  # fam[i] = A_{e_i}
     prod = np.einsum("axy,byz->abxz", fam, fam)
     anti = prod + prod.transpose(1, 0, 2, 3)
-    absT2 = np.abs(Tm) ** 2
-    # balance[i,j] = sum_r ( |T^j_{ri}|^2 - |T^i_{rj}|^2 )
-    balance = np.einsum("jri->ij", absT2) - np.einsum("irj->ij", absT2)
 
     diag = ParallelFrameDiagnostics(
         jacobi=jac,
@@ -347,7 +333,6 @@ def parallel_frame_reduction(T: TorsionData, s: float):
         nilpotency_max=max_abs(nil),
         quadratic_norm_max=max_abs(quad),
         anticommutator_max=max_abs(anti),
-        norm_balance_max=max_abs(balance),
     )
     return U, diag
 

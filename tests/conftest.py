@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import hermlie as hl
+from hermlie import search as S
+from hermlie.core import jacobi_residual_tensors
 
 
 @pytest.fixture
@@ -78,3 +80,36 @@ def curvature_as_flatness_families(R: np.ndarray):
         -np.einsum("iklj->ijkl", R[:n, :n]),
         -np.einsum("ijlk->ijkl", R[:n, n:]),
     )
+
+
+def quadratic_part(x: np.ndarray, problem) -> np.ndarray:
+    """All polynomial residual entries at the point x (Jacobi then curvature).
+
+    Written from the definition, not from the search model, so it is an
+    oracle for search.jacobian and the model it evaluates.
+    """
+    U = S.structure_from_point(problem, x)
+    parts = []
+    for fam in jacobi_residual_tensors(U.C, U.D):
+        flat = fam.ravel()
+        parts.append(flat.real)
+        parts.append(flat.imag)
+    R = hl.curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
+    parts.append(np.concatenate([R.real, R.imag], axis=1).ravel())
+    return np.concatenate(parts)
+
+
+def residual_vector(x, problem) -> np.ndarray:
+    """Residual entries at the point x in the layout of search.jacobian.
+
+    Layout: re/im of the three Jacobi families (all index tuples), then
+    re/im of the curvature R[a, b, x, y] at parameter s in index order
+    (re then im of each n x n block R[a, b]), then the torsion hinge when
+    hunting.
+    """
+    x = np.asarray(x, dtype=float)
+    r = quadratic_part(x, problem)
+    if problem.hunt:
+        value, _ = S._hinge(x, problem)
+        r = np.append(r, value)
+    return r

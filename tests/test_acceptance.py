@@ -14,6 +14,7 @@ from conftest import (
     connection_flatness_residuals,
     curvature_as_flatness_families,
     random_structure,
+    residual_vector,
 )
 
 SEED = 20240810
@@ -189,7 +190,7 @@ def test_criterion_10_jacobian_correctness():
             for col in rng.choice(S.unknown_count(prob), size=4, replace=False):
                 e = np.zeros_like(x)
                 e[col] = h
-                fd = (S.residual_vector(x + e, prob) - S.residual_vector(x - e, prob)) / (2 * h)
+                fd = (residual_vector(x + e, prob) - residual_vector(x - e, prob)) / (2 * h)
                 worst = max(worst, float(np.abs(J[:, col] - fd).max()) / scale)
             points += 1
     ok = worst <= 1e-6 and points == 50

@@ -235,6 +235,8 @@ class TestCli:
             (["validate", "{file}", "--tol", "nan"], {}),
             (["analyze", "{file}", "--s-grid", "nan,1"], {}),
             (["analyze", "{file}", "--s-grid", "1e308"], {}),
+            (["catalog", "perturb", "--base", "{file}", "--seed", "-1"], {}),
+            (["catalog", "complex-group", "--n", "1"], {}),
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "search-n1-parallel",
@@ -242,6 +244,7 @@ class TestCli:
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
             "perturb-eps-huge", "bdf4-q-huge",
             "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
+            "perturb-seed-negative", "complex-group-n1",
         ],
     )
     def test_bad_input_is_an_error(self, argv, env, tmp_path, capsys, monkeypatch):
@@ -258,6 +261,26 @@ class TestCli:
         assert "nan" not in captured.out
 
     @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("n", True, "n must be a positive integer"),
+            ("n", 100000, "n=100000 is too large"),  # NumPy refuses 14 PiB before touching memory
+            ("j", True, "index j=True"),
+            ("i", False, "index i=False"),
+            ("k", True, "index k=True"),
+        ],
+    )
+    def test_bad_structure_file_is_an_error(self, field, value, named, tmp_path, capsys):
+        entry = {"j": 1, "i": 1, "k": 2, "re": 1.0, "im": 0.0}
+        doc = {"schema_version": 1, "n": 2, "C": [], "D": [entry]}
+        (doc if field == "n" else entry)[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (["catalog", "samelson", "--c", "nan"], "--c"),
@@ -269,9 +292,13 @@ class TestCli:
              "flatness residual at s=1e+308 is not finite"),
             (["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
              "the search model overflows at s=1e+200"),
+            (["catalog", "perturb", "--base", "{file}", "--seed", "-1"],
+             "seed must be nonnegative, got -1"),
+            (["catalog", "complex-group", "--n", "1"], "affine example needs n >= 2"),
         ],
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
-             "perturb-eps-huge", "analyze-s", "search-s-huge"],
+             "perturb-eps-huge", "analyze-s", "search-s-huge", "perturb-seed-negative",
+             "complex-group-n1"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"

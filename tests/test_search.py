@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 import hermlie as hl
+from hermlie import core
 from hermlie import search as S
 
-from conftest import random_unitary
+from conftest import quadratic_part, random_structure, random_unitary, residual_vector
 
 
 def fd_jacobian(x, problem, h=1e-6):
     d = x.shape[0]
-    J = np.zeros((S.residual_vector(x, problem).shape[0], d))
+    J = np.zeros((residual_vector(x, problem).shape[0], d))
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        J[:, i] = (S.residual_vector(x + e, problem) - S.residual_vector(x - e, problem)) / (2 * h)
+        J[:, i] = (residual_vector(x + e, problem) - residual_vector(x - e, problem)) / (2 * h)
     return J
 
 
@@ -25,17 +26,17 @@ class TestResidualVector:
     def test_abelian_zero(self):
         prob = S.SearchProblem(n=2, s=1.0)
         x = S.point_from_structure(prob, hl.abelian(2))
-        assert np.linalg.norm(S.residual_vector(x, prob)) == 0.0
+        assert np.linalg.norm(residual_vector(x, prob)) == 0.0
 
     def test_samelson_zero_at_two(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)
         x = S.point_from_structure(prob, samelson)
-        assert np.linalg.norm(S.residual_vector(x, prob)) <= 1e-14
+        assert np.linalg.norm(residual_vector(x, prob)) <= 1e-14
 
     def test_samelson_nonzero_entries_match_curvature(self, samelson):
         prob = S.SearchProblem(n=2, s=0.0)
         x = S.point_from_structure(prob, samelson)
-        r = S.residual_vector(x, prob)
+        r = residual_vector(x, prob)
         # Jacobi part vanishes (valid algebra); the rest is curvature entries
         n4 = 2**4
         jacobi_part = r[: 3 * 2 * n4]
@@ -48,7 +49,7 @@ class TestResidualVector:
         # after the 6 n^4 Jacobi rows: re then im of each R[a, b], a-major
         prob = S.SearchProblem(n=n, s=1.3, mode=mode)
         x = np.random.default_rng(n).standard_normal(S.unknown_count(prob))
-        r = S.residual_vector(x, prob)
+        r = residual_vector(x, prob)
         R = hl.curvature(S.structure_from_point(prob, x), prob.s).R.reshape(4 * n * n, n * n)
         want = np.stack([R.real, R.imag], axis=1).ravel()
         assert r.shape == (6 * n**4 + want.size,)
@@ -73,7 +74,7 @@ class TestResidualVector:
     def test_hunt_appends_hinge(self):
         prob = S.SearchProblem(n=2, s=1.0, hunt=True)
         x = S.point_from_structure(prob, hl.abelian(2))
-        r = S.residual_vector(x, prob)
+        r = residual_vector(x, prob)
         assert r[-1] == 0.5  # 0.5 - |T| with T = 0
 
 
@@ -110,7 +111,7 @@ def polarization_model(problem):
     d = S.unknown_count(problem)
 
     def fn(x):
-        return S._quadratic_part(x, problem)
+        return quadratic_part(x, problem)
 
     r0 = fn(np.zeros(d))
     L = np.zeros((r0.shape[0], d))
@@ -162,7 +163,7 @@ class TestQuadraticModel:
         m = S._polynomial_model(problem).m
         for trial in range(3):
             x = rng.standard_normal(S.unknown_count(problem))
-            r = S.residual_vector(x, problem)[:m]
+            r = residual_vector(x, problem)[:m]
             model_r = 0.5 * S.jacobian(x, problem)[:m] @ x
             assert np.abs(model_r - r).max() <= 1e-13 * max(1.0, np.abs(r).max())
 
@@ -191,6 +192,47 @@ class TestQuadraticModel:
         assert S._polynomial_model(a) is S._polynomial_model(b)
         for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME)):
             assert S._polynomial_model(c) is not S._polynomial_model(a)
+
+
+CODEC_CASES = [(n, S.FULL) for n in (1, 2, 3, 4)] + [(n, S.PARALLEL_FRAME) for n in (2, 3, 4)]
+
+
+class TestCodec:
+    @pytest.mark.parametrize("n, mode", CODEC_CASES)
+    def test_round_trips_are_exact(self, n, mode):
+        # at s = 2 parallel-frame decoding scales T by powers of 2, so chern_torsion
+        # recovers T bitwise
+        prob = S.SearchProblem(n=n, s=2.0, mode=mode)
+        rng = np.random.default_rng(40 + n)
+        x = rng.standard_normal(S.unknown_count(prob))
+        U = S.structure_from_point(prob, x)
+        if mode == S.FULL:
+            assert np.array_equal(S.point_from_structure(prob, U), x)
+            V = random_structure(n, 60 + n)
+            W = S.structure_from_point(prob, S.point_from_structure(prob, V))
+            assert np.array_equal(W.C, V.C) and np.array_equal(W.D, V.D)
+        else:
+            assert np.array_equal(S.point_from_torsion(prob, hl.chern_torsion(U).T), x)
+            T = hl.chern_torsion(random_structure(n, 60 + n)).T
+            prob = S.SearchProblem(n=n, s=1.3, mode=mode)
+            W = S.structure_from_point(prob, S.point_from_torsion(prob, T))
+            assert np.array_equal(W.C, 2 * (1.3 - 1) * T) and np.array_equal(W.D, -1.3 * T)
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    def test_batched_decode_and_kernels_match_each_point(self, problem):
+        d = S.unknown_count(problem)
+        x = np.concatenate([np.eye(d), np.random.default_rng(d).standard_normal((2, d))])
+        C, D = S._decode(x.reshape(-1, 1, d), problem)  # two leading axes
+        C, D = C[:, 0], D[:, 0]
+        T = core._torsion(C, D)
+        A = core._endomorphisms(D + problem.s * T)
+        brk = core._brackets(C, D)
+        for a, point in enumerate(x):
+            U = S.structure_from_point(problem, point)
+            assert np.array_equal(C[a], U.C) and np.array_equal(D[a], U.D)
+            assert np.array_equal(T[a], hl.chern_torsion(U).T)
+            assert np.array_equal(A[a], core.connection_endomorphisms(U, problem.s))
+            assert np.array_equal(brk[a], hl.bracket_tables(U))
 
 
 class TestLmMinimize:

@@ -111,14 +111,14 @@ class TestTorsionOperators:
         X = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         Y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a, b = 1.3 - 0.2j, 0.4 + 2.0j
-        lhs = hl.torsion_operator(tor, a * X + b * Y).matrix
-        rhs = a * hl.torsion_operator(tor, X).matrix + b * hl.torsion_operator(tor, Y).matrix
+        lhs = hl.torsion_operator(tor, a * X + b * Y)
+        rhs = a * hl.torsion_operator(tor, X) + b * hl.torsion_operator(tor, Y)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_matrix_convention(self):
         tor = antisym_random(3, 1)
         op = hl.torsion_operator(tor, [1.0, 0.0, 0.0])
-        assert np.allclose(op.matrix, tor.T[:, 0, :])  # (k, j) entry = T^k_{1j}
+        assert np.allclose(op, tor.T[:, 0, :])  # (k, j) entry = T^k_{1j}
 
 
 class TestParallelFrameReduction:
@@ -214,7 +214,7 @@ class TestCommonKernel:
             w = hl.common_kernel(tor)
             assert w is not None
             worst = max(
-                np.abs(hl.torsion_operator(tor, np.eye(3)[i]).matrix @ w).max()
+                np.abs(hl.torsion_operator(tor, np.eye(3)[i]) @ w).max()
                 for i in range(3)
             )
             assert worst <= 1e-10

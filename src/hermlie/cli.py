@@ -139,32 +139,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+_SEARCH_COLUMNS = ("seed_used", "iterations", "stop_reason", "final_jacobi", "final_flatness",
+                   "torsion_norm", "classification")
+
+
 def _cmd_search(args) -> int:
-    kwargs = dict(
-        n=args.n,
-        s=args.s,
-        mode=args.mode,
-        restarts=args.restarts,
-        seed=args.seed,
-        hunt=args.hunt,
+    optional = {"tol": args.tol, "max_iters": args.max_iters}
+    problem = search.SearchProblem(
+        n=args.n, s=args.s, mode=args.mode, restarts=args.restarts, seed=args.seed,
+        hunt=args.hunt, **{key: value for key, value in optional.items() if value is not None},
     )
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    problem = search.SearchProblem(**kwargs)
     summary = search.multistart_search(problem)
     rows = [
-        {
-            "restart": idx,
-            "seed_used": res.seed_used,
-            "iterations": res.iterations,
-            "stop_reason": res.stop_reason,
-            "final_jacobi": res.final_jacobi,
-            "final_flatness": res.final_flatness,
-            "torsion_norm": res.torsion_norm,
-            "classification": res.classification,
-        }
+        {"restart": idx, **{column: getattr(res, column) for column in _SEARCH_COLUMNS}}
         for idx, res in enumerate(summary.results)
     ]
     sys.stdout.write(structio.emit_report(rows, "csv").decode("utf-8"))

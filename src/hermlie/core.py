@@ -182,6 +182,11 @@ def _torsion(C: np.ndarray, D: np.ndarray) -> np.ndarray:
     return 0.5 * (-D + D.swapaxes(-1, -2) - C)
 
 
+def _parallel_frame(T: np.ndarray, s: float):
+    """(C, D) = (2(s-1) T, -s T) forced by a parallel frame, over any leading axes of T."""
+    return 2 * (s - 1) * T, -s * T
+
+
 def gauduchon_connection(U: UnitaryStructure, s: float) -> ConnectionFamily:
     """Connection coefficients gamma = D + s*T and their conjugate companion."""
     T = chern_torsion(U).T

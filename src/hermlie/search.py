@@ -23,13 +23,18 @@ doubles the damping, accept halves it) and evaluates the model once
 per iteration, at the candidate point.  Each restart records why it
 stopped: tol, step_floor, damping_ceiling, stagnation or max_iters.
 
-Restart seeds are preassigned (problem.seed + restart index), so the
-summary of a multistart run is deterministic no matter how restarts
-would be scheduled.
+Restarts run in lockstep blocks: per iteration one model evaluation on
+the stack of points and one batched solve serve the whole block, and a
+restart leaves it when it stops.  A small model (n = 2 full mode,
+parallel-frame mode up to n = 3) also keeps B dense, so B x of a block
+is one GEMM; a larger one applies its sparse B one point at a time.
+Restart seeds are preassigned (problem.seed + restart index) and every
+restart keeps its own state, so the results do not depend on the blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import Counter
@@ -44,13 +49,14 @@ from .core import (
     _curvature_tensor,
     _endomorphisms,
     _jacobi_bilinear,
+    _parallel_frame,
     _torsion,
     chern_torsion,
     curvature,
     jacobi_residual_tensors,
 )
 from .exceptions import DimensionMismatchError, ValidationError
-from .tensors import antisymmetrize_lower
+from .tensors import antisymmetrize_lower, frozen
 
 FULL = "full"
 PARALLEL_FRAME = "parallel_frame"
@@ -66,6 +72,8 @@ _TORSION_TARGET = 0.5  # the hunt's hinge pushes |T| up to this
 # stop when the residual norm fell by at most this fraction over this many accepted steps
 _STAGNATION_DECREASE = 1e-6
 _STAGNATION_STEPS = 10
+_DENSE_BYTES = 1 << 20  # models whose dense B fits in this many bytes also keep it dense
+_BLOCK_BYTES = 800_000  # working-set budget of one lockstep block of restarts
 
 
 @dataclass(frozen=True)
@@ -132,11 +140,12 @@ class MultistartSummary:
 # unknown vector layout
 
 
+@functools.lru_cache(maxsize=8)
 def _index_table(n: int):
     """(j, i, k) of the independent entries X^j_{ik}, i < k, of an antisymmetric X,
-    in point order: j-major, then (i, k) row-major."""
+    in point order: j-major, then (i, k) row-major.  The arrays are read-only."""
     i, k = np.triu_indices(n, 1)
-    return np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(k, n)
+    return tuple(map(frozen, (np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(k, n))))
 
 
 def unknown_count(problem: SearchProblem) -> int:
@@ -157,7 +166,7 @@ def _decode(x: np.ndarray, problem: SearchProblem):
     X[..., j, k, i] = -z[..., : len(j)]
     if problem.mode == FULL:
         return X, z[..., len(j) :].reshape(X.shape)
-    return 2 * (problem.s - 1) * X, -problem.s * X
+    return _parallel_frame(X, problem.s)
 
 
 def _encode(problem: SearchProblem, X: np.ndarray, D=()) -> np.ndarray:
@@ -196,15 +205,13 @@ def point_from_torsion(problem: SearchProblem, T: np.ndarray) -> np.ndarray:
 
 
 def _hinge(x: np.ndarray, problem: SearchProblem):
-    """Hinge value and its gradient row (zero when inactive)."""
+    """Hinge value and gradient row at each point x[..., :] (gradient zero when inactive)."""
     M = _polynomial_model(problem).torsion
-    t = M @ x
-    norm = float(np.linalg.norm(t))
-    if norm >= _TORSION_TARGET:
-        return 0.0, np.zeros_like(x)
-    if norm == 0.0:
-        return _TORSION_TARGET, np.zeros_like(x)
-    return _TORSION_TARGET - norm, -(M.T @ t) / norm
+    t = x @ M.T
+    norm = _norms(t)[..., None]
+    pushing = (norm > 0.0) & (norm < _TORSION_TARGET)
+    grad = np.divide(-(t @ M), norm, out=np.zeros_like(x), where=pushing)
+    return np.maximum(_TORSION_TARGET - norm[..., 0], 0.0), grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +223,10 @@ class _QuadraticModel:
     jacobian), which equals x^T B[i] x there; the other rows vanish for
     every x and are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
     flat[k] = i * d + a, so one bincount over flat gives B x.  Zeros of
-    B are not stored either.  torsion is the real matrix M with
-    (T entries as interleaved re/im) = M @ x.
+    B are not stored either.  A small model also keeps 2 B densely as the
+    (d, rows * d) matrix dense, so x @ dense holds the Jacobian rows 2 B x
+    at every point of a stack x; dense is None otherwise.  torsion is the
+    real matrix M with (T entries as interleaved re/im) = M @ x.
     """
 
     m: int
@@ -227,6 +236,7 @@ class _QuadraticModel:
     cols: np.ndarray
     vals: np.ndarray
     torsion: np.ndarray
+    dense: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,27 +263,18 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
         k = len(curv)
         jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
         cur = curv.reshape(k, 4 * n * n, 1, n * n)
-        return np.concatenate(
-            [
-                np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
-                np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1),
-            ],
-            axis=1,
-        )
+        return np.concatenate([np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
+                               np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1)], axis=1)
 
     m = 14 * n**4  # re and im of 3 Jacobi families of n^4 and 4n^2 curvature blocks of n^2
     block = slice(0, n)  # the curvature rows are the (1,0) blocks R[a, b, :n, :n]
     row, left, right, vals = [], [], [], []
     for a in range(d):
         tail = slice(a, d)
-        ab = rows(
-            _jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
-            _curvature_tensor(A[a], brk[a], A[tail], ("", "Z"), block),
-        )
-        ba = rows(
-            _jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
-            _curvature_tensor(A[tail], brk[tail], A[a], ("Z", ""), block),
-        )
+        ab = rows(_jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
+                  _curvature_tensor(A[a], brk[a], A[tail], ("", "Z"), block))
+        ba = rows(_jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
+                  _curvature_tensor(A[tail], brk[tail], A[a], ("Z", ""), block))
         sym = 0.5 * (ab + ba)  # sym[b - a, r] = B[r, a, b] = B[r, b, a]
         b_idx, row_idx = np.nonzero(sym)
         v = sym[b_idx, row_idx]
@@ -291,10 +292,13 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
     live = np.flatnonzero(np.bincount(row, minlength=m))
     compact = np.zeros(m, np.intp)
     compact[live] = np.arange(len(live))
-    return _QuadraticModel(
-        m, d, live, compact[row] * d + np.concatenate(left), np.concatenate(right),
-        vals, M,
-    )
+    flat, cols = compact[row] * d + np.concatenate(left), np.concatenate(right)
+    dense = None
+    if 8 * len(live) * d * d <= _DENSE_BYTES:
+        dense = np.zeros((d, len(live) * d))
+        dense[cols, flat] = 2.0 * vals
+        dense.flags.writeable = False
+    return _QuadraticModel(m, d, live, flat, cols, vals, M, dense)
 
 
 def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:
@@ -303,18 +307,32 @@ def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:
 
 
 def _evaluate(x: np.ndarray, problem: SearchProblem):
-    """(J, r, ||r||) at x over the model rows, then the hinge row when hunting.
+    """(J, r, ||r||) at each point of the stack x (k, d): J (k, rows, d) over
+    the model rows, then the hinge row when hunting, r (k, rows) and ||r|| (k,).
 
-    J = 2 B x is one bincount and r = J x / 2; the hinge costs one M @ x.
+    J = 2 B x is one GEMM with the dense 2 B of a small model and one
+    bincount per point otherwise; r = J x / 2.
     """
     model = _polynomial_model(problem)
-    k = len(model.rows) + problem.hunt
-    Bx = np.bincount(model.flat, weights=model.vals * x[model.cols], minlength=k * model.d)
-    J = 2.0 * Bx.reshape(k, model.d)
-    r = 0.5 * (J @ x)
+    live = len(model.rows)
+    J = np.empty((len(x), live + problem.hunt, model.d))
+    rows = J.reshape(len(x), -1)[:, : live * model.d]  # a view of the model rows of J
+    if model.dense is not None:
+        np.matmul(x, model.dense, out=rows)
+    else:  # one bincount per point
+        for p, row in zip(x, rows):
+            np.multiply(np.bincount(model.flat, model.vals * p[model.cols], len(row)), 2.0, out=row)
     if problem.hunt:
-        r[-1], J[-1] = _hinge(x, problem)
-    return J, r, float(np.linalg.norm(r))
+        value, J[:, live] = _hinge(x, problem)
+    r = 0.5 * (J @ x[..., None])[..., 0]
+    if problem.hunt:
+        r[:, live] = value
+    return J, r, _norms(r)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of the rows a[..., :]."""
+    return np.sqrt(np.einsum("...i,...i->...", a, a))
 
 
 def jacobian(x, problem: SearchProblem) -> np.ndarray:
@@ -324,11 +342,10 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
     re then im of each n x n curvature block R[a, b] at parameter s, a-major,
     then the torsion hinge when hunting.  Every polynomial entry is a
     homogeneous quadratic x^T B x, so its derivative is 2 B x, from the
-    sparse B of the cached model; the rows the model drops are zero.
+    cached model; the rows the model drops are zero.
     The hinge row is differentiated analytically.
     """
-    x = np.asarray(x, dtype=float)
-    J, _, _ = _evaluate(x, problem)
+    J = _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
     model = _polynomial_model(problem)
     live = len(model.rows)
     full = np.zeros((model.m + len(J) - live, model.d))
@@ -341,7 +358,6 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
 # Levenberg-Marquardt
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchResult:
     """Damped least squares from one start point.
 
@@ -360,111 +376,140 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
     non-finite normal equations fall back to a small gradient step.
     Raises ValidationError when the re-validated residuals overflow.
     """
-    x = np.asarray(start, dtype=float).copy()
-    J, r, norm = _evaluate(x, problem)
-    mu = _INITIAL_DAMPING
-    iterations = 0
-    history = [norm]
+    return _lm_batch(problem, np.asarray(start, dtype=float)[None], [seed_used])[0]
 
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
+    """lm_minimize from every row of the (k, d) stack starts, one result per row.
+
+    A block of `width` restarts runs in lockstep, with one _evaluate and one batched
+    solve per iteration; width is _BLOCK_BYTES over four float arrays of J's size
+    (J, its candidate and temporaries).  A restart that stops leaves the block and
+    the next start takes its place.  Each restart keeps its own damping, iteration
+    count, history and stop reason, so its result does not depend on the schedule.
+    """
+    model = _polynomial_model(problem)
+    width = max(1, _BLOCK_BYTES // max(1, 32 * (len(model.rows) + problem.hunt) * model.d))
+    starts, admitted = np.asarray(starts, dtype=float), 0
+    results, history = [None] * len(starts), [None] * len(starts)
+    state = None  # live (the restart of each row), x, J, r, norm, mu, iterations
+    ended = {}  # row -> step_floor or stagnation, from the last accepted step
     while True:
-        if norm <= problem.tol:
-            stop = "tol"
-            break
-        if mu >= _DAMPING_CEILING:
-            stop = "damping_ceiling"
-            break
-        if iterations >= problem.max_iters:
-            stop = "max_iters"
-            break
+        room = width - (0 if state is None else len(state[0]))
+        if room > 0 and admitted < len(starts):
+            new = np.arange(admitted, min(len(starts), admitted + room))
+            admitted += len(new)
+            fresh = (new, starts[new], *_evaluate(starts[new], problem),
+                     np.full(len(new), _INITIAL_DAMPING), np.zeros(len(new), dtype=int))
+            state = fresh if state is None else tuple(map(np.concatenate, zip(state, fresh)))
+            history[new[0] : admitted] = ([v] for v in fresh[4].tolist())
+        live, x, J, r, norm, mu, iterations = state
+        done = (norm <= problem.tol) | (mu >= _DAMPING_CEILING) | (iterations >= problem.max_iters)
+        done[list(ended)] = True
+        for row in done.nonzero()[0]:
+            i, reason = live[row], ended.get(row) or (
+                "tol" if norm[row] <= problem.tol
+                else "damping_ceiling" if mu[row] >= _DAMPING_CEILING else "max_iters")
+            results[i] = _classify(problem, x[row], int(iterations[row]), seeds[i],
+                                   float(norm[row]), reason, tuple(history[i]))
+        ended = {}
+        if done.any():
+            state = tuple(a[~done] for a in state)
+            continue
+        if not len(live):
+            return results
         iterations += 1
-        g = J.T @ r
-        H = J.T @ J
-        H.flat[:: H.shape[0] + 1] += mu
-        try:
-            step = np.linalg.solve(H, -g)
-            if not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError("non-finite step")
-        except np.linalg.LinAlgError:
-            gn = float(np.linalg.norm(g))
-            step = -g * (1e-3 / (1.0 + gn))
+        step = _lm_step(J, r, mu)
         cand = x + step
         cand_J, cand_r, cand_norm = _evaluate(cand, problem)
-        if cand_norm <= norm:
-            x, J, r, norm = cand, cand_J, cand_r, cand_norm
-            history.append(norm)
-            mu *= 0.5
-            if float(np.linalg.norm(step)) <= _STEP_FLOOR * (1.0 + float(np.linalg.norm(x))):
-                stop = "step_floor"
-                break
-            if norm > problem.tol and len(history) > _STAGNATION_STEPS:
-                before = history[-1 - _STAGNATION_STEPS]
-                if before - norm <= _STAGNATION_DECREASE * before:
-                    stop = "stagnation"
-                    break
+        accept = cand_norm <= norm
+        if accept.all():  # take the candidates over instead of copying them
+            state = live, cand, cand_J, cand_r, cand_norm, mu, iterations
         else:
-            mu *= 2.0
+            for old, new in zip(state[1:5], (cand, cand_J, cand_r, cand_norm)):
+                np.copyto(old, new, where=accept.reshape((-1,) + (1,) * (old.ndim - 1)))
+        del cand_J  # only J and the next candidate's J are held per restart
+        live, x, J, r, norm, mu, iterations = state
+        mu *= np.where(accept, 0.5, 2.0)
+        floor = _norms(step) <= _STEP_FLOOR * (1.0 + _norms(x))
+        take = accept.nonzero()[0]
+        for row, value in zip(take.tolist(), norm[take].tolist()):
+            h = history[live[row]]
+            h.append(value)
+            if floor[row]:
+                ended[row] = "step_floor"
+            elif value > problem.tol and len(h) > _STAGNATION_STEPS:
+                before = h[-1 - _STAGNATION_STEPS]
+                if before - value <= _STAGNATION_DECREASE * before:
+                    ended[row] = "stagnation"
 
-    return _classify(problem, x, iterations, seed_used, norm, stop, tuple(history))
+
+def _lm_step(J: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton step (J^T J + mu I) step = -J^T r of each restart.
+
+    When the batched solve fails, each restart of the block solves on
+    its own.  Restarts whose own solve fails or is not finite take a
+    small gradient step instead; a block of one does not solve twice.
+    """
+    Jt = J.transpose(0, 2, 1)
+    g = Jt @ r[..., None]
+    H = Jt @ J
+    H.reshape(len(H), -1)[:, :: H.shape[-1] + 1] += mu[:, None]
+    try:
+        step = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        step = np.full(g.shape, np.nan)
+        if len(H) > 1:  # solve restart by restart to find the singular systems
+            for i in range(len(H)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    step[i] = np.linalg.solve(H[i], -g[i])
+    step, g = step[..., 0], g[..., 0]
+    failed = ~np.isfinite(step).all(axis=1)
+    if failed.any():
+        gn = np.linalg.norm(g[failed], axis=1, keepdims=True)
+        step[failed] = -g[failed] * (1e-3 / (1.0 + gn))
+    return step
 
 
-def _classify(
-    problem: SearchProblem,
-    x: np.ndarray,
-    iterations: int,
-    seed_used: int,
-    residual_norm: float,
-    stop_reason: str,
-    history: tuple,
-) -> SearchResult:
+def _classify(problem: SearchProblem, x, iterations, seed_used, residual_norm, stop_reason,
+              history) -> SearchResult:
     # hinge-free re-validation: reported residuals are pure Jacobi + flatness
     U = structure_from_point(problem, x)
-    jac = float(
-        np.sqrt(sum(np.sum(np.abs(f) ** 2) for f in jacobi_residual_tensors(U.C, U.D)))
-    )
+    jac = float(np.sqrt(sum(np.sum(np.abs(f) ** 2) for f in jacobi_residual_tensors(U.C, U.D))))
     flat = curvature(U, problem.s).frobenius
     torsion = chern_torsion(U).norm
     if not all(map(math.isfinite, (jac, flat, torsion))):
         raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
+    cls = NOT_CONVERGED
     if max(jac, flat) <= problem.tol:
         cls = CONVERGED_KAHLER if torsion <= problem.kahler_tol else CONVERGED_NONKAHLER
-    else:
-        cls = NOT_CONVERGED
     return SearchResult(
-        best_point=U,
-        final_jacobi=jac,
-        final_flatness=flat,
-        torsion_norm=torsion,
-        classification=cls,
-        iterations=iterations,
-        seed_used=seed_used,
-        residual_norm=residual_norm,
-        stop_reason=stop_reason,
-        residual_history=history,
+        best_point=U, final_jacobi=jac, final_flatness=flat, torsion_norm=torsion,
+        classification=cls, iterations=iterations, seed_used=seed_used,
+        residual_norm=residual_norm, stop_reason=stop_reason, residual_history=history,
     )
 
 
 def random_start(problem: SearchProblem, seed: int) -> np.ndarray:
     """Unit complex-Gaussian start (antisymmetrized through the layout)."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(unknown_count(problem))
+    return np.random.default_rng(seed).standard_normal(unknown_count(problem))
 
 
 def multistart_search(problem: SearchProblem) -> MultistartSummary:
-    """Run lm_minimize from `restarts` seeded random starts serially.
+    """Run lm_minimize from `restarts` seeded random starts, in lockstep blocks.
 
-    Restart k draws its start from seed problem.seed + k; the summary
-    counts classifications and stop reasons.  Non-convergence is
+    Restart k draws its start from seed problem.seed + k.  The restarts
+    run in lockstep blocks (see _lm_batch) whose size is the budget
+    _BLOCK_BYTES over the working set of one restart: about ten at n = 2
+    full mode, five at n = 3 parallel-frame mode and one at n = 3 full
+    mode.  Each restart's result does not depend on its block.  The
+    summary counts classifications and stop reasons.  Non-convergence is
     counted, never dropped: absence of non-Kahler solutions is evidence
     about this search, not a proof, and the bookkeeping keeps that
     explicit.
     """
-    results = tuple(
-        lm_minimize(problem, random_start(problem, problem.seed + k), seed_used=problem.seed + k)
-        for k in range(problem.restarts)
-    )
-    return MultistartSummary(
-        problem=problem,
-        results=results,
-        counts=dict(Counter(res.classification for res in results)),
-        stop_reasons=dict(Counter(res.stop_reason for res in results)),
-    )
+    seeds = range(problem.seed, problem.seed + problem.restarts)
+    results = tuple(_lm_batch(problem, np.stack([random_start(problem, k) for k in seeds]), seeds))
+    return MultistartSummary(problem, results, dict(Counter(r.classification for r in results)),
+                             dict(Counter(r.stop_reason for r in results)))

@@ -96,7 +96,9 @@ def parse_structure(data: bytes | str) -> UnitaryStructure:
                 )
             j, i, k = entry["j"], entry["i"], entry["k"]
             for name, idx in (("j", j), ("i", i), ("k", k)):
-                if not _is_int(idx) or not (1 <= idx <= n):
+                if not _is_int(idx):
+                    raise ParseError(f"{where}: index {name}={idx!r} must be an integer")
+                if not 1 <= idx <= n:
                     raise ParseError(f"{where}: index {name}={idx!r} out of range 1..{n}")
             if lower_triangular and i >= k:
                 raise ParseError(

@@ -18,6 +18,7 @@ from .core import (
     ResidualReport,
     TorsionData,
     UnitaryStructure,
+    _parallel_frame,
     chern_torsion,
     covariant_torsion_derivatives,
     curvature,
@@ -316,7 +317,7 @@ def parallel_frame_reduction(T: TorsionData, s: float):
     """
     Tm = antisymmetrize_lower(np.asarray(T.T, dtype=complex))
     n = Tm.shape[0]
-    U = UnitaryStructure(n=n, C=2 * (s - 1) * Tm, D=-s * Tm)
+    U = UnitaryStructure(n, *_parallel_frame(Tm, s))
     jac = validate_structure(U)
     flat = curvature(U, s).max_abs
 

@@ -295,15 +295,21 @@ class TestCli:
             (["catalog", "perturb", "--base", "{file}", "--seed", "-1"],
              "seed must be nonnegative, got -1"),
             (["catalog", "complex-group", "--n", "1"], "affine example needs n >= 2"),
+            (["validate", "{bool-index}"], "D[0]: index j=True must be an integer"),
         ],
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
              "perturb-eps-huge", "analyze-s", "search-s-huge", "perturb-seed-negative",
-             "complex-group-n1"],
+             "complex-group-n1", "bool-index"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_bytes(structio.emit_structure(hl.samelson_su2_r(1.0)))
-        assert main([arg.replace("{file}", str(path)) for arg in argv]) in (1, 2)
+        entry = {"j": True, "i": 1, "k": 2, "re": 1.0, "im": 0.0}
+        bool_index = tmp_path / "b.json"
+        bool_index.write_text(json.dumps({"schema_version": 1, "n": 2, "C": [], "D": [entry]}))
+        argv = [arg.replace("{file}", str(path)).replace("{bool-index}", str(bool_index))
+                for arg in argv]
+        assert main(argv) in (1, 2)
         assert named in capsys.readouterr().err
 
     def test_bdf_general_catalog(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Least-squares search: residuals, exact Jacobian, LM behaviour, multistart."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -234,6 +235,12 @@ class TestCodec:
             assert np.array_equal(A[a], core.connection_endomorphisms(U, problem.s))
             assert np.array_equal(brk[a], hl.bracket_tables(U))
 
+    def test_index_table_is_cached_read_only(self):
+        first, again = S._index_table(3), S._index_table(3)
+        assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[0][0] = 1
+
 
 class TestLmMinimize:
     def test_zero_iterations_on_solution(self, samelson):
@@ -415,3 +422,87 @@ class TestMultistart:
         prob = S.SearchProblem(n=2, s=s, restarts=2, hunt=s < 0)
         with pytest.raises(hl.exceptions.ValidationError, match=re.escape(message)):
             S.multistart_search(prob)
+
+
+LOCKSTEP_PROBLEMS = [
+    S.SearchProblem(n=2, s=0.0, restarts=12, seed=5, hunt=True, tol=1e-8),
+    S.SearchProblem(n=2, s=1.5, restarts=12, seed=5, hunt=True, tol=1e-8, max_iters=200),
+    S.SearchProblem(n=2, s=1.0, mode=S.PARALLEL_FRAME, restarts=24, seed=5, tol=1e-13),
+    S.SearchProblem(n=3, s=0.5, mode=S.PARALLEL_FRAME, restarts=12, seed=5, tol=1e-13),
+]
+LOCKSTEP_IDS = ["hunt-0", "hunt-1.5", "par-2", "par-3"]
+
+
+def outcomes(summary):
+    return [(r.classification, r.stop_reason) for r in summary.results]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS, ids=LOCKSTEP_IDS)
+    def test_block_size_does_not_change_verdicts(self, problem, monkeypatch):
+        monkeypatch.setattr(S, "_BLOCK_BYTES", 1)  # blocks of one restart
+        alone = S.multistart_search(problem)
+        monkeypatch.setattr(S, "_BLOCK_BYTES", 10**12)  # every restart in one block
+        together = S.multistart_search(problem)
+        assert alone.counts == together.counts
+        assert alone.stop_reasons == together.stop_reasons
+        assert outcomes(alone) == outcomes(together)
+
+    @pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS[1:], ids=LOCKSTEP_IDS[1:])
+    def test_dense_and_sparse_jacobians_agree(self, problem, monkeypatch):
+        model = S._polynomial_model(problem)
+        x = np.random.default_rng(8).standard_normal((5, model.d))
+        dense_J, dense_r, _ = S._evaluate(x, problem)
+        sparse = dataclasses.replace(model, dense=None)
+        monkeypatch.setattr(S, "_polynomial_model", lambda problem: sparse)
+        sparse_J, sparse_r, _ = S._evaluate(x, problem)
+        scale = np.abs(model.vals).max()
+        assert np.abs(dense_J - sparse_J).max() / 2 <= 1e-14 * scale
+        assert np.abs(dense_r - sparse_r).max() <= 1e-13 * scale
+
+    def test_only_small_models_keep_a_dense_form(self):
+        for problem in MODEL_PROBLEMS:
+            model = S._polynomial_model(problem)
+            assert (model.dense is None) == (problem.n == 3 and problem.mode == S.FULL)
+            if model.dense is not None:
+                # column i * d + a of dense.T holds 2 B[i, a, :]
+                assert np.array_equal(model.dense.T.reshape(len(model.rows), model.d, model.d),
+                                      2 * dense_form(model)[model.rows])
+
+    def test_failed_batched_solve_falls_back_for_that_restart_only(self, monkeypatch):
+        prob = S.SearchProblem(n=2, s=1.5, restarts=4, seed=3, max_iters=40)
+        plain = S.multistart_search(prob)
+        solve = np.linalg.solve
+        calls, failing = [], [2]
+
+        def fail_first_calls(H, g):
+            calls.append(H.shape)
+            if failing[0]:
+                failing[0] -= 1
+                raise np.linalg.LinAlgError("singular")
+            return solve(H, g)
+
+        monkeypatch.setattr(np.linalg, "solve", fail_first_calls)
+        # the batched solve fails, then restart 0's own system; restarts 1-3 solve theirs
+        patched = S.multistart_search(prob)
+        assert calls[:5] == [(4, 20, 20)] + [(20, 20)] * 4
+        for before, after in list(zip(plain.results, patched.results))[1:]:
+            assert after.residual_history == before.residual_history
+        assert patched.results[0].residual_history != plain.results[0].residual_history
+        # alone, restart 0 takes the same gradient step when its first solve fails
+        calls.clear()
+        failing[0] = 1
+        alone = S.lm_minimize(prob, S.random_start(prob, prob.seed), seed_used=prob.seed)
+        assert calls[:2] == [(1, 20, 20)] * 2  # a block of one does not solve twice
+        # (the later steps agree up to rounding: a block of one takes other BLAS kernels)
+        assert alone.residual_history[:2] == patched.results[0].residual_history[:2]
+
+    @pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS, ids=LOCKSTEP_IDS)
+    def test_multistart_matches_lm_minimize(self, problem):
+        summary = S.multistart_search(problem)
+        for k, res in enumerate(summary.results):
+            seed = problem.seed + k
+            alone = S.lm_minimize(problem, S.random_start(problem, seed), seed_used=seed)
+            assert alone.classification == res.classification
+            assert alone.stop_reason == res.stop_reason
+            assert alone.seed_used == res.seed_used == seed

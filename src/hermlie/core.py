@@ -265,9 +265,11 @@ def _curvature_tensor(
     p, q = batch
     plan = bool(p or q)  # einsum plans a path only for batched operands, where it pays
     A2 = A if A2 is None else A2
-    prod = np.einsum(
-        f"{p}axy,{q}byz->{p}{q}abxz", A[..., block, :], A2[..., :, block], optimize=plan
-    )
+    left, right = A[..., block, :], A2[..., :, block]
+    if plan:
+        prod = np.einsum(f"{p}axy,{q}byz->{p}{q}abxz", left, right, optimize=True)
+    else:  # unplanned einsum is slower than matmul at n >= 3
+        prod = np.matmul(left[:, None], right[None])
     comm = prod - prod.swapaxes(-4, -3)
     lin = np.einsum(f"{p}abc,{q}cxy->{p}{q}abxy", brk, A2[..., block, block], optimize=plan)
     return comm - lin
@@ -312,14 +314,18 @@ def _jacobi_bilinear(C1, D1, C2, D2, batch=("", "")):
 
     Every term pairs a factor of (C1, D1) with a factor of (C2, D2),
     in that order.  batch names leading axes of (C1, D1) and of
-    (C2, D2), which come first in the result in that order.
+    (C2, D2), which come first in the result in that order.  A label
+    given to both operands is one paired axis, not an outer product:
+    the result's leading labels are "".join(dict.fromkeys(p + q)), so
+    batch=("Z", "Z") gives the residuals of every (C[z], D[z]) at once.
     """
     p, q = batch
-    plan = bool(p or q)  # einsum plans a path only for batched operands, where it pays
+    plan = p != q  # einsum plans a path only for an outer product of batches, where it pays
+    out = "".join(dict.fromkeys(p + q))
 
     def term(spec, X, Y):
         left, right = spec.split(",")
-        return np.einsum(f"{p}{left},{q}{right}->{p}{q}ijkl", X, Y, optimize=plan)
+        return np.einsum(f"{p}{left},{q}{right}->{out}ijkl", X, Y, optimize=plan)
 
     cD2 = np.conj(D2)
     fam1 = term("rij,lrk", C1, C2) + term("rjk,lri", C1, C2) + term("rki,lrj", C1, C2)

@@ -271,6 +271,18 @@ class TestValidateStructure:
         with pytest.raises(hl.exceptions.DimensionMismatchError):
             hl.UnitaryStructure(n=2, C=np.zeros((2, 2, 2)), D=np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_paired_batch_label_matches_each_structure(self, n):
+        # a label given to both operands is one paired axis: slice z is (C[z], D[z]) alone
+        stack = [random_structure(n, 600 + 10 * n + z) for z in range(5)]
+        C, D = np.stack([U.C for U in stack]), np.stack([U.D for U in stack])
+        families = core._jacobi_bilinear(C, D, C, D, ("Z", "Z"))
+        for z, U in enumerate(stack):
+            scale = (frobenius(U.C) + frobenius(U.D)) ** 2
+            for got, want in zip(families, core.jacobi_residual_tensors(U.C, U.D)):
+                assert got.shape == (len(stack),) + (n,) * 4
+                assert np.abs(got[z] - want).max() <= 1e-14 * scale
+
 
 def unitary_representation(U, s):
     """Matrices of the frame monodromy map, its homomorphism defect and skew defect.

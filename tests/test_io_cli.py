@@ -198,7 +198,7 @@ class TestCli:
         assert header.startswith("restart,seed_used,iterations,stop_reason,")
         assert out.strip().split("\n")[1].split(",")[3] == "tol"
 
-    @pytest.mark.parametrize("suite", ["lemma31", "surface", "all"])
+    @pytest.mark.parametrize("suite", ["lemma31", "surface", "parallel", "all"])
     def test_verify_theorems_passes(self, suite, capsys):
         assert main(["verify-theorems", "--suite", suite]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -268,6 +268,44 @@ class TestTorsionDescent:
         assert res.residual_norm == pytest.approx(lam * np.sqrt(2), rel=1e-6)
 
 
+class TestParallelBattery:
+    def test_per_draw_worst_matches_the_reduction(self):
+        # every 37th draw of each stack against its own parallel_frame_reduction
+        for T in batteries._draws():
+            for s in (0.5, 1.0, 1.5, 3.0):
+                worst = batteries._worst_jacobi(T, s)
+                for z in range(0, len(T), 37):
+                    tor = hl.TorsionData(T=T[z], eta=np.einsum("kkr->r", T[z]))
+                    _, diag = hl.parallel_frame_reduction(tor, s)
+                    assert worst[z] == pytest.approx(diag.jacobi.max_abs, rel=1e-13, abs=0.0)
+
+    def test_samelson_slot_reads_zero_at_two(self, samelson):
+        T = next(batteries._draws())[:7].copy()
+        T[3] = hl.chern_torsion(samelson).T
+        assert batteries._worst_jacobi(T, 2.0)[3] <= 1e-10
+        assert batteries._worst_jacobi(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
+
+    def test_chunk_width_does_not_change_the_residuals(self, monkeypatch):
+        T = list(batteries._draws())[1]  # n = 3, several chunks at the default width
+        wide = batteries._worst_jacobi(T, 1.5)
+        monkeypatch.setattr(batteries, "_CHUNK_BYTES", 1)  # chunks of one draw
+        assert np.array_equal(batteries._worst_jacobi(T, 1.5), wide)
+
+    def test_reduction_runs_only_for_the_fixed_checks(self, monkeypatch):
+        calls = []
+        reduction = theorems.parallel_frame_reduction
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reduction(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "parallel_frame_reduction", counted)
+        checks = batteries.parallel()
+        assert [c.ok for c in checks] == [True] * 3
+        assert (checks[0].value, checks[0].detail) == (0, "1600 draws")
+        assert 0 < len(calls) <= 2
+
+
 def test_parallel_battery_passes():
     # random parallel-frame torsion never induces a Jacobi-valid non-Kahler
     # structure at s outside {0, 2}; the su(2) x R torsion does at s = 2

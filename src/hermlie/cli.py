@@ -5,6 +5,11 @@ Each prints its report to standard output and returns 0 on success,
 1 on validation failure and 2 on usage errors.  The only recognised
 environment variable is HERMLIE_TOL (decimal override of the default
 validity tolerance).
+
+Every command runs in a fresh process that compiles the modules it
+imports from source, so each subcommand imports only the modules it
+runs.  The parser spells out the --mode and --suite choices; a test
+keeps them equal to the modes of search and the suites of batteries.
 """
 
 from __future__ import annotations
@@ -15,13 +20,8 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import batteries, catalog, search, structio
 from ._config import TOL_ENV_VAR
-from .core import kahler_flatness_summary, validate_structure
 from .exceptions import HermlieError, ValidationError
-from .realform import to_unitary_structure
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se = sub.add_parser("search", help="multistart least-squares search for flat structures")
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--s", type=float, required=True)
-    p_se.add_argument("--mode", choices=(search.FULL, search.PARALLEL_FRAME), default=search.FULL)
+    p_se.add_argument("--mode", choices=("full", "parallel_frame"), default="full")
     p_se.add_argument("--restarts", type=int, default=100)
     p_se.add_argument("--seed", type=int, default=0)
     p_se.add_argument("--hunt", action="store_true", help="reward non-Kahler candidates")
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--emit", type=Path, help="write the structure file here")
 
     p_ver = sub.add_parser("verify-theorems", help="run the rigidity verification batteries")
-    p_ver.add_argument("--suite", choices=(*batteries.SUITES, "all"), default="all")
+    p_ver.add_argument("--suite", choices=("lemma31", "surface", "parallel", "all"), default="all")
 
     # accept values like "-1,0,2" after --s-grid/--q without mistaking
     # them for option flags
@@ -104,6 +104,7 @@ def main(argv=None) -> int:
 
 
 def _load(path: Path):
+    from . import structio
     return structio.parse_structure(path.read_bytes())
 
 
@@ -120,6 +121,7 @@ def _numbers(text: str, option: str):
 
 
 def _cmd_validate(args) -> int:
+    from .core import validate_structure
     U = _load(args.file)
     report = validate_structure(U, args.tol)
     print(f"n: {U.n}")
@@ -130,6 +132,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import structio
+    from .core import kahler_flatness_summary
     U = _load(args.file)
     grid = _numbers(args.s_grid, "--s-grid")
     if grid is None:
@@ -144,6 +148,7 @@ _SEARCH_COLUMNS = ("seed_used", "iterations", "stop_reason", "final_jacobi", "fi
 
 
 def _cmd_search(args) -> int:
+    from . import search, structio
     optional = {"tol": args.tol, "max_iters": args.max_iters}
     problem = search.SearchProblem(
         n=args.n, s=args.s, mode=args.mode, restarts=args.restarts, seed=args.seed,
@@ -169,6 +174,9 @@ def _built_from(option: str, value, build, *build_args):
 
 
 def _cmd_catalog(args) -> int:
+    import numpy as np
+    from . import catalog, structio
+    from .realform import to_unitary_structure
     name = args.name
     for option, value in (("--c", args.c), ("--eps", args.eps)):
         if not math.isfinite(value):
@@ -225,6 +233,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import batteries
     chosen = list(batteries.SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in chosen:

@@ -1,5 +1,6 @@
 """Structure files, report emission, and the command-line surface."""
 
+import argparse
 import json
 import warnings
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie import batteries, structio
-from hermlie.cli import main
+from hermlie import batteries, search, structio
+from hermlie.cli import _build_parser, main
 
 from conftest import random_structure
 
@@ -143,6 +144,17 @@ class TestCli:
     def run(self, *argv, capsys=None):
         code = main(list(argv))
         return code
+
+    def test_parser_choices_match_their_source(self):
+        # the parser spells the choices out so that it imports neither module
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, option):
+            return next(tuple(a.choices) for a in sub.choices[command]._actions
+                        if option in a.option_strings)
+
+        assert choices("search", "--mode") == (search.FULL, search.PARALLEL_FRAME)
+        assert choices("verify-theorems", "--suite") == (*batteries.SUITES, "all")
 
     def test_catalog_analyze_pipeline(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -3,7 +3,7 @@
 From structure constants in a unitary (1,0)-frame the package computes
 Chern torsion, the one-parameter family of canonical Hermitian
 connections, curvature and the identities satisfied in the flat case;
-converts real Lie algebra presentations to unitary frames and back;
+converts real Lie algebra presentations to unitary frames;
 ships the classical flat examples; and searches structure-constant
 space for flat structures with a deterministic multistart
 Levenberg-Marquardt solver.
@@ -17,23 +17,18 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "ConnectionFamily", "CurvatureReport", "FlatnessSummary", "LeviCivitaReport",
-        "ResidualReport", "TorsionData", "UnitaryStructure", "bracket_tables", "chern_torsion",
-        "covariant_torsion_derivatives", "curvature", "gauduchon_connection", "is_valid",
-        "kahler_flatness_summary", "levi_civita", "unitary_change", "validate_structure",
+        "CurvatureReport", "FlatnessSummary", "ResidualReport", "TorsionData", "UnitaryStructure",
+        "bracket_tables", "chern_torsion", "covariant_torsion_derivatives", "curvature",
+        "gauduchon_connection", "kahler_flatness_summary", "validate_structure",
     ),
-    "realform": (
-        "RealPresentation", "adapted_unitary_frame", "from_unitary_structure",
-        "to_unitary_structure", "validate_real",
-    ),
+    "realform": ("RealPresentation", "adapted_unitary_frame", "to_unitary_structure"),
     "catalog": (
         "BdfSpec", "abelian", "affine_complex_group", "bdf_flat_kahler_4d", "bdf_general",
         "complex_group", "perturb", "samelson_su2_r",
     ),
     "theorems": (
-        "DescentResult", "ObstructionReport", "SurfaceDerivativeTable", "TorsionIdentitySuite",
-        "common_kernel", "flat_torsion_identities", "half_flat_trace", "parallel_frame_reduction",
-        "surface_derivative_table", "surface_obstruction", "torsion_descent", "torsion_operator",
+        "DescentResult", "ObstructionReport", "TorsionIdentitySuite", "flat_torsion_identities",
+        "parallel_frame_reduction", "surface_obstruction", "torsion_descent",
     ),
     "search": (
         "SearchProblem", "SearchResult", "MultistartSummary", "jacobian", "lm_minimize",

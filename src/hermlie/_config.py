@@ -36,3 +36,9 @@ def positive_finite(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return value

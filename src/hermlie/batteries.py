@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, theorems
-from .core import _jacobi_bilinear, _parallel_frame, chern_torsion
+from .core import _jacobi_bilinear, _parallel_frame, chern_torsion, curvature
 from .realform import to_unitary_structure
 
 RESIDUAL_TOL = 1e-10
@@ -85,8 +85,8 @@ def parallel() -> tuple:
             hits += int(np.count_nonzero((_worst_jacobi(T, s) <= 1e-8) & big))
             draws += len(T)
     tor = chern_torsion(catalog.samelson_su2_r(1.0))
-    _, diag = theorems.parallel_frame_reduction(tor, 2.0)
-    regenerated = max(diag.jacobi.max_abs, diag.flatness_max)
+    U, jacobi = theorems.parallel_frame_reduction(tor, 2.0)
+    regenerated = max(jacobi.max_abs, curvature(U, 2.0).max_abs)
     return (
         Check("random parallel-frame draws: no valid non-Kahler structure at s outside {0,2}",
               hits == 0, hits, f"{draws} draws"),
@@ -111,7 +111,7 @@ def _draws():
 def _worst_jacobi(T: np.ndarray, s: float) -> np.ndarray:
     """Largest Jacobi residual of the parallel-frame structure of every T[z] at s.
 
-    This is parallel_frame_reduction(T[z], s)[1].jacobi.max_abs for each z,
+    This is parallel_frame_reduction(T[z], s)[1].max_abs for each z,
     computed in chunks whose three residual families fit in _CHUNK_BYTES.
     """
     width = max(1, _CHUNK_BYTES // (3 * 16 * T.shape[-1] ** 4))

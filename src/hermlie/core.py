@@ -41,7 +41,6 @@ from .tensors import (
     frobenius,
     frozen,
     max_abs,
-    transform_frame,
 )
 
 
@@ -79,30 +78,12 @@ class TorsionData:
     eta: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.T.shape[0]
-
-    @property
     def norm(self) -> float:
         return frobenius(self.T)
 
     @property
     def eta_norm(self) -> float:
         return frobenius(self.eta)
-
-
-@dataclass(frozen=True)
-class ConnectionFamily:
-    """Connection coefficients at parameter s.
-
-    gamma[j,i,k] = <nabla^s_{e_k} e_i, ebar_j>, gamma_bar[j,i,k] the
-    conjugate-direction companion; gamma_bar^j_{ik} = -conj(gamma^i_{jk})
-    exactly (metric compatibility in a unitary frame).
-    """
-
-    s: float
-    gamma: np.ndarray
-    gamma_bar: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,19 +125,6 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class LeviCivitaReport:
-    """Levi-Civita data on the complexified frame.
-
-    endo[a] is the 2n x 2n matrix of nabla_{dir_a} and curvature_residual
-    the max entry of the Riemannian curvature of nabla (commutator
-    construction).
-    """
-
-    endo: np.ndarray
-    curvature_residual: float
-
-
-@dataclass(frozen=True)
 class FlatnessSummary:
     """Gauge-invariant scalars driving the flat-or-not experiments.
 
@@ -187,12 +155,14 @@ def _parallel_frame(T: np.ndarray, s: float):
     return 2 * (s - 1) * T, -s * T
 
 
-def gauduchon_connection(U: UnitaryStructure, s: float) -> ConnectionFamily:
-    """Connection coefficients gamma = D + s*T and their conjugate companion."""
-    T = chern_torsion(U).T
-    gamma = U.D + s * T
-    gamma_bar = -np.conj(gamma.transpose(1, 0, 2))
-    return ConnectionFamily(s=float(s), gamma=frozen(gamma), gamma_bar=frozen(gamma_bar))
+def gauduchon_connection(U: UnitaryStructure, s: float) -> np.ndarray:
+    """The read-only connection coefficients gamma = D + s*T at parameter s.
+
+    gamma[j,i,k] = <nabla^s_{e_k} e_i, ebar_j>; the conjugate-direction
+    coefficients -conj(gamma^i_{jk}) (metric compatibility in a unitary
+    frame) are the blocks A[n + k][:n, :n] of connection_endomorphisms.
+    """
+    return frozen(U.D + s * chern_torsion(U).T)
 
 
 def bracket_tables(U: UnitaryStructure) -> np.ndarray:
@@ -233,7 +203,7 @@ def connection_endomorphisms(U: UnitaryStructure, s: float) -> np.ndarray:
     the (0,1) blocks are the conjugates of the (1,0) blocks of the
     conjugate direction, so each A_a is metric compatible by construction.
     """
-    return _endomorphisms(gauduchon_connection(U, s).gamma)
+    return _endomorphisms(gauduchon_connection(U, s))
 
 
 def _endomorphisms(gamma: np.ndarray) -> np.ndarray:
@@ -340,10 +310,6 @@ def _jacobi_bilinear(C1, D1, C2, D2, batch=("", "")):
     return fam1, fam2, fam3
 
 
-def is_valid(U: UnitaryStructure, tol: float | None = None) -> bool:
-    return bool(validate_structure(U, tol).valid)
-
-
 def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
     """Covariant derivatives of the torsion along the parameter-s connection.
 
@@ -354,7 +320,7 @@ def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
                                              - T^r_{ik} conj(G^r_{jl}) )
     """
     T = chern_torsion(U).T
-    G = gauduchon_connection(U, s).gamma
+    G = gauduchon_connection(U, s)
     cG = np.conj(G)
     Td = (
         -np.einsum("jrk,ril->jikl", T, G)
@@ -367,37 +333,6 @@ def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
         - np.einsum("rik,rjl->jikl", T, cG)
     )
     return frozen(Td), frozen(Tdbar)
-
-
-def levi_civita(U: UnitaryStructure) -> LeviCivitaReport:
-    """Levi-Civita connection on the complexified frame.
-
-    For left-invariant fields the scalar products are constant, so the
-    torsion-free metric connection reduces to
-
-        2 <nabla_a b, c> = <[a,b], c> - <[a,c], b> - <[b,c], a>.
-
-    The report returns the Riemannian curvature residual of nabla via
-    the same commutator construction used for the Hermitian connection
-    family.
-    """
-    n = U.n
-    brk = bracket_tables(U)
-    # bilinear pairing in (e, ebar) coordinates
-    P = np.zeros((2 * n, 2 * n))
-    P[:n, n:] = np.eye(n)
-    P[n:, :n] = np.eye(n)
-
-    pair = np.einsum("abd,dc->abc", brk, P)
-    # K[a,b,c] = <[a,b],c> - <[a,c],b> - <[b,c],a>
-    K = pair - pair.transpose(0, 2, 1) - pair.transpose(2, 0, 1)
-    # coefficients: nabla_a dir_b = sum_c coeff[a,b,c] dir_c with P the Gram matrix
-    coeff = 0.5 * np.einsum("abc,cd->abd", K, P)
-    endo = coeff.transpose(0, 2, 1)  # endo[a][out, in]
-
-    return LeviCivitaReport(
-        endo=frozen(endo), curvature_residual=max_abs(_curvature_tensor(endo, brk))
-    )
 
 
 def kahler_flatness_summary(
@@ -432,14 +367,4 @@ def kahler_flatness_summary(
             raise ValidationError(f"flatness residual at s={s!r} is not finite")
     return FlatnessSummary(
         torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=rows, kahler=tor.norm <= tol
-    )
-
-
-def unitary_change(U: UnitaryStructure, V: np.ndarray) -> UnitaryStructure:
-    """The same structure written in the frame e'_a = sum_i V[i,a] e_i (V unitary)."""
-    V = np.asarray(V, dtype=complex)
-    if V.shape != (U.n, U.n):
-        raise DimensionMismatchError(f"V must be {U.n}x{U.n}, got {V.shape}")
-    return UnitaryStructure(
-        n=U.n, C=transform_frame(U.C, V), D=transform_frame(U.D, V)
     )

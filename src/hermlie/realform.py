@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import validity_tol
-from .core import ResidualReport, UnitaryStructure, bracket_tables
+from .core import UnitaryStructure
 from .exceptions import (
     DimensionMismatchError,
     FrameConstructionError,
     IntegrabilityError,
     ValidationError,
 )
-from .tensors import frozen, max_abs
+from .tensors import frozen
 
 _RANK_TOL = 1e-10
 
@@ -37,9 +37,9 @@ class RealPresentation:
     """Real structure constants f^c_{ab}, inner product G, complex structure J.
 
     f is antisymmetrized exactly in its lower index pair at construction.
-    Well-formedness beyond shapes (Jacobi, J^2 = -I, compatibility,
-    integrability, SPD-ness of G) is reported by validate_real, not
-    enforced here.
+    Well-formedness beyond shapes and finiteness (Jacobi, J^2 = -I,
+    compatibility, SPD-ness of G) is not checked; to_unitary_structure
+    checks integrability.
     """
 
     dim: int
@@ -75,47 +75,6 @@ class RealPresentation:
     @property
     def n(self) -> int:
         return self.dim // 2
-
-
-def validate_real(P: RealPresentation, tol: float | None = None) -> ResidualReport:
-    """Residuals of every real-side axiom, evaluated on all basis pairs.
-
-    Families: lower-index antisymmetry of f, real Jacobi, J^2 + I,
-    J^T G J - G, SPD-ness of G (residual max(0, -lambda_min), flagged
-    rather than raised), and the integrability expression
-    [x,y] - [Jx,Jy] + J[Jx,y] + J[x,Jy] on all basis pairs.
-    """
-    tol = validity_tol(tol)
-    d, f, G, J = P.dim, P.f, P.G, P.J
-    per = {}
-
-    anti = f + f.transpose(0, 2, 1)
-    per[("antisymmetry",)] = max_abs(anti)
-
-    jac = (
-        np.einsum("dab,edc->abce", f, f, optimize=True)
-        + np.einsum("dbc,eda->abce", f, f, optimize=True)
-        + np.einsum("dca,edb->abce", f, f, optimize=True)
-    )
-    per[("jacobi",)] = max_abs(jac)
-
-    per[("j_squared",)] = max_abs(J @ J + np.eye(d))
-    per[("compatibility",)] = max_abs(J.T @ G @ J - G)
-
-    # SPD failure is flagged through the residual, never raised
-    min_eig = float(np.linalg.eigvalsh(G).min())
-    per[("spd_violation",)] = 0.0 if min_eig > 0 else abs(min_eig) + 2 * tol
-
-    bJxJy = np.einsum("cab,ax,by->cxy", f, J, J, optimize=True)
-    JbJxy = np.einsum("cd,dab,ax->cxb", J, f, J, optimize=True)
-    JbxJy = np.einsum("cd,dab,by->cay", J, f, J, optimize=True)
-    nij = f - bJxJy + JbJxy + JbxJy
-    for a in range(d):
-        for b in range(a + 1, d):
-            per[("integrability", a + 1, b + 1)] = float(np.abs(nij[:, a, b]).max())
-
-    worst = max(per.values())
-    return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol)
 
 
 def adapted_unitary_frame(P: RealPresentation) -> np.ndarray:
@@ -173,14 +132,6 @@ def _rank_fail(step: str):
     raise FrameConstructionError(f"adapted frame lost rank at: {step}")
 
 
-def frame_gram_residual(P: RealPresentation, E: np.ndarray) -> float:
-    """Max deviation of <e_i, ebar_j> from delta and <e_i, e_j> from zero."""
-    G = P.G.astype(complex)
-    herm = E.T @ G @ np.conj(E) - np.eye(P.n)
-    null = E.T @ G @ E
-    return max(max_abs(herm), max_abs(null))
-
-
 def complex_structure_constants(P: RealPresentation):
     """Project the complexified bracket onto the adapted frame.
 
@@ -225,44 +176,3 @@ def to_unitary_structure(P: RealPresentation, tol: float | None = None) -> Unita
             residual=offdiag,
         )
     return UnitaryStructure(n=P.n, C=C, D=D)
-
-
-def from_unitary_structure(U: UnitaryStructure) -> RealPresentation:
-    """Realify on the basis x_{2i-1} = (e_i + ebar_i)/sqrt2, x_{2i} = i(e_i - ebar_i)/sqrt2.
-
-    The basis is G-orthonormal with block-standard J (J x_{2i-1} = x_{2i});
-    converting back reproduces (C, D) exactly up to rounding.
-    """
-    n = U.n
-    d = 2 * n
-    brk = bracket_tables(U)
-
-    # coordinates of the real basis vectors on (e, ebar)
-    X = np.zeros((2 * n, d), dtype=complex)
-    for i in range(n):
-        X[i, 2 * i] = 1 / np.sqrt(2.0)
-        X[n + i, 2 * i] = 1 / np.sqrt(2.0)
-        X[i, 2 * i + 1] = 1j / np.sqrt(2.0)
-        X[n + i, 2 * i + 1] = -1j / np.sqrt(2.0)
-
-    # inverse map from (e, ebar) coordinates back to the real basis
-    M = np.zeros((d, 2 * n), dtype=complex)
-    for i in range(n):
-        M[2 * i, i] = 1 / np.sqrt(2.0)
-        M[2 * i + 1, i] = -1j / np.sqrt(2.0)
-        M[2 * i, n + i] = 1 / np.sqrt(2.0)
-        M[2 * i + 1, n + i] = 1j / np.sqrt(2.0)
-
-    f = np.zeros((d, d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            v = np.einsum("cde,c,d->e", brk, X[:, a], X[:, b])
-            coords = M @ v  # imaginary parts vanish up to rounding
-            f[:, a, b] = coords.real
-            f[:, b, a] = -coords.real
-
-    J = np.zeros((d, d))
-    for i in range(n):
-        J[2 * i + 1, 2 * i] = 1.0
-        J[2 * i, 2 * i + 1] = -1.0
-    return RealPresentation(dim=d, f=f, G=np.eye(d), J=J)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import positive_finite
+from ._config import finite, positive_finite
 from .core import (
     UnitaryStructure,
     _brackets,
@@ -105,8 +105,7 @@ class SearchProblem:
             raise ValidationError("parallel_frame mode needs n >= 2: at n = 1 the torsion is zero")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        if not math.isfinite(self.s):
-            raise ValidationError(f"s must be finite, got {self.s}")
+        finite("s", self.s)
         positive_finite("tol", self.tol)
         positive_finite("kahler_tol", self.kahler_tol)
 

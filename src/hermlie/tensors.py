@@ -58,11 +58,3 @@ def transform_frame(X: np.ndarray, V: np.ndarray) -> np.ndarray:
     slots (C, D, T and connection coefficients all transform this way).
     """
     return np.einsum("uij,uc,ia,jb->cab", X, np.conj(V), V, V, optimize=True)
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR with a fixed phase convention."""
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))

@@ -9,23 +9,22 @@ dimension, and the kernel-peeling descent of the torsion operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import FLATNESS_TOL
+from ._config import FLATNESS_TOL, finite
 from .core import (
-    ResidualReport,
     TorsionData,
     UnitaryStructure,
     _parallel_frame,
     chern_torsion,
     covariant_torsion_derivatives,
-    curvature,
     validate_structure,
 )
-from .exceptions import HypothesisError
-from .tensors import antisymmetrize_lower, frobenius, frozen, max_abs, transform_frame
+from .exceptions import HypothesisError, ValidationError
+from .tensors import antisymmetrize_lower, frobenius, max_abs, transform_frame
 
 _SPECIAL_RADIUS = 1e-9  # neighbourhood radius around excluded parameter values
 _QUADRATIC_TOL = 1e-12
@@ -79,8 +78,32 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
     All residuals are expected to be ~0 only on structures flat at s
     with s != 0; the suite evaluates everything regardless and lets the
     caller interpret applicability.  The cyclic family is reported
-    "vacuous" (not "passed") whenever its prefactor vanishes.
+    "vacuous" (not "passed") whenever its prefactor vanishes.  Raises
+    ValidationError when s is not finite or a residual overflows.
     """
+    finite("s", s)
+    try:
+        residuals = _identity_residuals(U, s)
+    except OverflowError:  # a power of s past the float range
+        residuals = None
+    if residuals is None or not all(map(math.isfinite, residuals.values())):
+        raise ValidationError(f"a torsion identity residual overflows at s={s!r}")
+    n = U.n
+    statuses = {
+        "exchange": "evaluated",
+        "cyclic": "vacuous" if (n - 2) * (s - 1) == 0 else "evaluated",
+        "exchange_reduced": "evaluated" if (n >= 3 and s != 1) else "not_applicable",
+        "conjugate": "evaluated (cleared-denominator form)"
+        if s not in (0.5, 1)
+        else "evaluated (cleared-denominator form; prefactor zero)",
+    }
+    return TorsionIdentitySuite(s=float(s), n=n, out_of_hypothesis=(s == 0),
+                                residuals=residuals, statuses=statuses)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _identity_residuals(U: UnitaryStructure, s: float) -> dict:
+    """The four residuals of flat_torsion_identities, by family."""
     n = U.n
     T = chern_torsion(U).T
     cT = np.conj(T)
@@ -110,101 +133,16 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
     )
     conjugate = conj_lhs - rhs
 
-    residuals = {
+    return {
         "exchange": max_abs(exchange),
         "cyclic": max_abs(cyclic),
         "exchange_reduced": max_abs(exchange_reduced),
         "conjugate": max_abs(conjugate),
     }
-    statuses = {
-        "exchange": "evaluated",
-        "cyclic": "vacuous" if (n - 2) * (s - 1) == 0 else "evaluated",
-        "exchange_reduced": "evaluated" if (n >= 3 and s != 1) else "not_applicable",
-        "conjugate": "evaluated (cleared-denominator form)"
-        if factor != 0
-        else "evaluated (cleared-denominator form; prefactor zero)",
-    }
-    return TorsionIdentitySuite(
-        s=float(s),
-        n=n,
-        out_of_hypothesis=(s == 0),
-        residuals=residuals,
-        statuses=statuses,
-    )
-
-
-def half_flat_trace(T: TorsionData) -> float:
-    """The quantity (1/4) sum |T^j_{ir}|^2 + (1/4) sum |eta_r|^2.
-
-    On a structure flat at s = 1/2 this vanishes, which forces T = 0:
-    flatness at the half parameter implies Kahler.  Always nonnegative,
-    zero iff T = 0.
-    """
-    return 0.25 * float(np.sum(np.abs(T.T) ** 2)) + 0.25 * float(
-        np.sum(np.abs(T.eta) ** 2)
-    )
 
 
 # ---------------------------------------------------------------------------
 # the n = 2 obstruction chain
-
-
-@dataclass(frozen=True)
-class SurfaceDerivativeTable:
-    """Expected covariant torsion derivatives on an adapted surface frame.
-
-    Frame convention: T^2_{12} = 0, T^1_{12} = lam != 0.  Plain entries
-    are exact; the conjugate-direction entries are stated in cleared
-    form: cleared_factor * T^{.}_{..,bar} = value.  consistent is False
-    exactly when the cleared factor vanishes while a right side does
-    not, which forces lam = 0 at that parameter.
-    """
-
-    s: float
-    lam: complex
-    t1_12_1: complex
-    t2_12_1: complex
-    t2_12_2: complex
-    t1_12_2: complex
-    cleared_factor: float
-    cleared_t1_12_bar1: complex
-    cleared_t2_12_bar2: complex
-    cleared_t1_12_bar2: complex
-    cleared_t2_12_bar1: complex
-    consistent: bool
-
-
-def surface_derivative_table(lam: complex, s: float) -> SurfaceDerivativeTable:
-    """Right-hand sides the obstruction checker consumes.
-
-    t1_12_2 = (2-s) lam^2; with factor = 4(s-1)(2s-1):
-    factor * T^1_{12,bar2} = s^2 (s-2) |lam|^2 and
-    factor * T^2_{12,bar1} = s (3s^2 - 8s + 4) |lam|^2; the remaining
-    tabulated entries vanish.
-    """
-    lam = complex(lam)
-    a2 = abs(lam) ** 2
-    factor = 4 * (s - 1) * (2 * s - 1)
-    rhs_12bar2 = s**2 * (s - 2) * a2
-    rhs_21bar1 = s * (3 * s**2 - 8 * s + 4) * a2
-    degenerate = abs(factor) <= _QUADRATIC_TOL
-    inconsistent = degenerate and (
-        abs(rhs_12bar2) > _QUADRATIC_TOL or abs(rhs_21bar1) > _QUADRATIC_TOL
-    )
-    return SurfaceDerivativeTable(
-        s=float(s),
-        lam=lam,
-        t1_12_1=0j,
-        t2_12_1=0j,
-        t2_12_2=0j,
-        t1_12_2=(2 - s) * lam**2,
-        cleared_factor=factor,
-        cleared_t1_12_bar1=0j,
-        cleared_t2_12_bar2=0j,
-        cleared_t1_12_bar2=complex(rhs_12bar2),
-        cleared_t2_12_bar1=complex(rhs_21bar1),
-        consistent=not inconsistent,
-    )
 
 
 @dataclass(frozen=True)
@@ -230,31 +168,38 @@ NO_OBSTRUCTION = "no_obstruction"
 def surface_obstruction(s: float) -> ObstructionReport:
     """Replay the n = 2 rigidity chain for a non-Kahler flat surface ansatz.
 
-    Stages: (i) s in {0, 2} is out of theorem scope; (ii) s in {1/2, 1}
-    is excluded because the cleared-denominator derivative table is
-    inconsistent there; (iii) the two routes to Gamma^2_22/lam, namely
-    (s-2) and s^2 (s-2) / (4 (s-1)(2s-1)), must agree, i.e.
-    7s^2 - 12s + 4 = 0; (iv) at the two roots of that quadratic the
-    remaining Jacobi consequence (5s-6)(5s-4) = (5s-4)(s-2) fails.  For
-    every s outside {0, 2} some stage obstructs, so no non-Kahler flat
-    surface structure exists there.
+    In an adapted frame (T^2_{12} = 0, T^1_{12} = lam) flatness forces
+    the conjugate derivative 4(s-1)(2s-1) T^1_{12,bar2} = s^2 (s-2) |lam|^2.
+    Stages: (i) s in {0, 2} is out of theorem scope; (ii) at s in {1/2, 1}
+    the cleared factor 4(s-1)(2s-1) vanishes while s^2 (s-2) does not;
+    (iii) the two routes to Gamma^2_22/lam, namely (s-2) and
+    s^2 (s-2) / (4 (s-1)(2s-1)), must agree, i.e. 7s^2 - 12s + 4 = 0;
+    (iv) at the two roots of that quadratic the remaining Jacobi
+    consequence (5s-6)(5s-4) = (5s-4)(s-2) fails.  For every s outside
+    {0, 2} some stage obstructs, so no non-Kahler flat surface structure
+    exists there.  Raises ValidationError when s is not finite or a
+    forced constant overflows.
     """
-    s = float(s)
-    forced: dict = {}
+    s = finite("s", float(s))
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return ObstructionReport(s=s, forced_constants=forced, excluded_by=OUT_OF_SCOPE)
+        return ObstructionReport(s=s, forced_constants={}, excluded_by=OUT_OF_SCOPE)
+    denom = 4 * (s - 1) * (2 * s - 1)
     if min(abs(s - 0.5), abs(s - 1)) <= _SPECIAL_RADIUS:
-        table = surface_derivative_table(1.0, s)
-        forced["cleared_factor"] = table.cleared_factor
-        forced["cleared_t1_12_bar2_over_lam2"] = table.cleared_t1_12_bar2.real
+        forced = {"cleared_factor": denom, "cleared_t1_12_bar2_over_lam2": s**2 * (s - 2)}
         return ObstructionReport(s=s, forced_constants=forced, excluded_by=DENOMINATOR_EXCLUSION)
 
-    quadratic = 7 * s**2 - 12 * s + 4
-    denom = 4 * (s - 1) * (2 * s - 1)
-    forced["Gamma2_22_over_lambda"] = s - 2
-    forced["Gamma2_22_over_lambda_conjugate_route"] = s**2 * (s - 2) / denom
-    forced["Gamma1_21_over_lambda"] = -s * (3 * s**2 - 8 * s + 4) / denom
-    forced["quadratic_7s2_12s_4"] = quadratic
+    try:
+        forced = {
+            "Gamma2_22_over_lambda": s - 2,
+            "Gamma2_22_over_lambda_conjugate_route": s**2 * (s - 2) / denom,
+            "Gamma1_21_over_lambda": -s * (3 * s**2 - 8 * s + 4) / denom,
+            "quadratic_7s2_12s_4": 7 * s**2 - 12 * s + 4,
+        }
+    except OverflowError:  # a power of s past the float range
+        forced = None
+    if forced is None or not all(map(math.isfinite, forced.values())):
+        raise ValidationError(f"the surface obstruction chain overflows at s={s!r}")
+    quadratic = forced["quadratic_7s2_12s_4"]
     if abs(quadratic) > _QUADRATIC_TOL * max(1.0, s**2):
         return ObstructionReport(s=s, forced_constants=forced, excluded_by=QUADRATIC_MISMATCH)
 
@@ -273,99 +218,20 @@ def surface_obstruction(s: float) -> ObstructionReport:
 
 
 # ---------------------------------------------------------------------------
-# torsion operators, parallel-frame reduction and the descent
-
-
-def torsion_operator(T: TorsionData, X) -> np.ndarray:
-    """A_X on the (1,0) space: the read-only matrix[k, j] = sum_i X_i T^k_{ij}, linear in X."""
-    return frozen(np.einsum("i,kij->kj", np.asarray(X, dtype=complex), T.T))
-
-
-def torsion_operator_family(T: TorsionData) -> np.ndarray:
-    """Stack of the frame operators A_{e_1}..A_{e_n}: fam[i][k, j] = T^k_{ij}."""
-    return np.ascontiguousarray(T.T.transpose(1, 0, 2))
-
-
-@dataclass(frozen=True)
-class ParallelFrameDiagnostics:
-    """Everything the parallel-frame ansatz must satisfy to support descent."""
-
-    jacobi: ResidualReport
-    flatness_max: float
-    nilpotency_max: float
-    quadratic_norm_max: float
-    anticommutator_max: float
+# parallel-frame reduction and the descent
 
 
 def parallel_frame_reduction(T: TorsionData, s: float):
     """Structure with identically-zero connection coefficients at parameter s.
 
-    A parallel left-invariant frame forces D = -s T and C = 2(s-1) T;
-    the induced coefficients D + sT vanish identically, so curvature
-    vanishes by construction and the only genuine constraint left is
-    the Jacobi identity of (C, D).  Diagnostics bundle the Jacobi
-    report, the (identically zero) flatness residual, the two-step
-    nilpotency residual sum_r T^l_{ir} T^r_{jk} (relevant for s != 1),
-    the quadratic norm identity
-
-      sum_r [ 4(s-1)^2 |T^r_{ij}|^2
-              + (5s^2-10s+4) ( T^i_{ir} conj(T^j_{jr}) - |T^i_{jr}|^2 )
-              - s^2 ( |T^j_{ir}|^2 - T^j_{jr} conj(T^i_{ir}) ) ]
-
-    for every (i, j), and the s = 1 operator diagnostic: pairwise
-    anticommutators of the A_X family.
+    A parallel left-invariant frame forces D = -s T and C = 2(s-1) T.
+    Returns that structure U and its Jacobi report, the only genuine
+    constraint left: the coefficients D + sT of U cancel, so its
+    curvature vanishes up to rounding (exactly 0.0 at s in {0, 1/2, 1, 2}).
     """
     Tm = antisymmetrize_lower(np.asarray(T.T, dtype=complex))
-    n = Tm.shape[0]
-    U = UnitaryStructure(n, *_parallel_frame(Tm, s))
-    jac = validate_structure(U)
-    flat = curvature(U, s).max_abs
-
-    nil = np.einsum("lir,rjk->lijk", Tm, Tm)
-    quad = quadratic_norm_identity(Tm, s)
-
-    fam = np.einsum("kij->ikj", Tm)  # fam[i] = A_{e_i}
-    prod = np.einsum("axy,byz->abxz", fam, fam)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-
-    diag = ParallelFrameDiagnostics(
-        jacobi=jac,
-        flatness_max=flat,
-        nilpotency_max=max_abs(nil),
-        quadratic_norm_max=max_abs(quad),
-        anticommutator_max=max_abs(anti),
-    )
-    return U, diag
-
-
-def quadratic_norm_identity(Tm: np.ndarray, s: float) -> np.ndarray:
-    """The (i, j)-indexed quadratic norm combination described above."""
-    absT2 = np.abs(Tm) ** 2
-    term1 = 4 * (s - 1) ** 2 * np.einsum("rij->ij", absT2)
-    tr_i = np.einsum("iir->ir", Tm)  # T^i_{ir}
-    term2a = np.einsum("ir,jr->ij", tr_i, np.conj(tr_i))
-    term2b = np.einsum("ijr->ij", absT2)
-    term3a = np.einsum("jir->ij", absT2)
-    term3b = np.einsum("jr,ir->ij", tr_i, np.conj(tr_i))
-    return (
-        term1
-        + (5 * s**2 - 10 * s + 4) * (term2a - term2b)
-        - s**2 * (term3a - term3b)
-    )
-
-
-def common_kernel(T: TorsionData, tol: float | None = None):
-    """Unit vector annihilated by every frame torsion operator, if one exists.
-
-    Stacks A_{e_1}..A_{e_n} into an n^2 x n system; returns the
-    smallest right singular vector when the smallest singular value is
-    at or below tol (default 1e-8 times the stack norm), else None.
-    For T = 0 the first basis vector is returned by convention.
-    """
-    w, smallest = _kernel_candidate(T.T)
-    if tol is None:
-        tol = 1e-8 * frobenius(T.T)
-    return w if smallest <= tol else None
+    U = UnitaryStructure(Tm.shape[0], *_parallel_frame(Tm, s))
+    return U, validate_structure(U)
 
 
 def _kernel_candidate(Tm: np.ndarray):
@@ -416,20 +282,21 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
     """Iterated kernel-splitting of the torsion in the parallel-frame ansatz.
 
     Precondition: the induced structure (C, D) = (2(s-1)T, -sT) must be
-    Jacobi-valid and flat at s to tolerance, else HypothesisError.  For
-    s within 1e-9 of {0, 2} the argument does not apply and the descent
-    is skipped.  Otherwise a common-kernel direction of the torsion
+    Jacobi-valid to tolerance, else HypothesisError.  Its flatness is
+    not checked: its connection coefficients D + sT cancel, so its
+    curvature is rounding, far below the tolerance wherever Jacobi
+    holds.  For s within 1e-9 of {0, 2} the argument does not apply and
+    the descent is skipped.  Otherwise a common-kernel direction of the torsion
     operators is rotated into the last coordinate by a Householder
     reflection, the entries forced to vanish there are measured, the
     last coordinate is dropped, and the process repeats; the returned
     residual is the torsion norm left when the peeling terminates
     (zero, if the rigidity prediction holds).
     """
-    U, diag = parallel_frame_reduction(T, s)
-    if diag.jacobi.max_abs > tol or diag.flatness_max > tol:
+    jacobi = parallel_frame_reduction(T, s)[1].max_abs
+    if jacobi > tol:
         raise HypothesisError(
-            "induced parallel-frame structure is not valid/flat: "
-            f"jacobi {diag.jacobi.max_abs:.3e}, flatness {diag.flatness_max:.3e}"
+            f"induced parallel-frame structure is not Jacobi-valid: jacobi {jacobi:.3e}"
         )
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
         return DescentResult(
@@ -449,16 +316,9 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
         Tm = transform_frame(Tm, V)
         m = Tm.shape[0]
         # kernel direction as a lower index, plus the forced upper-index slice
-        peel = float(
-            np.sqrt(
-                np.sum(np.abs(Tm[:, m - 1, :]) ** 2)
-                + np.sum(np.abs(Tm[:, :, m - 1]) ** 2)
-                + np.sum(np.abs(Tm[m - 1, :, :]) ** 2)
-            )
-        )
-        steps.append(
-            DescentStep(dim=m, kernel_singular_value=smallest, peel_residual=peel)
-        )
+        slices = (Tm[:, m - 1], Tm[:, :, m - 1], Tm[m - 1])
+        peel = float(np.sqrt(sum(np.sum(np.abs(X) ** 2) for X in slices)))
+        steps.append(DescentStep(dim=m, kernel_singular_value=smallest, peel_residual=peel))
         if peel > max(tol, 1e-9 * max(1.0, norm)):
             return DescentResult(norm, False, "stuck", tuple(steps))
         Tm = np.ascontiguousarray(Tm[: m - 1, : m - 1, : m - 1])

@@ -1,9 +1,16 @@
+"""Fixtures, and the second formulas the tests check the package against."""
+
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import hermlie as hl
 from hermlie import search as S
-from hermlie.core import jacobi_residual_tensors
+from hermlie._config import validity_tol
+from hermlie.core import ResidualReport, _curvature_tensor, jacobi_residual_tensors
+from hermlie.exceptions import DimensionMismatchError
+from hermlie.tensors import frozen, max_abs, transform_frame
 
 
 @pytest.fixture
@@ -27,9 +34,20 @@ def random_structure(n: int, seed: int) -> hl.UnitaryStructure:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    from hermlie.tensors import random_unitary as ru
+    """Haar-ish random unitary via QR with a fixed phase convention."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
 
-    return ru(n, np.random.default_rng(seed))
+
+def unitary_change(U: hl.UnitaryStructure, V: np.ndarray) -> hl.UnitaryStructure:
+    """The same structure written in the frame e'_a = sum_i V[i,a] e_i (V unitary)."""
+    V = np.asarray(V, dtype=complex)
+    if V.shape != (U.n, U.n):
+        raise DimensionMismatchError(f"V must be {U.n}x{U.n}, got {V.shape}")
+    return hl.UnitaryStructure(n=U.n, C=transform_frame(U.C, V), D=transform_frame(U.D, V))
 
 
 def realify(M: np.ndarray) -> np.ndarray:
@@ -56,7 +74,7 @@ def connection_flatness_residuals(U: hl.UnitaryStructure, s: float):
 
     so both vanish iff the structure is flat at s.
     """
-    G = hl.gauduchon_connection(U, s).gamma
+    G = hl.gauduchon_connection(U, s)
     cG = np.conj(G)
     cD = np.conj(U.D)
     holo = (
@@ -113,3 +131,137 @@ def residual_vector(x, problem) -> np.ndarray:
         value, _ = S._hinge(x, problem)
         r = np.append(r, value)
     return r
+
+
+@dataclass(frozen=True)
+class LeviCivitaReport:
+    """Levi-Civita data on the complexified frame.
+
+    endo[a] is the 2n x 2n matrix of nabla_{dir_a} and curvature_residual
+    the max entry of the Riemannian curvature of nabla (commutator
+    construction).
+    """
+
+    endo: np.ndarray
+    curvature_residual: float
+
+
+def levi_civita(U: hl.UnitaryStructure) -> LeviCivitaReport:
+    """Levi-Civita connection on the complexified frame.
+
+    For left-invariant fields the scalar products are constant, so the
+    torsion-free metric connection reduces to
+
+        2 <nabla_a b, c> = <[a,b], c> - <[a,c], b> - <[b,c], a>.
+
+    The report returns the Riemannian curvature residual of nabla via
+    the same commutator construction used for the Hermitian connection
+    family.
+    """
+    n = U.n
+    brk = hl.bracket_tables(U)
+    # bilinear pairing in (e, ebar) coordinates
+    P = np.zeros((2 * n, 2 * n))
+    P[:n, n:] = np.eye(n)
+    P[n:, :n] = np.eye(n)
+
+    pair = np.einsum("abd,dc->abc", brk, P)
+    # K[a,b,c] = <[a,b],c> - <[a,c],b> - <[b,c],a>
+    K = pair - pair.transpose(0, 2, 1) - pair.transpose(2, 0, 1)
+    # coefficients: nabla_a dir_b = sum_c coeff[a,b,c] dir_c with P the Gram matrix
+    coeff = 0.5 * np.einsum("abc,cd->abd", K, P)
+    endo = coeff.transpose(0, 2, 1)  # endo[a][out, in]
+
+    return LeviCivitaReport(
+        endo=frozen(endo), curvature_residual=max_abs(_curvature_tensor(endo, brk))
+    )
+
+
+def validate_real(P: hl.RealPresentation, tol: float | None = None) -> ResidualReport:
+    """Residuals of every real-side axiom, evaluated on all basis pairs.
+
+    Families: lower-index antisymmetry of f, real Jacobi, J^2 + I,
+    J^T G J - G, SPD-ness of G (residual max(0, -lambda_min), flagged
+    rather than raised), and the integrability expression
+    [x,y] - [Jx,Jy] + J[Jx,y] + J[x,Jy] on all basis pairs.
+    """
+    tol = validity_tol(tol)
+    d, f, G, J = P.dim, P.f, P.G, P.J
+    per = {}
+
+    anti = f + f.transpose(0, 2, 1)
+    per[("antisymmetry",)] = max_abs(anti)
+
+    jac = (
+        np.einsum("dab,edc->abce", f, f, optimize=True)
+        + np.einsum("dbc,eda->abce", f, f, optimize=True)
+        + np.einsum("dca,edb->abce", f, f, optimize=True)
+    )
+    per[("jacobi",)] = max_abs(jac)
+
+    per[("j_squared",)] = max_abs(J @ J + np.eye(d))
+    per[("compatibility",)] = max_abs(J.T @ G @ J - G)
+
+    # SPD failure is flagged through the residual, never raised
+    min_eig = float(np.linalg.eigvalsh(G).min())
+    per[("spd_violation",)] = 0.0 if min_eig > 0 else abs(min_eig) + 2 * tol
+
+    bJxJy = np.einsum("cab,ax,by->cxy", f, J, J, optimize=True)
+    JbJxy = np.einsum("cd,dab,ax->cxb", J, f, J, optimize=True)
+    JbxJy = np.einsum("cd,dab,by->cay", J, f, J, optimize=True)
+    nij = f - bJxJy + JbJxy + JbxJy
+    for a in range(d):
+        for b in range(a + 1, d):
+            per[("integrability", a + 1, b + 1)] = float(np.abs(nij[:, a, b]).max())
+
+    worst = max(per.values())
+    return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol)
+
+
+def frame_gram_residual(P: hl.RealPresentation, E: np.ndarray) -> float:
+    """Max deviation of <e_i, ebar_j> from delta and <e_i, e_j> from zero."""
+    G = P.G.astype(complex)
+    herm = E.T @ G @ np.conj(E) - np.eye(P.n)
+    null = E.T @ G @ E
+    return max(max_abs(herm), max_abs(null))
+
+
+def from_unitary_structure(U: hl.UnitaryStructure) -> hl.RealPresentation:
+    """Realify on the basis x_{2i-1} = (e_i + ebar_i)/sqrt2, x_{2i} = i(e_i - ebar_i)/sqrt2.
+
+    The basis is G-orthonormal with block-standard J (J x_{2i-1} = x_{2i});
+    converting back reproduces (C, D) exactly up to rounding.
+    """
+    n = U.n
+    d = 2 * n
+    brk = hl.bracket_tables(U)
+
+    # coordinates of the real basis vectors on (e, ebar)
+    X = np.zeros((2 * n, d), dtype=complex)
+    for i in range(n):
+        X[i, 2 * i] = 1 / np.sqrt(2.0)
+        X[n + i, 2 * i] = 1 / np.sqrt(2.0)
+        X[i, 2 * i + 1] = 1j / np.sqrt(2.0)
+        X[n + i, 2 * i + 1] = -1j / np.sqrt(2.0)
+
+    # inverse map from (e, ebar) coordinates back to the real basis
+    M = np.zeros((d, 2 * n), dtype=complex)
+    for i in range(n):
+        M[2 * i, i] = 1 / np.sqrt(2.0)
+        M[2 * i + 1, i] = -1j / np.sqrt(2.0)
+        M[2 * i, n + i] = 1 / np.sqrt(2.0)
+        M[2 * i + 1, n + i] = 1j / np.sqrt(2.0)
+
+    f = np.zeros((d, d, d))
+    for a in range(d):
+        for b in range(a + 1, d):
+            v = np.einsum("cde,c,d->e", brk, X[:, a], X[:, b])
+            coords = M @ v  # imaginary parts vanish up to rounding
+            f[:, a, b] = coords.real
+            f[:, b, a] = -coords.real
+
+    J = np.zeros((d, d))
+    for i in range(n):
+        J[2 * i + 1, 2 * i] = 1.0
+        J[2 * i, 2 * i + 1] = -1.0
+    return hl.RealPresentation(dim=d, f=f, G=np.eye(d), J=J)

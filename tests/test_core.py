@@ -11,11 +11,8 @@ from hermlie.core import connection_endomorphisms
 from hermlie.tensors import frobenius
 
 from conftest import (
-    connection_flatness_residuals,
-    curvature_as_flatness_families,
-    random_structure,
-    random_unitary,
-    realify,
+    connection_flatness_residuals, curvature_as_flatness_families, levi_civita,
+    random_structure, random_unitary, realify, unitary_change,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -68,36 +65,40 @@ class TestChernTorsion:
             assert np.all(T + T.transpose(0, 2, 1) == 0)
 
 
+def conjugate_direction_coefficients(U, s):
+    """gamma_bar[j, i, k], read from the blocks A[n + k][:n, :n] of the endomorphisms."""
+    return np.moveaxis(connection_endomorphisms(U, s)[U.n:, :U.n, :U.n], 0, -1)
+
+
 class TestConnectionFamily:
     def test_kahler_gamma_is_d(self, bdf4_structure):
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
-            conn = hl.gauduchon_connection(bdf4_structure, s)
-            assert np.allclose(conn.gamma, bdf4_structure.D, atol=1e-15)
+            gamma = hl.gauduchon_connection(bdf4_structure, s)
+            assert np.allclose(gamma, bdf4_structure.D, atol=1e-15)
 
     def test_samelson_parallel_at_two(self, samelson):
-        conn = hl.gauduchon_connection(samelson, 2.0)
-        assert np.abs(conn.gamma).max() == 0.0
-        assert np.abs(conn.gamma_bar).max() == 0.0
+        assert np.abs(hl.gauduchon_connection(samelson, 2.0)).max() == 0.0
+        assert np.abs(connection_endomorphisms(samelson, 2.0)).max() == 0.0
 
     def test_affine_chern_vanishes(self, affine):
-        conn = hl.gauduchon_connection(affine, 0.0)
-        assert np.abs(conn.gamma).max() == 0.0
+        assert np.abs(hl.gauduchon_connection(affine, 0.0)).max() == 0.0
 
     def test_metric_compatibility_exact(self):
         for seed in range(8):
             U = random_structure(2, 200 + seed)
-            conn = hl.gauduchon_connection(U, 1.3)
-            assert np.all(conn.gamma_bar + np.conj(conn.gamma.transpose(1, 0, 2)) == 0)
+            gamma = hl.gauduchon_connection(U, 1.3)
+            gamma_bar = conjugate_direction_coefficients(U, 1.3)
+            assert np.all(gamma_bar + np.conj(gamma.transpose(1, 0, 2)) == 0)
 
     def test_affine_in_s_and_endpoints(self):
         U = random_structure(3, 17)
-        chern = hl.gauduchon_connection(U, 0.0).gamma
-        bismut = hl.gauduchon_connection(U, 2.0).gamma
+        chern = hl.gauduchon_connection(U, 0.0)
+        bismut = hl.gauduchon_connection(U, 2.0)
         # endpoint formulas expanded in C, D
         assert np.abs(chern - U.D).max() <= 1e-13
         assert np.abs(bismut - (U.D.transpose(0, 2, 1) - U.C)).max() <= 1e-13
         for s in (-0.7, 0.25, 1.6):
-            gamma = hl.gauduchon_connection(U, s).gamma
+            gamma = hl.gauduchon_connection(U, s)
             interp = (1 - s / 2) * chern + (s / 2) * bismut
             assert np.abs(gamma - interp).max() <= 1e-13
 
@@ -108,7 +109,7 @@ class TestConnectionFamily:
         for seed in range(12):
             U = random_structure(1 + seed % 4, 300 + seed)
             s = rng.uniform(-2.0, 4.0)
-            conn = hl.gauduchon_connection(U, s)
+            gamma = hl.gauduchon_connection(U, s)
             direct = (1 - s / 2) * U.D + (s / 2) * U.D.transpose(0, 2, 1) - (s / 2) * U.C
             cD, cC = np.conj(U.D), np.conj(U.C)
             direct_bar = (
@@ -116,9 +117,10 @@ class TestConnectionFamily:
                 - (s / 2) * cD.transpose(2, 0, 1)
                 + (s / 2) * cC.transpose(1, 0, 2)
             )
-            scale = 1.0 + np.abs(conn.gamma).max()
-            assert np.abs(conn.gamma - direct).max() <= 1e-12 * scale
-            assert np.abs(conn.gamma_bar - direct_bar).max() <= 1e-12 * scale
+            scale = 1.0 + np.abs(gamma).max()
+            assert np.abs(gamma - direct).max() <= 1e-12 * scale
+            gamma_bar = conjugate_direction_coefficients(U, s)
+            assert np.abs(gamma_bar - direct_bar).max() <= 1e-12 * scale
 
 
 class TestBracketTables:
@@ -296,11 +298,11 @@ def unitary_representation(U, s):
     i(e_k - ebar_k), which vanishes on any structure.
     """
     n = U.n
-    conn = hl.gauduchon_connection(U, s)
+    gamma, gamma_bar = hl.gauduchon_connection(U, s), conjugate_direction_coefficients(U, s)
     p = np.zeros((2 * n, n, n), dtype=complex)
     for k in range(n):
-        p[k] = -conn.gamma[:, :, k].T
-        p[n + k] = -conn.gamma_bar[:, :, k].T
+        p[k] = -gamma[:, :, k].T
+        p[n + k] = -gamma_bar[:, :, k].T
     brk = hl.bracket_tables(U)
     defect = np.zeros((2 * n, 2 * n, n, n), dtype=complex)
     for a in range(2 * n):
@@ -360,7 +362,7 @@ class TestCovariantDerivatives:
         U = hl.UnitaryStructure(n=2, C=C, D=D)
         assert np.abs(hl.chern_torsion(U).T - T).max() <= 1e-14
         for s in (0.3, 1.0, 2.0):
-            G = hl.gauduchon_connection(U, s).gamma
+            G = hl.gauduchon_connection(U, s)
             Td, Tdbar = hl.covariant_torsion_derivatives(U, s)
             for l in range(2):
                 assert Td[0, 0, 1, l] == pytest.approx(-lam * G[1, 1, l])
@@ -397,12 +399,12 @@ def levi_civita_splitting(U):
 
 class TestLeviCivita:
     def test_abelian(self):
-        rep = hl.levi_civita(hl.abelian(2))
+        rep = levi_civita(hl.abelian(2))
         assert np.abs(rep.endo).max() == 0.0
         assert rep.curvature_residual == 0.0
 
     def test_bdf_levi_civita_is_chern(self, bdf4_structure):
-        rep = hl.levi_civita(bdf4_structure)
+        rep = levi_civita(bdf4_structure)
         gamma_ops, beta_ops = levi_civita_splitting(bdf4_structure)
         assert np.abs(gamma_ops).max() <= 1e-14
         assert np.abs(beta_ops).max() <= 1e-14
@@ -411,7 +413,7 @@ class TestLeviCivita:
         assert rep.curvature_residual <= 1e-13
 
     def test_samelson_biinvariant(self, samelson):
-        rep = hl.levi_civita(samelson)
+        rep = levi_civita(samelson)
         # bi-invariant metric: nabla_a b = [a, b] / 2
         half_ad = 0.5 * hl.bracket_tables(samelson).transpose(0, 2, 1)
         assert np.abs(rep.endo - half_ad).max() <= 1e-13
@@ -423,7 +425,7 @@ class TestLeviCivita:
             U = random_structure(3, 900 + seed)
             gamma_ops, beta_ops = levi_civita_splitting(U)
             chern = connection_endomorphisms(U, 0.0)
-            rep = hl.levi_civita(U)
+            rep = levi_civita(U)
             assert np.abs(rep.endo - (chern + gamma_ops + beta_ops)).max() <= 1e-12
 
 
@@ -496,7 +498,7 @@ class TestSummaryAndGauge:
         for U in (samelson, bdf4_structure, affine):
             for seed in range(3):
                 V = random_unitary(U.n, 40 + seed)
-                W = hl.unitary_change(U, V)
+                W = unitary_change(U, V)
                 s_grid = [0.0, 0.5, 1.0, 2.0]
                 a = hl.kahler_flatness_summary(U, s_grid)
                 b = hl.kahler_flatness_summary(W, s_grid)
@@ -509,6 +511,6 @@ class TestSummaryAndGauge:
     def test_unitary_change_roundtrip(self):
         U = random_structure(3, 77)
         V = random_unitary(3, 78)
-        back = hl.unitary_change(hl.unitary_change(U, V), np.conj(V).T)
+        back = unitary_change(unitary_change(U, V), np.conj(V).T)
         assert np.abs(back.C - U.C).max() <= 1e-13
         assert np.abs(back.D - U.D).max() <= 1e-13

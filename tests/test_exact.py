@@ -1,4 +1,5 @@
-"""Exact oracle: a Groebner-basis certificate of the parallel-frame theorem at n = 2.
+"""Exact oracles: a Groebner-basis certificate of the parallel-frame theorem at n = 2,
+and the algebra of the surface obstruction chain.
 
 The Jacobi polynomials are built in sympy from the three families in the
 docstring of hermlie.core.validate_structure, under the parallel-frame
@@ -6,13 +7,15 @@ hypothesis C = 2(s-1)T, D = -sT, with s a symbol; nothing here calls the
 numerical kernels except the comparison against them.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy as sp
 
-from hermlie import core
+from hermlie import core, theorems
 
 X = sp.symbols("x1:5", real=True)  # re and im of T^1_{12}, then of T^2_{12}
 S = sp.Symbol("s", real=True)
@@ -84,3 +87,54 @@ def test_batched_kernel_matches_the_polynomials_at_rational_points():
         assert scale > 0.1
         for f in range(3):
             assert np.abs(got[f][z] - fams[f]).max() <= 1e-14 * scale
+
+
+LAM = sp.Symbol("lam", nonzero=True)
+QUADRATIC = 7 * S**2 - 12 * S + 4
+FACTOR = 4 * (S - 1) * (2 * S - 1)
+
+
+@functools.cache
+def surface_chain():
+    """Gamma^2_22/lam by its plain and its conjugate route, and Gamma^1_21/lam.
+
+    In the adapted frame T^2_{12} = 0, T^1_{12} = lam, flatness gives the
+    table T^1_{12,2} = (2-s) lam^2, FACTOR T^1_{12,bar2} = s^2 (s-2) |lam|^2
+    and FACTOR T^2_{12,bar1} = s (3s^2-8s+4) |lam|^2, while the frame gives
+    T^1_{12,l} = -lam G^2_{2l}, T^1_{12,lbar} = lam conj(G^2_{2l}) and
+    T^2_{12,lbar} = -lam conj(G^1_{2l}) (checked numerically in test_core).
+    """
+    x, a2 = sp.Symbol("x"), LAM * sp.conjugate(LAM)  # x: the unknown G, or conj(G)
+    plain = sp.solve(-LAM * x - (2 - S) * LAM**2, x)[0] / LAM
+    route = sp.conjugate(sp.solve(FACTOR * LAM * x - S**2 * (S - 2) * a2, x)[0]) / LAM
+    g121 = sp.conjugate(sp.solve(-FACTOR * LAM * x - S * (3 * S**2 - 8 * S + 4) * a2, x)[0]) / LAM
+    return tuple(sp.simplify(value) for value in (plain, route, g121))
+
+
+def test_surface_routes_agree_exactly_on_the_quadratic_and_at_two():
+    plain, route, _ = surface_chain()
+    assert plain == S - 2
+    num, den = sp.fraction(sp.factor(plain - route))
+    assert sp.simplify(num / ((S - 2) * QUADRATIC)).is_nonzero
+    assert sp.simplify(den / FACTOR).is_nonzero  # nonzero off the denominator stage {1/2, 1}
+
+
+def test_jacobi_gap_is_nonzero_at_the_quadratic_roots():
+    gap = (5 * S - 6) * (5 * S - 4) - (5 * S - 4) * (S - 2)
+    assert sp.expand(gap - (5 * S - 4) * (4 * S - 4)) == 0
+    assert sp.resultant(gap, QUADRATIC, S) != 0  # no common root
+
+
+@pytest.mark.parametrize("s", map(sp.Rational, ("1/3", "1/2", "1", "3/2", "3")), ids=str)
+def test_forced_constants_match_the_exact_chain(s):
+    plain, route, g121 = surface_chain()
+    if FACTOR.subs(S, s) == 0:
+        exact = {"cleared_factor": FACTOR, "cleared_t1_12_bar2_over_lam2": S**2 * (S - 2)}
+    else:
+        exact = {"Gamma2_22_over_lambda": plain, "Gamma2_22_over_lambda_conjugate_route": route,
+                 "Gamma1_21_over_lambda": g121, "quadratic_7s2_12s_4": QUADRATIC}
+    forced = theorems.surface_obstruction(float(s)).forced_constants
+    assert forced.keys() == exact.keys()
+    for name, value in exact.items():
+        want = float(value.subs(S, s))
+        assert abs(forced[name] - want) <= 1e-14 * abs(want), name

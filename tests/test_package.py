@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,23 +15,18 @@ from hermlie import structio
 
 EXPORTS = {
     "core": (
-        "ConnectionFamily", "CurvatureReport", "FlatnessSummary", "LeviCivitaReport",
-        "ResidualReport", "TorsionData", "UnitaryStructure", "bracket_tables", "chern_torsion",
-        "covariant_torsion_derivatives", "curvature", "gauduchon_connection", "is_valid",
-        "kahler_flatness_summary", "levi_civita", "unitary_change", "validate_structure",
+        "CurvatureReport", "FlatnessSummary", "ResidualReport", "TorsionData", "UnitaryStructure",
+        "bracket_tables", "chern_torsion", "covariant_torsion_derivatives", "curvature",
+        "gauduchon_connection", "kahler_flatness_summary", "validate_structure",
     ),
-    "realform": (
-        "RealPresentation", "adapted_unitary_frame", "from_unitary_structure",
-        "to_unitary_structure", "validate_real",
-    ),
+    "realform": ("RealPresentation", "adapted_unitary_frame", "to_unitary_structure"),
     "catalog": (
         "BdfSpec", "abelian", "affine_complex_group", "bdf_flat_kahler_4d", "bdf_general",
         "complex_group", "perturb", "samelson_su2_r",
     ),
     "theorems": (
-        "DescentResult", "ObstructionReport", "SurfaceDerivativeTable", "TorsionIdentitySuite",
-        "common_kernel", "flat_torsion_identities", "half_flat_trace", "parallel_frame_reduction",
-        "surface_derivative_table", "surface_obstruction", "torsion_descent", "torsion_operator",
+        "DescentResult", "ObstructionReport", "TorsionIdentitySuite", "flat_torsion_identities",
+        "parallel_frame_reduction", "surface_obstruction", "torsion_descent",
     ),
     "search": (
         "SearchProblem", "SearchResult", "MultistartSummary", "jacobian", "lm_minimize",
@@ -38,11 +34,13 @@ EXPORTS = {
     ),
     "structio": ("emit_report", "emit_structure", "parse_structure"),
 }
+PACKAGE = Path(hermlie.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_exports_the_same_names():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 51
+    assert len(names) == 39
     assert sorted(hermlie.__all__) == sorted(names)
 
 
@@ -51,6 +49,24 @@ def test_each_name_is_its_owners_object(module):
     owner = importlib.import_module(f"hermlie.{module}")
     for name in EXPORTS[module]:
         assert getattr(hermlie, name) is getattr(owner, name), name
+
+
+def test_every_export_is_read_by_the_package_or_perfbench():
+    # a name no module and no benchmark script reads is dead public API
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + [*PERFBENCH.glob("*.py")]
+    lines = [line for p in files for line in p.read_text().splitlines()]
+
+    def read(name):
+        own = re.compile(rf"\s*(def|class) {name}\b")
+        return any(re.search(rf"\b{name}\b", line) and not own.match(line) for line in lines)
+
+    assert [name for name in hermlie.__all__ if not read(name)] == []
+
+
+def test_readme_library_tour_runs():
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    tour = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md library tour", "exec"), {})
 
 
 def test_unknown_name_raises_attribute_error():
@@ -85,7 +101,7 @@ HEAVY = {"hermlie.search", "hermlie.theorems", "hermlie.batteries"}
 def test_command_loads_only_what_it_runs(argv, absent, tmp_path):
     path = tmp_path / "s.json"
     path.write_bytes(structio.emit_structure(hermlie.abelian(2)))
-    src = str(Path(hermlie.__file__).resolve().parent.parent)
+    src = str(PACKAGE.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [arg.replace("{file}", str(path)) for arg in argv]
     out = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True,

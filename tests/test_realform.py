@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie.realform import complex_structure_constants, frame_gram_residual
+from hermlie.realform import complex_structure_constants
 
-from conftest import random_structure
+from conftest import frame_gram_residual, from_unitary_structure, random_structure, validate_real
 
 
 def standard_j(dim):
@@ -52,11 +52,11 @@ def random_compatible_presentation(n, seed):
 
 class TestValidateReal:
     def test_abelian_standard(self):
-        rep = hl.validate_real(abelian_presentation(4))
+        rep = validate_real(abelian_presentation(4))
         assert rep.max_abs == 0.0
 
     def test_bdf_reference_data(self):
-        rep = hl.validate_real(hl.bdf_flat_kahler_4d(1.0))
+        rep = validate_real(hl.bdf_flat_kahler_4d(1.0))
         assert rep.max_abs == 0.0
 
     def test_wrong_pairing_breaks_integrability(self):
@@ -69,7 +69,7 @@ class TestValidateReal:
         J[W, Z] = 1.0
         J[Z, W] = -1.0
         P = hl.RealPresentation(dim=4, f=base.f, G=np.eye(4), J=J)
-        rep = hl.validate_real(P)
+        rep = validate_real(P)
         assert rep.max_abs > 0.5
         # the (X, Z) pair is where the bracket terms fail to cancel
         assert rep.per_identity[("integrability", 1, 3)] == pytest.approx(1.0)
@@ -82,7 +82,7 @@ class TestValidateReal:
         P = hl.RealPresentation(
             dim=2, f=np.zeros((2, 2, 2)), G=np.diag([1.0, -1.0]), J=standard_j(2)
         )
-        rep = hl.validate_real(P)
+        rep = validate_real(P)
         assert rep.per_identity[("spd_violation",)] > 0
         assert not rep.valid
 
@@ -111,7 +111,7 @@ class TestAdaptedFrame:
     def test_random_metric_unitarity(self):
         for seed in range(10):
             P = random_compatible_presentation(2 + seed % 2, seed)
-            assert hl.validate_real(P).max_abs <= 1e-12
+            assert validate_real(P).max_abs <= 1e-12
             E = hl.adapted_unitary_frame(P)
             assert frame_gram_residual(P, E) <= 1e-12
 
@@ -167,7 +167,7 @@ class TestConversion:
         # both directions of the equivalence, on valid and broken data
         good = hl.bdf_flat_kahler_4d(2.0)
         _, _, offdiag = complex_structure_constants(good)
-        assert hl.validate_real(good).max_abs <= 1e-10 and offdiag <= 1e-10
+        assert validate_real(good).max_abs <= 1e-10 and offdiag <= 1e-10
 
         base = hl.bdf_flat_kahler_4d(2.0)
         J = np.zeros((4, 4))
@@ -176,7 +176,7 @@ class TestConversion:
         J[3, 2] = 1.0
         J[2, 3] = -1.0
         bad = hl.RealPresentation(dim=4, f=base.f, G=np.eye(4), J=J)
-        rep = hl.validate_real(bad)
+        rep = validate_real(bad)
         int_res = max(
             v for k, v in rep.per_identity.items() if k[0] == "integrability"
         )
@@ -193,7 +193,7 @@ class TestConversion:
             P = hl.RealPresentation(
                 dim=4, f=base.f + eps * noise, G=np.eye(4), J=base.J
             )
-            rep = hl.validate_real(P)
+            rep = validate_real(P)
             int_res = max(
                 v for k, v in rep.per_identity.items() if k[0] == "integrability"
             )
@@ -207,8 +207,8 @@ class TestRoundTrip:
         bdf = hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))
         affine = hl.affine_complex_group(1.0)
         for U in (hl.abelian(3), sam, bdf, affine):
-            P = hl.from_unitary_structure(U)
-            assert hl.validate_real(P).max_abs <= 1e-12
+            P = from_unitary_structure(U)
+            assert validate_real(P).max_abs <= 1e-12
             back = hl.to_unitary_structure(P)
             assert np.abs(back.C - U.C).max() <= 1e-12
             assert np.abs(back.D - U.D).max() <= 1e-12
@@ -217,11 +217,11 @@ class TestRoundTrip:
         # round trip is linear algebra; Jacobi validity is not needed
         for seed in range(8):
             U = random_structure(2 + seed % 2, 1000 + seed)
-            back = hl.to_unitary_structure(hl.from_unitary_structure(U))
+            back = hl.to_unitary_structure(from_unitary_structure(U))
             assert np.abs(back.C - U.C).max() <= 1e-12
             assert np.abs(back.D - U.D).max() <= 1e-12
 
     def test_affine_realification_is_a_lie_algebra(self, ):
-        P = hl.from_unitary_structure(hl.affine_complex_group(1.0))
-        rep = hl.validate_real(P)
+        P = from_unitary_structure(hl.affine_complex_group(1.0))
+        rep = validate_real(P)
         assert rep.per_identity[("jacobi",)] <= 1e-13

@@ -10,7 +10,9 @@ import hermlie as hl
 from hermlie import core
 from hermlie import search as S
 
-from conftest import quadratic_part, random_structure, random_unitary, residual_vector
+from conftest import (
+    quadratic_part, random_structure, random_unitary, residual_vector, unitary_change,
+)
 
 
 def fd_jacobian(x, problem, h=1e-6):
@@ -384,7 +386,7 @@ class TestMultistart:
         assert converged
         for res in converged:
             V = random_unitary(2, 5)
-            W = hl.unitary_change(res.best_point, V)
+            W = unitary_change(res.best_point, V)
             jac = float(np.sqrt(sum(
                 np.sum(np.abs(f) ** 2)
                 for f in hl.core.jacobi_residual_tensors(W.C, W.D)

@@ -1,5 +1,7 @@
 """Flat-case identity suites, the surface obstruction chain, and the descent."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def antisym_random(n, seed, scale=1.0):
     T = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     T = 0.5 * scale * (T - T.transpose(0, 2, 1))
     return hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
+
+
+@pytest.mark.parametrize("s, message", [
+    (np.nan, "s must be finite, got nan"), (np.inf, "s must be finite, got inf"),
+    (-np.inf, "s must be finite, got -inf"), (1e200, "overflows at s=1e+200"),
+], ids=["nan", "inf", "-inf", "1e200"])
+@pytest.mark.parametrize("check", ["surface_obstruction", "flat_torsion_identities"])
+def test_non_finite_or_overflowing_s_raises(check, s, message, samelson):
+    # no verdict at an s that is not finite or whose powers leave the float range
+    args = (samelson, s) if check == "flat_torsion_identities" else (s,)
+    with pytest.raises(hl.exceptions.ValidationError, match=re.escape(message)):
+        getattr(hl, check)(*args)
 
 
 class TestTorsionIdentities:
@@ -45,38 +59,20 @@ class TestTorsionIdentities:
         assert suite1.statuses["exchange_reduced"] == "not_applicable"
 
 
-class TestHalfFlatTrace:
-    def test_zero_iff_kahler(self):
-        assert hl.half_flat_trace(hl.chern_torsion(hl.abelian(3))) == 0.0
-        for seed in range(10):
-            tor = hl.chern_torsion(random_structure(2, 50 + seed))
-            value = hl.half_flat_trace(tor)
-            assert value >= 0
-            assert (value == 0) == (tor.norm == 0)
-
-    def test_samelson_value(self, samelson):
-        # sum |T|^2 = 2 * (1/8), |eta|^2 = 1/8 -> (1/4)(1/4 + 1/8) = 3/32
-        assert hl.half_flat_trace(hl.chern_torsion(samelson)) == pytest.approx(3 / 32)
-
-    def test_quadratic_scaling(self):
-        t1 = hl.half_flat_trace(hl.chern_torsion(hl.samelson_su2_r(1.0)))
-        t3 = hl.half_flat_trace(hl.chern_torsion(hl.samelson_su2_r(3.0)))
-        assert t3 == pytest.approx(9 * t1)
-
-
 class TestSurfaceDerivativeTable:
-    def test_endpoint_values(self):
-        assert hl.surface_derivative_table(1.0, 2.0).t1_12_2 == 0
-        assert hl.surface_derivative_table(1.0, 0.0).t1_12_2 == pytest.approx(2.0)
+    """The entry 4(s-1)(2s-1) T^1_{12,bar2} = s^2 (s-2) |lam|^2 that surface_obstruction reads."""
 
     def test_half_parameter_inconsistency(self):
-        table = hl.surface_derivative_table(1.0, 0.5)
-        assert table.cleared_factor == pytest.approx(0.0)
-        assert table.cleared_t1_12_bar2 == pytest.approx(-3 / 8)
-        assert not table.consistent
+        rep = hl.surface_obstruction(0.5)
+        assert rep.excluded_by == theorems.DENOMINATOR_EXCLUSION
+        assert rep.forced_constants["cleared_factor"] == pytest.approx(0.0)
+        assert rep.forced_constants["cleared_t1_12_bar2_over_lam2"] == pytest.approx(-3 / 8)
 
     def test_generic_consistent(self):
-        assert hl.surface_derivative_table(2.0 - 1.0j, 0.8).consistent
+        # the cleared factor is -0.48, so the entry is divided through: -0.768 / -0.48
+        rep = hl.surface_obstruction(0.8)
+        assert rep.excluded_by == theorems.QUADRATIC_MISMATCH
+        assert rep.forced_constants["Gamma2_22_over_lambda_conjugate_route"] == pytest.approx(1.6)
 
 
 class TestSurfaceObstruction:
@@ -104,101 +100,68 @@ class TestSurfaceObstruction:
         assert rep.forced_constants["C1_12_plus_D1_12_over_lambda"] == pytest.approx(5 * s - 6)
 
 
-class TestTorsionOperators:
-    def test_linearity(self):
-        tor = hl.chern_torsion(random_structure(3, 60))
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        Y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        a, b = 1.3 - 0.2j, 0.4 + 2.0j
-        lhs = hl.torsion_operator(tor, a * X + b * Y)
-        rhs = a * hl.torsion_operator(tor, X) + b * hl.torsion_operator(tor, Y)
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_matrix_convention(self):
-        tor = antisym_random(3, 1)
-        op = hl.torsion_operator(tor, [1.0, 0.0, 0.0])
-        assert np.allclose(op, tor.T[:, 0, :])  # (k, j) entry = T^k_{1j}
-
-
 class TestParallelFrameReduction:
     def test_zero_torsion(self):
         z = hl.TorsionData(T=np.zeros((3, 3, 3), complex), eta=np.zeros(3, complex))
-        U, diag = hl.parallel_frame_reduction(z, 1.5)
+        U, jacobi = hl.parallel_frame_reduction(z, 1.5)
         assert np.abs(U.C).max() == 0.0
-        assert diag.jacobi.max_abs == 0.0
-        assert diag.nilpotency_max == 0.0
-        assert diag.anticommutator_max == 0.0
+        assert jacobi.max_abs == 0.0
+        assert hl.curvature(U, 1.5).max_abs == 0.0
 
     def test_samelson_at_two(self, samelson):
         tor = hl.chern_torsion(samelson)
-        U, diag = hl.parallel_frame_reduction(tor, 2.0)
+        U, jacobi = hl.parallel_frame_reduction(tor, 2.0)
         assert np.abs(U.C - samelson.C).max() <= 1e-14
         assert np.abs(U.D - samelson.D).max() <= 1e-14
-        assert diag.jacobi.max_abs <= 1e-14
-        assert diag.flatness_max <= 1e-14
-        assert diag.quadratic_norm_max <= 1e-13
+        assert jacobi.max_abs <= 1e-14
+        assert hl.curvature(U, 2.0).max_abs <= 1e-14
 
     def test_single_entry_s1_anticommutes(self):
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0] = 0.7, -0.7
         tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        U, diag = hl.parallel_frame_reduction(tor, 1.0)
+        U, jacobi = hl.parallel_frame_reduction(tor, 1.0)
         assert np.abs(U.C).max() == 0.0  # C = 2(s-1)T = 0 at s=1
         assert np.abs(U.D + T).max() == 0.0  # D = -T
-        assert diag.anticommutator_max == 0.0
-        assert diag.jacobi.max_abs == pytest.approx(0.49)  # |lam|^2 from the mixed family
+        fam = T.transpose(1, 0, 2)  # fam[i][k, j] = T^k_{ij}, the operator A_{e_i}
+        prod = np.einsum("axy,byz->abxz", fam, fam)
+        assert np.abs(prod + prod.transpose(1, 0, 2, 3)).max() == 0.0
+        assert jacobi.max_abs == pytest.approx(0.49)  # |lam|^2 from the mixed family
 
     def test_flatness_identically_zero(self):
-        # connection coefficients vanish by construction: curvature must too
+        # connection coefficients vanish by construction: curvature must too,
+        # exactly where the parameter-s scalings of T round exactly
         for seed in range(5):
             tor = antisym_random(2 + seed % 2, 80 + seed)
-            _, diag = hl.parallel_frame_reduction(tor, 0.7)
-            assert diag.flatness_max <= 1e-14
-
-    def test_quadratic_norm_matches_conjugate_identity_contraction(self):
-        # the (i,j) quadratic norm identity is the conjugate-family identity
-        # contracted at k=i, l=j and divided by -s
-        for seed in range(5):
-            tor = antisym_random(3, 90 + seed)
-            T = tor.T
-            cT = np.conj(T)
-            for s in (0.5, 1.2, 3.0):
-                quad = theorems.quadratic_norm_identity(T, s)
-                rhs = (
-                    -4 * s * (s - 1) ** 2 * np.einsum("rij,rkl->ijkl", T, cT)
-                    - s * (5 * s**2 - 10 * s + 4)
-                    * (np.einsum("kir,jlr->ijkl", T, cT) - np.einsum("kjr,ilr->ijkl", T, cT))
-                    + s**3
-                    * (np.einsum("lir,jkr->ijkl", T, cT) - np.einsum("ljr,ikr->ijkl", T, cT))
-                )
-                contracted = np.einsum("ijij->ij", rhs)
-                assert np.abs(quad - (-contracted / s)).max() <= 1e-12
+            for s in (0.0, 0.5, 1.0, 2.0):
+                U, _ = hl.parallel_frame_reduction(tor, s)
+                assert hl.curvature(U, s).max_abs == 0.0
+            U, _ = hl.parallel_frame_reduction(tor, 0.7)
+            assert hl.curvature(U, 0.7).max_abs <= 1e-14
 
 
 class TestCommonKernel:
+    """The descent's kernel direction: _kernel_candidate of the torsion operator stack."""
+
     def test_zero_torsion_convention(self):
-        z = hl.TorsionData(T=np.zeros((3, 3, 3), complex), eta=np.zeros(3, complex))
-        w = hl.common_kernel(z)
+        w, smallest = theorems._kernel_candidate(np.zeros((3, 3, 3), complex))
         assert np.allclose(w, [1.0, 0.0, 0.0])
+        assert smallest == 0.0
 
     def test_single_entry_kernel_direction(self):
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0] = 0.7, -0.7
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        w = hl.common_kernel(tor)
+        w, smallest = theorems._kernel_candidate(T)
         assert abs(abs(w[2]) - 1.0) <= 1e-12
+        assert smallest <= 1e-12
 
     def test_full_rank_returns_none(self):
+        # no kernel: both singular values equal |lam| by hand, as the columns are orthogonal
         lam = 0.6
         T = np.zeros((2, 2, 2), complex)
         T[0, 0, 1], T[0, 1, 0] = lam, -lam
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        assert hl.common_kernel(tor) is None
-        # both singular values equal |lam| by hand: columns are orthogonal
-        fam = theorems.torsion_operator_family(tor)
-        sing = np.linalg.svd(fam.reshape(4, 2), compute_uv=False)
-        assert np.allclose(sing, [lam, lam])
+        _, smallest = theorems._kernel_candidate(T)
+        assert smallest == pytest.approx(lam)
 
     def test_anticommuting_family_has_kernel(self):
         # rotate the single-entry anticommuting family through random gauges
@@ -207,17 +170,12 @@ class TestCommonKernel:
         for seed in range(20):
             V = random_unitary(3, 1300 + seed)
             T = transform_frame(base, V)
-            tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-            fam = theorems.torsion_operator_family(tor)
+            fam = T.transpose(1, 0, 2)  # fam[i][k, j] = T^k_{ij}, the operator A_{e_i}
             prod = np.einsum("axy,byz->abxz", fam, fam)
             assert np.abs(prod + prod.transpose(1, 0, 2, 3)).max() <= 1e-12
-            w = hl.common_kernel(tor)
-            assert w is not None
-            worst = max(
-                np.abs(hl.torsion_operator(tor, np.eye(3)[i]) @ w).max()
-                for i in range(3)
-            )
-            assert worst <= 1e-10
+            w, smallest = theorems._kernel_candidate(T)
+            assert smallest <= 1e-10
+            assert np.abs(fam @ w).max() <= 1e-10
 
 
 class TestTorsionDescent:
@@ -276,8 +234,8 @@ class TestParallelBattery:
                 worst = batteries._worst_jacobi(T, s)
                 for z in range(0, len(T), 37):
                     tor = hl.TorsionData(T=T[z], eta=np.einsum("kkr->r", T[z]))
-                    _, diag = hl.parallel_frame_reduction(tor, s)
-                    assert worst[z] == pytest.approx(diag.jacobi.max_abs, rel=1e-13, abs=0.0)
+                    _, jacobi = hl.parallel_frame_reduction(tor, s)
+                    assert worst[z] == pytest.approx(jacobi.max_abs, rel=1e-13, abs=0.0)
 
     def test_samelson_slot_reads_zero_at_two(self, samelson):
         T = next(batteries._draws())[:7].copy()

@@ -20,12 +20,19 @@ from .tensors import antisymmetrize_lower, max_abs
 _SQRT2 = np.sqrt(2.0)
 
 
+def _zeros(n: int) -> np.ndarray:
+    """An n x n x n complex zero tensor; an error naming n when it cannot be allocated."""
+    try:
+        return np.zeros((n, n, n), dtype=complex)
+    except MemoryError as exc:
+        raise DegenerateParameterError(f"n={n} is too large to fit in memory") from exc
+
+
 def abelian(n: int) -> UnitaryStructure:
     """The Kahler flat baseline: C = D = 0 on C^n."""
     if n < 1:
         raise DegenerateParameterError(f"n must be >= 1, got {n}")
-    z = np.zeros((n, n, n), dtype=complex)
-    return UnitaryStructure(n=n, C=z, D=z.copy())
+    return UnitaryStructure(n=n, C=_zeros(n), D=_zeros(n))
 
 
 def complex_group(C, n: int | None = None) -> UnitaryStructure:
@@ -39,7 +46,7 @@ def complex_group(C, n: int | None = None) -> UnitaryStructure:
     C = np.asarray(C, dtype=complex)
     if n is None:
         n = C.shape[0]
-    U = UnitaryStructure(n=n, C=C, D=np.zeros((n, n, n), dtype=complex))
+    U = UnitaryStructure(n=n, C=C, D=_zeros(n))
     with np.errstate(over="ignore", invalid="ignore"):
         fam1, _, _ = jacobi_residual_tensors(U.C, U.D)
     worst = max_abs(fam1)
@@ -56,7 +63,7 @@ def affine_complex_group(c: float = 1.0, n: int = 2) -> UnitaryStructure:
     """The n=2 staple [e_1, e_2] = c e_2, embedded in dimension n >= 2."""
     if n < 2:
         raise DegenerateParameterError("affine example needs n >= 2")
-    C = np.zeros((n, n, n), dtype=complex)
+    C = _zeros(n)
     C[1, 0, 1] = c
     C[1, 1, 0] = -c
     return complex_group(C, n)
@@ -110,11 +117,12 @@ class BdfSpec:
 
     p rotating planes span the derived algebra (dimension 2p); an
     h_dim-dimensional abelian subalgebra acts on plane i through the
-    rotation weight q[:, i]; c_dim central directions complete the
-    space.  J pairs the first 2*h_internal_pairs directions of h
-    internally, the first 2*c_internal_pairs of the centre internally,
-    and matches the leftovers of h with the leftovers of the centre in
-    order (their counts must agree).
+    rotation weight q[:, i], given as the h_dim x p matrix or its
+    entries row by row; c_dim central directions complete the space.
+    J pairs the first 2*h_internal_pairs directions of h internally,
+    the first 2*c_internal_pairs of the centre internally, and matches
+    the leftovers of h with the leftovers of the centre in order (their
+    counts must agree).  Every count must be nonnegative.
     """
 
     p: int
@@ -125,16 +133,20 @@ class BdfSpec:
     c_internal_pairs: int = 0
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q if self.q is not None else [], dtype=float))
-        if self.p < 0 or self.h_dim < 0 or self.c_dim < 0:
-            raise ValidationError("dimensions must be nonnegative")
+        counts = ("p", "h_dim", "c_dim", "h_internal_pairs", "c_internal_pairs")
+        negative = [name for name in counts if getattr(self, name) < 0]
+        if negative:
+            raise ValidationError(f"{', '.join(negative)} must be nonnegative")
+        q = np.asarray(self.q if self.q is not None else [], dtype=float)
+        if q.ndim < 2 and q.size == self.h_dim * self.p:
+            q = q.reshape(self.h_dim, self.p)  # the weights given flat, row by row
+        q = np.atleast_2d(q)
         if self.h_dim == 0 and self.p > 0:
             raise ValidationError("rotating planes need a nonzero h to act")
         if self.h_dim > 0:
             if q.shape != (self.h_dim, self.p):
-                raise ValidationError(
-                    f"q must be {self.h_dim}x{self.p}, got {q.shape}"
-                )
+                raise ValidationError(f"q must be {self.h_dim}x{self.p} "
+                                      f"({self.h_dim * self.p} values), got shape {q.shape}")
             if self.p > 0:
                 if np.linalg.matrix_rank(q) < self.h_dim or min(
                     np.linalg.svd(q, compute_uv=False)

@@ -174,7 +174,6 @@ def _built_from(option: str, value, build, *build_args):
 
 
 def _cmd_catalog(args) -> int:
-    import numpy as np
     from . import catalog, structio
     from .realform import to_unitary_structure
     name = args.name
@@ -198,20 +197,8 @@ def _cmd_catalog(args) -> int:
         U = to_unitary_structure(catalog.bdf_flat_kahler_4d(q[0]))
         label = f"bdf4(q={q[0]})"
     elif name == "bdf-general":
-        if len(q) != args.h_dim * args.p:
-            print(
-                f"error: --q needs {args.h_dim * args.p} values (h-dim x p), got {len(q)}",
-                file=sys.stderr,
-            )
-            return 2
-        spec = catalog.BdfSpec(
-            p=args.p,
-            h_dim=args.h_dim,
-            c_dim=args.c_dim,
-            q=np.array(q).reshape(args.h_dim, args.p),
-            h_internal_pairs=args.h_pairs,
-            c_internal_pairs=args.c_pairs,
-        )
+        spec = catalog.BdfSpec(p=args.p, h_dim=args.h_dim, c_dim=args.c_dim, q=q,
+                               h_internal_pairs=args.h_pairs, c_internal_pairs=args.c_pairs)
         U = to_unitary_structure(catalog.bdf_general(spec))
         label = f"bdf-general(p={args.p}, h={args.h_dim}, c={args.c_dim})"
     elif name == "perturb":

@@ -56,7 +56,7 @@ from .core import (
     jacobi_residual_tensors,
 )
 from .exceptions import DimensionMismatchError, ValidationError
-from .tensors import antisymmetrize_lower, frozen
+from .tensors import frozen
 
 FULL = "full"
 PARALLEL_FRAME = "parallel_frame"
@@ -168,11 +168,6 @@ def _decode(x: np.ndarray, problem: SearchProblem):
     return _parallel_frame(X, problem.s)
 
 
-def _encode(problem: SearchProblem, X: np.ndarray, D=()) -> np.ndarray:
-    """The point of the antisymmetric tensor X, and of D in full mode."""
-    return np.concatenate([X[_index_table(problem.n)], np.ravel(D)]).view(float)
-
-
 def structure_from_point(problem: SearchProblem, x: np.ndarray) -> UnitaryStructure:
     """Decode an unknown vector into the structure it describes."""
     if np.shape(x) != (unknown_count(problem),):
@@ -181,22 +176,6 @@ def structure_from_point(problem: SearchProblem, x: np.ndarray) -> UnitaryStruct
         )
     C, D = _decode(x, problem)
     return UnitaryStructure(n=problem.n, C=C, D=D)
-
-
-def point_from_structure(problem: SearchProblem, U: UnitaryStructure) -> np.ndarray:
-    """Encode a structure as an unknown vector (full mode) exactly."""
-    if problem.mode != FULL:
-        raise ValueError("only full mode can encode an arbitrary structure")
-    if U.n != problem.n:
-        raise DimensionMismatchError(f"structure has n={U.n}, problem wants n={problem.n}")
-    return _encode(problem, U.C, U.D)
-
-
-def point_from_torsion(problem: SearchProblem, T: np.ndarray) -> np.ndarray:
-    """Encode a torsion tensor as a parallel-frame unknown vector."""
-    if problem.mode != PARALLEL_FRAME:
-        raise ValueError("torsion points belong to parallel_frame mode")
-    return _encode(problem, antisymmetrize_lower(np.asarray(T, complex)))
 
 
 # ---------------------------------------------------------------------------

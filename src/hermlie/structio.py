@@ -119,32 +119,21 @@ def parse_structure(data: bytes | str) -> UnitaryStructure:
     return UnitaryStructure(n=n, C=C, D=D)
 
 
+def _entries(X: np.ndarray, i_below_k: bool = False) -> list:
+    """The nonzero entries of X (only those with i < k, if asked), 1-based, in (j, i, k) order."""
+    nonzero = X != 0
+    if i_below_k:
+        nonzero &= np.triu(np.ones(X.shape[1:], dtype=bool), 1)
+    return [{"j": j + 1, "i": i + 1, "k": k + 1, "re": _fmt(X[j, i, k].real),
+             "im": _fmt(X[j, i, k].imag)} for j, i, k in np.argwhere(nonzero).tolist()]
+
+
 def emit_structure(
     U: UnitaryStructure, name: str | None = None, provenance: str | None = None
 ) -> bytes:
     """Canonical bytes: sorted keys, sorted index tuples, 17 significant digits."""
-    doc: dict = {"schema_version": SCHEMA_VERSION, "n": U.n}
-    c_entries = []
-    for j in range(U.n):
-        for i in range(U.n):
-            for k in range(i + 1, U.n):
-                v = U.C[j, i, k]
-                if v != 0:
-                    c_entries.append(
-                        {"j": j + 1, "i": i + 1, "k": k + 1, "re": _fmt(v.real), "im": _fmt(v.imag)}
-                    )
-    d_entries = []
-    for j in range(U.n):
-        for i in range(U.n):
-            for k in range(U.n):
-                v = U.D[j, i, k]
-                if v != 0:
-                    d_entries.append(
-                        {"j": j + 1, "i": i + 1, "k": k + 1, "re": _fmt(v.real), "im": _fmt(v.imag)}
-                    )
-    key = lambda e: (e["j"], e["i"], e["k"])
-    doc["C"] = sorted(c_entries, key=key)
-    doc["D"] = sorted(d_entries, key=key)
+    doc = {"schema_version": SCHEMA_VERSION, "n": U.n,
+           "C": _entries(U.C, i_below_k=True), "D": _entries(U.D)}
     meta = {}
     if name is not None:
         meta["name"] = name
@@ -156,43 +145,28 @@ def emit_structure(
     return (text + "\n").encode("utf-8")
 
 
-def analyze_rows(summary: FlatnessSummary) -> list:
-    """Rows of the analyze report: one per grid parameter."""
-    return [
-        {
-            "s": s,
-            "flatness_residual": res,
-            "torsion_norm": summary.torsion_norm,
-            "eta_norm": summary.eta_norm,
-            "kahler_flag": summary.kahler,
-        }
-        for s, res in summary.rows
-    ]
-
-
 _ANALYZE_COLUMNS = ("s", "flatness_residual", "torsion_norm", "eta_norm", "kahler_flag")
 
 
 def emit_report(report, fmt: str = "json") -> bytes:
     """Serialize a report deterministically as JSON or CSV.
 
-    FlatnessSummary reports become the analyze table (columns s,
-    flatness_residual, torsion_norm, eta_norm, kahler_flag); other
-    reports must already be lists of flat dicts sharing one key set.
+    FlatnessSummary reports become the analyze table, one row per grid
+    parameter in the columns _ANALYZE_COLUMNS (the header alone when the
+    grid is empty); other reports must already be lists of flat dicts
+    sharing one key set, whose first row orders the columns.
     """
-    rows = analyze_rows(report) if isinstance(report, FlatnessSummary) else list(report)
+    if isinstance(report, FlatnessSummary):
+        columns = _ANALYZE_COLUMNS
+        rows = [dict(zip(columns, (s, res, report.torsion_norm, report.eta_norm, report.kahler)))
+                for s, res in report.rows]
+    else:
+        rows = list(report)
+        columns = tuple(rows[0]) if rows else ()
     if fmt == "json":
         text = json.dumps(_jsonable(rows), sort_keys=True, indent=2)
         return (text + "\n").encode("utf-8")
     if fmt == "csv":
-        if rows and isinstance(rows[0], dict):
-            columns = (
-                _ANALYZE_COLUMNS
-                if set(rows[0]) == set(_ANALYZE_COLUMNS)
-                else tuple(rows[0].keys())
-            )
-        else:
-            columns = _ANALYZE_COLUMNS
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

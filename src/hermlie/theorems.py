@@ -4,7 +4,8 @@ Operations here replay, numerically, the mechanisms that force a flat
 structure (at parameter s outside {0, 2}) to be Kahler: identity
 families satisfied by the torsion of flat structures, the surface
 (n = 2) obstruction chain, the parallel-frame reduction in general
-dimension, and the kernel-peeling descent of the torsion operators.
+dimension, and the kernel-peeling descent of the torsion operators,
+which works in the frame of right singular vectors of their stack.
 """
 
 from __future__ import annotations
@@ -234,33 +235,19 @@ def parallel_frame_reduction(T: TorsionData, s: float):
     return U, validate_structure(U)
 
 
-def _kernel_candidate(Tm: np.ndarray):
-    """Smallest right singular vector of the operator stack and its singular value.
+def _kernel_frame(Tm: np.ndarray):
+    """The operator stack's right singular vectors as a frame, and its smallest singular value.
 
-    For T = 0 the vector is the first basis vector, with value 0.
+    The frame's columns are conj(Vh).T, so it is unitary and its last
+    column, the smallest right singular vector, spans the stack's kernel
+    when it has one.  For T = 0 the frame is the identity, with value 0.
     """
     n = Tm.shape[0]
     stack = Tm.transpose(1, 0, 2).reshape(n * n, n)
     if not stack.any():
-        return np.eye(n, dtype=complex)[0], 0.0
+        return np.eye(n, dtype=complex), 0.0
     _, sing, Vh = np.linalg.svd(stack)
-    return np.conj(Vh[-1]), float(sing[-1])
-
-
-def _householder_to_last(w: np.ndarray) -> np.ndarray:
-    """Unitary reflection V (columns = new frame) with last column parallel to w."""
-    n = w.shape[0]
-    w = w / np.linalg.norm(w)
-    beta = w[-1] / abs(w[-1]) if abs(w[-1]) > 1e-14 else 1.0
-    e_last = np.zeros(n, dtype=complex)
-    e_last[-1] = beta
-    v = w - e_last
-    vv = float(np.real(np.vdot(v, v)))
-    H = np.eye(n, dtype=complex)
-    if vv > 1e-28:
-        H -= 2.0 * np.outer(v, np.conj(v)) / vv
-    # H (unitary, Hermitian) maps w to beta * e_n, so its last column spans w
-    return H
+    return np.conj(Vh).T, float(sing[-1])
 
 
 @dataclass(frozen=True)
@@ -286,10 +273,11 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
     not checked: its connection coefficients D + sT cancel, so its
     curvature is rounding, far below the tolerance wherever Jacobi
     holds.  For s within 1e-9 of {0, 2} the argument does not apply and
-    the descent is skipped.  Otherwise a common-kernel direction of the torsion
-    operators is rotated into the last coordinate by a Householder
-    reflection, the entries forced to vanish there are measured, the
-    last coordinate is dropped, and the process repeats; the returned
+    the descent is skipped.  Otherwise the torsion is rewritten in the
+    frame of right singular vectors of its operator stack, whose last
+    column is a common-kernel direction of the operators; the entries
+    forced to vanish along that direction are measured, the last
+    coordinate is dropped, and the process repeats.  The returned
     residual is the torsion norm left when the peeling terminates
     (zero, if the rigidity prediction holds).
     """
@@ -309,10 +297,9 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
         norm = frobenius(Tm)
         if norm <= tol:
             return DescentResult(0.0, False, "completed", tuple(steps))
-        w, smallest = _kernel_candidate(Tm)
+        V, smallest = _kernel_frame(Tm)
         if smallest > 1e-8 * norm:
             return DescentResult(norm, False, "stuck", tuple(steps))
-        V = _householder_to_last(w)
         Tm = transform_frame(Tm, V)
         m = Tm.shape[0]
         # kernel direction as a lower index, plus the forced upper-index slice

@@ -10,7 +10,7 @@ from hermlie import search as S
 from hermlie._config import validity_tol
 from hermlie.core import ResidualReport, _curvature_tensor, jacobi_residual_tensors
 from hermlie.exceptions import DimensionMismatchError
-from hermlie.tensors import frozen, max_abs, transform_frame
+from hermlie.tensors import antisymmetrize_lower, frozen, max_abs, transform_frame
 
 
 @pytest.fixture
@@ -98,6 +98,23 @@ def curvature_as_flatness_families(R: np.ndarray):
         -np.einsum("iklj->ijkl", R[:n, :n]),
         -np.einsum("ijlk->ijkl", R[:n, n:]),
     )
+
+
+def _encode(problem, X: np.ndarray, D=()) -> np.ndarray:
+    """The search point of the antisymmetric tensor X, and of D in full mode."""
+    return np.concatenate([X[S._index_table(problem.n)], np.ravel(D)]).view(float)
+
+
+def point_from_structure(problem, U: hl.UnitaryStructure) -> np.ndarray:
+    """The full-mode search point of a structure, exactly: the inverse of structure_from_point."""
+    assert problem.mode == S.FULL and U.n == problem.n
+    return _encode(problem, U.C, U.D)
+
+
+def point_from_torsion(problem, T: np.ndarray) -> np.ndarray:
+    """The parallel-frame search point of a torsion tensor."""
+    assert problem.mode == S.PARALLEL_FRAME
+    return _encode(problem, antisymmetrize_lower(np.asarray(T, complex)))
 
 
 def quadratic_part(x: np.ndarray, problem) -> np.ndarray:

@@ -12,7 +12,7 @@ from hermlie import batteries, structio
 
 from conftest import (
     connection_flatness_residuals, curvature_as_flatness_families, from_unitary_structure,
-    levi_civita, random_structure, residual_vector,
+    levi_civita, point_from_torsion, random_structure, residual_vector,
 )
 
 SEED = 20240810
@@ -141,7 +141,7 @@ def test_criterion_07_parallel_frame_search():
             ok &= bad == 0
     prob2 = S.SearchProblem(n=2, s=2.0, mode=S.PARALLEL_FRAME, tol=1e-13)
     T = hl.chern_torsion(hl.samelson_su2_r(1.0)).T
-    res = S.lm_minimize(prob2, S.point_from_torsion(prob2, T))
+    res = S.lm_minimize(prob2, point_from_torsion(prob2, T))
     ok &= res.classification == S.CONVERGED_NONKAHLER
     details.append(f"s=2 seeded:{res.classification}")
     verdict(7, "parallel-frame search finds no non-Kahler structure off the endpoints",

@@ -22,6 +22,13 @@ class TestAbelian:
             hl.abelian(0)
 
 
+def test_too_large_n_is_named():
+    # NumPy refuses 14 PiB before touching memory
+    for build in (hl.abelian, lambda n: hl.affine_complex_group(1.0, n)):
+        with pytest.raises(hl.exceptions.DegenerateParameterError, match="^n=100000 is too large"):
+            build(100000)
+
+
 class TestComplexGroup:
     def test_zero_is_abelian(self):
         U = hl.complex_group(np.zeros((2, 2, 2)))
@@ -114,6 +121,19 @@ class TestBdf:
             hl.BdfSpec(p=2, h_dim=1, c_dim=1, q=[[1.0, 0.0]])  # dead plane
         with pytest.raises(hl.exceptions.ValidationError):
             hl.BdfSpec(p=1, h_dim=1, c_dim=2, q=[[1.0]])  # pairing mismatch
+        with pytest.raises(hl.exceptions.ValidationError, match=r"^q must be 1x2 \(2 values\)"):
+            hl.BdfSpec(p=2, h_dim=1, c_dim=1, q=[1.0, 2.0, 3.0])
+
+    def test_negative_counts_are_named(self):
+        with pytest.raises(hl.exceptions.ValidationError,
+                           match="^h_internal_pairs, c_internal_pairs must be nonnegative$"):
+            hl.BdfSpec(p=1, h_dim=1, c_dim=1, q=[[1.0]], h_internal_pairs=-1, c_internal_pairs=-1)
+        with pytest.raises(hl.exceptions.ValidationError, match="^p must be nonnegative$"):
+            hl.BdfSpec(p=-1, h_dim=1, c_dim=1, q=[1.0])
+
+    def test_flat_weights_fill_the_matrix_row_by_row(self):
+        flat = hl.BdfSpec(p=2, h_dim=2, c_dim=2, q=[1.0, 0.5, 0.0, 2.0])
+        assert np.array_equal(flat.q, [[1.0, 0.5], [0.0, 2.0]])
 
 
 def test_every_catalog_output_is_valid():

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hermlie as hl
 from hermlie import batteries, search, structio
@@ -87,7 +89,37 @@ class TestParse:
         assert "(j=2, i=1, k=2)" in str(err.value)
 
 
+@st.composite
+def sparse_structures(draw):
+    """Random (C, D) at n = 1..4 with random zero patterns and finite complex entries."""
+    n = draw(st.integers(1, 4))
+    index = st.tuples(*3 * [st.integers(0, n - 1)])
+    entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+    def sparse():
+        X = np.zeros((n, n, n), dtype=complex)
+        for key, value in draw(st.dictionaries(index, entries, max_size=n**3)).items():
+            X[key] = value
+        return X
+
+    X = np.where(np.triu(np.ones((n, n), dtype=bool), 1), sparse(), 0)
+    return hl.UnitaryStructure(n=n, C=X - X.transpose(0, 2, 1), D=sparse())
+
+
 class TestEmit:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(sparse_structures())
+    def test_sparse_structures_round_trip_in_canonical_order(self, U):
+        payload = structio.emit_structure(U)
+        doc = json.loads(payload)
+        assert all(e["i"] < e["k"] for e in doc["C"])
+        for label in ("C", "D"):
+            keys = [(e["j"], e["i"], e["k"]) for e in doc[label]]
+            assert all(a < b for a, b in zip(keys, keys[1:])), label
+        back = structio.parse_structure(payload)
+        assert np.array_equal(back.C, U.C) and np.array_equal(back.D, U.D)
+        assert structio.emit_structure(back) == payload
+
     def test_round_trip_exact_and_bitwise(self):
         for name, U in catalog_fixtures().items():
             payload = structio.emit_structure(U, name=name)
@@ -132,6 +164,11 @@ class TestReports:
             assert flag == "false"
         assert rows[2.0][0] <= 1e-12
         assert rows[0.0][0] > 1e-12
+
+    def test_empty_grid_keeps_the_analyze_header(self):
+        summary = hl.kahler_flatness_summary(hl.abelian(2), [])
+        assert structio.emit_report(summary, "csv") == (
+            b"s,flatness_residual,torsion_norm,eta_norm,kahler_flag\n")
 
     def test_json_report_parses(self):
         U = hl.abelian(2)
@@ -249,6 +286,10 @@ class TestCli:
             (["analyze", "{file}", "--s-grid", "1e308"], {}),
             (["catalog", "perturb", "--base", "{file}", "--seed", "-1"], {}),
             (["catalog", "complex-group", "--n", "1"], {}),
+            (["catalog", "abelian", "--n", "100000"], {}),
+            (["catalog", "complex-group", "--n", "100000"], {}),
+            (["catalog", "bdf-general", "--h-pairs", "-1", "--c-pairs", "-1"], {}),
+            (["catalog", "bdf-general", "--p", "-1"], {}),
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "search-n1-parallel",
@@ -256,7 +297,8 @@ class TestCli:
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
             "perturb-eps-huge", "bdf4-q-huge",
             "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
-            "perturb-seed-negative", "complex-group-n1",
+            "perturb-seed-negative", "complex-group-n1", "abelian-n-huge", "complex-group-n-huge",
+            "bdf-general-pairs-negative", "bdf-general-p-negative",
         ],
     )
     def test_bad_input_is_an_error(self, argv, env, tmp_path, capsys, monkeypatch):
@@ -308,10 +350,18 @@ class TestCli:
              "seed must be nonnegative, got -1"),
             (["catalog", "complex-group", "--n", "1"], "affine example needs n >= 2"),
             (["validate", "{bool-index}"], "D[0]: index j=True must be an integer"),
+            # NumPy refuses 14 PiB before touching memory
+            (["catalog", "abelian", "--n", "100000"], "n=100000 is too large"),
+            (["catalog", "complex-group", "--n", "100000"], "error: n=100000 is too large"),
+            (["catalog", "bdf-general", "--h-pairs", "-1", "--c-pairs", "-1"],
+             "h_internal_pairs, c_internal_pairs must be nonnegative"),
+            (["catalog", "bdf-general", "--p", "-1"], "error: p must be nonnegative"),
+            (["catalog", "bdf-general", "--p", "2", "--q", "1,2,3"], "q must be 1x2 (2 values)"),
         ],
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
              "perturb-eps-huge", "analyze-s", "search-s-huge", "perturb-seed-negative",
-             "complex-group-n1", "bool-index"],
+             "complex-group-n1", "bool-index", "abelian-n-huge", "complex-group-n-huge",
+             "bdf-general-pairs-negative", "bdf-general-p-negative", "bdf-general-q-count"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -11,7 +11,8 @@ from hermlie import core
 from hermlie import search as S
 
 from conftest import (
-    quadratic_part, random_structure, random_unitary, residual_vector, unitary_change,
+    point_from_structure, point_from_torsion, quadratic_part, random_structure, random_unitary,
+    residual_vector, unitary_change,
 )
 
 
@@ -28,17 +29,17 @@ def fd_jacobian(x, problem, h=1e-6):
 class TestResidualVector:
     def test_abelian_zero(self):
         prob = S.SearchProblem(n=2, s=1.0)
-        x = S.point_from_structure(prob, hl.abelian(2))
+        x = point_from_structure(prob, hl.abelian(2))
         assert np.linalg.norm(residual_vector(x, prob)) == 0.0
 
     def test_samelson_zero_at_two(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)
-        x = S.point_from_structure(prob, samelson)
+        x = point_from_structure(prob, samelson)
         assert np.linalg.norm(residual_vector(x, prob)) <= 1e-14
 
     def test_samelson_nonzero_entries_match_curvature(self, samelson):
         prob = S.SearchProblem(n=2, s=0.0)
-        x = S.point_from_structure(prob, samelson)
+        x = point_from_structure(prob, samelson)
         r = residual_vector(x, prob)
         # Jacobi part vanishes (valid algebra); the rest is curvature entries
         n4 = 2**4
@@ -60,7 +61,7 @@ class TestResidualVector:
 
     def test_point_encoding_roundtrip(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)
-        x = S.point_from_structure(prob, samelson)
+        x = point_from_structure(prob, samelson)
         U = S.structure_from_point(prob, x)
         assert np.abs(U.C - samelson.C).max() == 0.0
         assert np.abs(U.D - samelson.D).max() == 0.0
@@ -76,7 +77,7 @@ class TestResidualVector:
 
     def test_hunt_appends_hinge(self):
         prob = S.SearchProblem(n=2, s=1.0, hunt=True)
-        x = S.point_from_structure(prob, hl.abelian(2))
+        x = point_from_structure(prob, hl.abelian(2))
         r = residual_vector(x, prob)
         assert r[-1] == 0.5  # 0.5 - |T| with T = 0
 
@@ -210,15 +211,15 @@ class TestCodec:
         x = rng.standard_normal(S.unknown_count(prob))
         U = S.structure_from_point(prob, x)
         if mode == S.FULL:
-            assert np.array_equal(S.point_from_structure(prob, U), x)
+            assert np.array_equal(point_from_structure(prob, U), x)
             V = random_structure(n, 60 + n)
-            W = S.structure_from_point(prob, S.point_from_structure(prob, V))
+            W = S.structure_from_point(prob, point_from_structure(prob, V))
             assert np.array_equal(W.C, V.C) and np.array_equal(W.D, V.D)
         else:
-            assert np.array_equal(S.point_from_torsion(prob, hl.chern_torsion(U).T), x)
+            assert np.array_equal(point_from_torsion(prob, hl.chern_torsion(U).T), x)
             T = hl.chern_torsion(random_structure(n, 60 + n)).T
             prob = S.SearchProblem(n=n, s=1.3, mode=mode)
-            W = S.structure_from_point(prob, S.point_from_torsion(prob, T))
+            W = S.structure_from_point(prob, point_from_torsion(prob, T))
             assert np.array_equal(W.C, 2 * (1.3 - 1) * T) and np.array_equal(W.D, -1.3 * T)
 
     @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
@@ -247,7 +248,7 @@ class TestCodec:
 class TestLmMinimize:
     def test_zero_iterations_on_solution(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)
-        res = S.lm_minimize(prob, S.point_from_structure(prob, samelson))
+        res = S.lm_minimize(prob, point_from_structure(prob, samelson))
         assert res.iterations == 0
         assert res.classification == S.CONVERGED_NONKAHLER
         assert res.torsion_norm == pytest.approx(0.5)
@@ -261,7 +262,7 @@ class TestLmMinimize:
     def test_perturbed_samelson_reconverges(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0, tol=1e-10, max_iters=200)
         noisy = hl.perturb(samelson, 1e-3, 12)
-        res = S.lm_minimize(prob, S.point_from_structure(prob, noisy))
+        res = S.lm_minimize(prob, point_from_structure(prob, noisy))
         assert res.classification == S.CONVERGED_NONKAHLER
         assert res.residual_norm <= 1e-10
         assert res.torsion_norm == pytest.approx(0.5, abs=1e-2)
@@ -270,7 +271,7 @@ class TestLmMinimize:
         # accepted steps never increase the residual norm
         prob = S.SearchProblem(n=2, s=2.0, tol=1e-12, max_iters=60)
         noisy = hl.perturb(samelson, 0.05, 3)
-        res = S.lm_minimize(prob, S.point_from_structure(prob, noisy))
+        res = S.lm_minimize(prob, point_from_structure(prob, noisy))
         assert len(res.residual_history) >= 2
         assert all(
             b <= a for a, b in zip(res.residual_history, res.residual_history[1:])
@@ -291,7 +292,7 @@ class TestLmMinimize:
 class TestStopReason:
     def test_tol_on_perturbed_samelson(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0, tol=1e-10, max_iters=200)
-        res = S.lm_minimize(prob, S.point_from_structure(prob, hl.perturb(samelson, 1e-3, 12)))
+        res = S.lm_minimize(prob, point_from_structure(prob, hl.perturb(samelson, 1e-3, 12)))
         assert res.stop_reason == "tol"
         assert res.residual_norm <= prob.tol
 

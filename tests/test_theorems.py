@@ -141,18 +141,23 @@ class TestParallelFrameReduction:
 
 
 class TestCommonKernel:
-    """The descent's kernel direction: _kernel_candidate of the torsion operator stack."""
+    """The descent's frame: _kernel_frame of the torsion operator stack.
+
+    The frame is unitary and its last column is the stack's smallest
+    right singular vector, the kernel direction when the stack has one.
+    """
 
     def test_zero_torsion_convention(self):
-        w, smallest = theorems._kernel_candidate(np.zeros((3, 3, 3), complex))
-        assert np.allclose(w, [1.0, 0.0, 0.0])
+        V, smallest = theorems._kernel_frame(np.zeros((3, 3, 3), complex))
+        assert np.array_equal(V, np.eye(3))
         assert smallest == 0.0
 
     def test_single_entry_kernel_direction(self):
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0] = 0.7, -0.7
-        w, smallest = theorems._kernel_candidate(T)
-        assert abs(abs(w[2]) - 1.0) <= 1e-12
+        V, smallest = theorems._kernel_frame(T)
+        assert np.abs(V.conj().T @ V - np.eye(3)).max() <= 1e-12
+        assert abs(abs(V[2, -1]) - 1.0) <= 1e-12
         assert smallest <= 1e-12
 
     def test_full_rank_returns_none(self):
@@ -160,22 +165,27 @@ class TestCommonKernel:
         lam = 0.6
         T = np.zeros((2, 2, 2), complex)
         T[0, 0, 1], T[0, 1, 0] = lam, -lam
-        _, smallest = theorems._kernel_candidate(T)
+        V, smallest = theorems._kernel_frame(T)
         assert smallest == pytest.approx(lam)
+        assert np.abs(V.conj().T @ V - np.eye(2)).max() <= 1e-12
 
     def test_anticommuting_family_has_kernel(self):
         # rotate the single-entry anticommuting family through random gauges
         base = np.zeros((3, 3, 3), complex)
         base[2, 0, 1], base[2, 1, 0] = 1.1, -1.1
         for seed in range(20):
-            V = random_unitary(3, 1300 + seed)
-            T = transform_frame(base, V)
+            W = random_unitary(3, 1300 + seed)
+            T = transform_frame(base, W)
             fam = T.transpose(1, 0, 2)  # fam[i][k, j] = T^k_{ij}, the operator A_{e_i}
             prod = np.einsum("axy,byz->abxz", fam, fam)
             assert np.abs(prod + prod.transpose(1, 0, 2, 3)).max() <= 1e-12
-            w, smallest = theorems._kernel_candidate(T)
+            V, smallest = theorems._kernel_frame(T)
             assert smallest <= 1e-10
-            assert np.abs(fam @ w).max() <= 1e-10
+            assert np.abs(V.conj().T @ V - np.eye(3)).max() <= 1e-12
+            assert np.abs(fam @ V[:, -1]).max() <= 1e-10
+            # in the frame V the torsion has no entry along its last direction
+            Tv = transform_frame(T, V)
+            assert max(np.abs(Tv[:, 2]).max(), np.abs(Tv[:, :, 2]).max()) <= 1e-10
 
 
 class TestTorsionDescent:

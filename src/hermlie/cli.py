@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
 
 
 _SEARCH_COLUMNS = ("seed_used", "iterations", "stop_reason", "final_jacobi", "final_flatness",
-                   "torsion_norm", "classification")
+                   "torsion_norm", "classification", "rho")
 
 
 def _cmd_search(args) -> int:

@@ -141,24 +141,12 @@ def complex_structure_constants(P: RealPresentation):
     E = adapted_unitary_frame(P)
     n = P.n
     G = P.G.astype(complex)
-    fC = P.f.astype(complex)
     Ebar = np.conj(E)
-
-    def brack(x, y):
-        return np.einsum("cab,a,b->c", fC, x, y)
-
-    C = np.zeros((n, n, n), dtype=complex)
-    D = np.zeros((n, n, n), dtype=complex)
-    offdiag = 0.0
-    for i in range(n):
-        for k in range(n):
-            v = brack(E[:, i], E[:, k])
-            C[:, i, k] = v @ G @ Ebar  # <[e_i,e_k], ebar_j>
-            offdiag = max(offdiag, float(np.abs(v @ G @ E).max()))
-    for j in range(n):
-        for k in range(n):
-            w = brack(Ebar[:, j], E[:, k])
-            D[j, :, k] = w @ G @ E  # <[ebar_j,e_k], e_i>
+    # brk[x, k] = [v_x, e_k] for v = (e_1..e_n, ebar_1..ebar_n)
+    brk = np.einsum("cab,ax,bk->xkc", P.f.astype(complex), np.concatenate([E, Ebar], axis=1), E)
+    C = np.einsum("ikc,cd,dj->jik", brk[:n], G, Ebar)  # <[e_i,e_k], ebar_j>
+    D = np.einsum("jkc,cd,di->jik", brk[n:], G, E)  # <[ebar_j,e_k], e_i>
+    offdiag = float(np.abs(np.einsum("ikc,cd,dl->ikl", brk[:n], G, E)).max())
     return C, D, offdiag
 
 

@@ -107,7 +107,7 @@ def test_criterion_06_surface_rigidity_search():
     for s in (0.3, ROOT_MINUS, 1.5, ROOT_PLUS, 3.0):
         prob = S.SearchProblem(
             n=2, s=float(s), restarts=100, seed=SEED, hunt=True,
-            tol=1e-8, kahler_tol=1e-4, max_iters=400,
+            tol=1e-8, max_iters=400,
         )
         summ = S.multistart_search(prob)
         bad = summ.count(S.CONVERGED_NONKAHLER)
@@ -116,7 +116,7 @@ def test_criterion_06_surface_rigidity_search():
     for s in (0.0, 2.0):
         prob = S.SearchProblem(
             n=2, s=s, restarts=100, seed=SEED, hunt=True,
-            tol=1e-8, kahler_tol=1e-4, max_iters=400,
+            tol=1e-8, max_iters=400,
         )
         summ = S.multistart_search(prob)
         found = summ.count(S.CONVERGED_NONKAHLER)

@@ -244,7 +244,9 @@ class TestCli:
         assert "converged_kahler: 3" in out
         assert "converged_nonkahler: 0" in out
         header = out.strip().split("\n")[0]
-        assert header.startswith("restart,seed_used,iterations,stop_reason,")
+        # rho comes last, so the first eight columns keep their earlier layout
+        assert header == ("restart,seed_used,iterations,stop_reason,final_jacobi,final_flatness,"
+                          "torsion_norm,classification,rho")
         assert out.strip().split("\n")[1].split(",")[3] == "tol"
 
     @pytest.mark.parametrize("suite", ["lemma31", "surface", "parallel", "all"])

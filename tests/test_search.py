@@ -1,14 +1,18 @@
 """Least-squares search: residuals, exact Jacobian, LM behaviour, multistart."""
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hermlie as hl
 from hermlie import core
 from hermlie import search as S
+from hermlie.cli import main
+from hermlie.tensors import transform_frame
 
 from conftest import (
     point_from_structure, point_from_torsion, quadratic_part, random_structure, random_unitary,
@@ -192,7 +196,7 @@ class TestQuadraticModel:
 
     def test_cached_on_what_defines_the_model(self):
         a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8, hunt=True)
-        b = S.SearchProblem(n=2, s=0.7, seed=2, max_iters=10, kahler_tol=1e-3)
+        b = S.SearchProblem(n=2, s=0.7, seed=2, max_iters=10, restarts=5)
         assert S._polynomial_model(a) is S._polynomial_model(b)
         for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME)):
             assert S._polynomial_model(c) is not S._polynomial_model(a)
@@ -509,3 +513,89 @@ class TestLockstep:
             assert alone.classification == res.classification
             assert alone.stop_reason == res.stop_reason
             assert alone.seed_used == res.seed_used == seed
+
+
+def revalidate(problem, x):
+    """_classify of the point x, as at the end of a restart."""
+    return S._classify(problem, x, 0, -1, 0.0, "tol", ())
+
+
+def frame_changed(problem, x, V):
+    """The point of the structure of x written in the frame V."""
+    U = S.structure_from_point(problem, x)
+    if problem.mode == S.FULL:
+        return point_from_structure(problem, unitary_change(U, V))
+    return point_from_torsion(problem, transform_frame(hl.chern_torsion(U).T, V))
+
+
+@functools.lru_cache(maxsize=1)
+def converged_finds():
+    """(problem, point) of a converged result of each kind: the Samelson structure at its
+    Bismut parameter, an endpoint hunt find and a rigid-s find, where LM shrank the point."""
+    samelson = S.SearchProblem(n=2, s=2.0)
+    hunt = S.SearchProblem(n=2, s=2.0, restarts=2, seed=7, hunt=True)
+    rigid = S.SearchProblem(n=2, s=1.5)
+    found = next(r for r in S.multistart_search(hunt).results
+                 if r.classification == S.CONVERGED_NONKAHLER)
+    shrunk = S.lm_minimize(rigid, S.random_start(rigid, 42))
+    assert shrunk.classification == S.CONVERGED_KAHLER
+    return [(samelson, point_from_structure(samelson, hl.samelson_su2_r(1.0))),
+            (hunt, point_from_structure(hunt, found.best_point)),
+            (rigid, point_from_structure(rigid, shrunk.best_point))]
+
+
+class TestScaleFreeVerdict:
+    """The Kahler verdict reads rho = max(jacobi, flatness) / |T|^2, which does not depend on
+    scale: the residuals are quadratic in the point and T is linear.
+
+    Scaling is by powers of 2, which multiply every product and sum of the kernels exactly,
+    so rho must come out bitwise equal.  The residuals of a converged point are cancellations
+    down to tol, so scaling by an arbitrary factor would add rounding noise of their own size.
+    """
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(n=st.sampled_from([2, 3]), mode=st.sampled_from([S.FULL, S.PARALLEL_FRAME]),
+           s=st.sampled_from([0.0, 0.5, 1.3, 2.0]), seed=st.integers(0, 2**16),
+           k=st.integers(-10, 10))
+    def test_rho_of_random_points_is_scale_and_frame_free(self, n, mode, s, seed, k):
+        problem = S.SearchProblem(n=n, s=s, mode=mode)
+        x = np.random.default_rng(seed).standard_normal(S.unknown_count(problem))
+        rho = revalidate(problem, x).rho
+        assert revalidate(problem, x * 2.0**k).rho == rho
+        moved = revalidate(problem, frame_changed(problem, x, random_unitary(n, seed))).rho
+        assert moved == pytest.approx(rho, rel=1e-9)
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(which=st.integers(0, 2), k=st.integers(-10, 10), seed=st.integers(0, 2**16))
+    def test_converged_verdicts_are_scale_and_frame_free(self, which, k, seed):
+        problem, x = converged_finds()[which]
+        before = revalidate(problem, x)
+        assert before.classification != S.NOT_CONVERGED
+        # the residuals scale by exactly 4^k, so a tol scaled alike keeps the point converged
+        scaled = revalidate(dataclasses.replace(problem, tol=problem.tol * 4.0**k), x * 2.0**k)
+        assert scaled.rho == before.rho
+        assert scaled.classification == before.classification
+        moved = revalidate(problem, frame_changed(problem, x, random_unitary(2, seed)))
+        assert moved.classification == before.classification
+
+
+class TestRigidParameterVerdicts:
+    """Searches at parameters outside {0, 2} converge only near the Kahler locus, where
+    rho stays above _RHO_MAX however small the point shrinks."""
+
+    def test_baseline_command_reports_no_nonkahler(self, capsys):
+        assert main(["search", "--n", "2", "--s", "1.5", "--restarts", "20", "--seed", "42"]) == 0
+        out = capsys.readouterr().out
+        assert "converged_nonkahler: 0" in out
+        assert "converged_kahler: 20" in out
+
+    @pytest.mark.parametrize("problem", [
+        S.SearchProblem(n=3, s=1.0, restarts=4, seed=11),
+        S.SearchProblem(n=4, s=1.0, mode=S.PARALLEL_FRAME, restarts=4, seed=13),
+    ], ids=["n3-full", "n4-parallel"])
+    def test_converged_restarts_are_kahler(self, problem):
+        summary = S.multistart_search(problem)
+        assert summary.count(S.CONVERGED_NONKAHLER) == 0
+        for res in summary.results:
+            if res.classification != S.NOT_CONVERGED:
+                assert res.rho > S._RHO_MAX

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, theorems
-from .core import _jacobi_bilinear, _parallel_frame, chern_torsion, curvature
+from .core import _parallel_frame, chern_torsion, curvature, jacobi_residual_tensors
 from .realform import to_unitary_structure
 
 RESIDUAL_TOL = 1e-10
@@ -118,7 +118,7 @@ def _worst_jacobi(T: np.ndarray, s: float) -> np.ndarray:
     worst = np.empty(len(T))
     for start in range(0, len(T), width):
         C, D = _parallel_frame(T[start:start + width], s)
-        families = _jacobi_bilinear(C, D, C, D, ("Z", "Z"))
+        families = jacobi_residual_tensors(C, D)
         worst[start:start + width] = np.max(
             [np.abs(f).reshape(len(f), -1).max(axis=1) for f in families], axis=0)
     return worst

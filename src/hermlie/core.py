@@ -129,7 +129,8 @@ class FlatnessSummary:
     """Gauge-invariant scalars driving the flat-or-not experiments.
 
     flatness residuals are Frobenius norms of the curvature tensor
-    (frame-change invariant); kahler means torsion_norm <= tol.
+    (frame-change invariant); kahler means torsion_norm <= tol * hypot(|C|, |D|)
+    with Frobenius norms, which does not depend on the scale of (C, D).
     """
 
     torsion_norm: float
@@ -221,27 +222,28 @@ def _endomorphisms(gamma: np.ndarray) -> np.ndarray:
     return A
 
 
-def _curvature_tensor(
-    A: np.ndarray, brk: np.ndarray, A2=None, batch=("", ""), block=slice(None)
-) -> np.ndarray:
+# R[a, b] = A_a A_b - A_b A_a - A_{[a,b]} as bilinear terms (sign, left factor and its
+# labels, right factor and its labels) over R[a, b, x, z], in the order they are added
+# up; the left factors belong to the first operand, the right factor A to the second.
+_CURVATURE_TERMS = (
+    (+1, "A", "axy", "A", "byz"),
+    (-1, "A", "bxy", "A", "ayz"),
+    (-1, "brk", "abc", "A", "cxz"),
+)
+
+
+def _curvature_tensor(A: np.ndarray, brk: np.ndarray, A2=None) -> np.ndarray:
     """R[a,b] = A_a A_b - A_b A_a - A_{[a,b]} for every ordered pair.
 
-    With a second operand A2 this is the bilinear form whose value on
-    (A, A) is R: A_a A2_b - A_b A2_a - brk[a,b,c] A2_c, where brk is
-    the bracket table belonging to A.  batch names leading axes of
-    (A, brk) and of A2, which come first in the result in that order.
-    block restricts both matrix indices of R[a,b].
+    With a second operand A2 this is the bilinear form of _CURVATURE_TERMS,
+    whose value on (A, A) is R: A_a A2_b - A_b A2_a - brk[a,b,c] A2_c, where
+    brk is the bracket table belonging to A.  The first two terms share one
+    matmul; the bracket sum is added up on its own and subtracted last.
     """
-    p, q = batch
-    plan = bool(p or q)  # einsum plans a path only for batched operands, where it pays
     A2 = A if A2 is None else A2
-    left, right = A[..., block, :], A2[..., :, block]
-    if plan:
-        prod = np.einsum(f"{p}axy,{q}byz->{p}{q}abxz", left, right, optimize=True)
-    else:  # unplanned einsum is slower than matmul at n >= 3
-        prod = np.matmul(left[:, None], right[None])
+    prod = np.matmul(A[:, None], A2[None])  # unplanned einsum is slower than matmul at n >= 3
     comm = prod - prod.swapaxes(-4, -3)
-    lin = np.einsum(f"{p}abc,{q}cxy->{p}{q}abxy", brk, A2[..., block, block], optimize=plan)
+    lin = np.einsum("abc,cxy->abxy", brk, A2)
     return comm - lin
 
 
@@ -274,40 +276,35 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
     )
 
 
+# The Jacobi identities of validate_structure as bilinear terms (family, sign, left
+# factor and its labels, right factor and its labels) over [i, j, k, l], in the order
+# each family adds them up; Dbar is conj(D).
+_JACOBI_TERMS = (
+    (0, +1, "C", "rij", "C", "lrk"),
+    (0, +1, "C", "rjk", "C", "lri"),
+    (0, +1, "C", "rki", "C", "lrj"),
+    (1, +1, "C", "rik", "D", "ljr"),
+    (1, +1, "D", "rji", "D", "lrk"),
+    (1, -1, "D", "rjk", "D", "lri"),
+    (2, +1, "C", "rik", "Dbar", "rjl"),
+    (2, -1, "C", "jrk", "Dbar", "irl"),
+    (2, +1, "C", "jri", "Dbar", "krl"),
+    (2, -1, "D", "lri", "Dbar", "kjr"),
+    (2, +1, "D", "lrk", "Dbar", "ijr"),
+)
+
+
 def jacobi_residual_tensors(C: np.ndarray, D: np.ndarray):
-    """The three Jacobi residual arrays, indexed [i,j,k,l] (0-based)."""
-    return _jacobi_bilinear(C, D, C, D)
-
-
-def _jacobi_bilinear(C1, D1, C2, D2, batch=("", "")):
-    """The bilinear forms whose values on ((C, D), (C, D)) are the Jacobi residuals.
-
-    Every term pairs a factor of (C1, D1) with a factor of (C2, D2),
-    in that order.  batch names leading axes of (C1, D1) and of
-    (C2, D2), which come first in the result in that order.  A label
-    given to both operands is one paired axis, not an outer product:
-    the result's leading labels are "".join(dict.fromkeys(p + q)), so
-    batch=("Z", "Z") gives the residuals of every (C[z], D[z]) at once.
-    """
-    p, q = batch
-    plan = p != q  # einsum plans a path only for an outer product of batches, where it pays
-    out = "".join(dict.fromkeys(p + q))
-
-    def term(spec, X, Y):
-        left, right = spec.split(",")
-        return np.einsum(f"{p}{left},{q}{right}->{out}ijkl", X, Y, optimize=plan)
-
-    cD2 = np.conj(D2)
-    fam1 = term("rij,lrk", C1, C2) + term("rjk,lri", C1, C2) + term("rki,lrj", C1, C2)
-    fam2 = term("rik,ljr", C1, D2) + term("rji,lrk", D1, D2) - term("rjk,lri", D1, D2)
-    fam3 = (
-        term("rik,rjl", C1, cD2)
-        - term("jrk,irl", C1, cD2)
-        + term("jri,krl", C1, cD2)
-        - term("lri,kjr", D1, cD2)
-        + term("lrk,ijr", D1, cD2)
-    )
-    return fam1, fam2, fam3
+    """The three Jacobi residual arrays, indexed [..., i, j, k, l] (0-based), of
+    _JACOBI_TERMS over any leading axes of (C, D), which are paired."""
+    factors = {"C": C, "D": D, "Dbar": np.conj(D)}
+    families = [None, None, None]
+    for family, sign, left, left_labels, right, right_labels in _JACOBI_TERMS:
+        term = np.einsum(f"...{left_labels},...{right_labels}->...ijkl",
+                         factors[left], factors[right])
+        total = families[family]
+        families[family] = term if total is None else total + term if sign > 0 else total - term
+    return tuple(families)
 
 
 def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
@@ -342,7 +339,9 @@ def kahler_flatness_summary(
 
     All reported scalars are invariant under constant unitary frame
     changes; the flatness residual is the Frobenius norm of the full
-    curvature tensor.  Kahler iff the torsion norm is at or below tol.
+    curvature tensor.  Kahler iff the torsion norm is at or below
+    tol * hypot(|C|, |D|): T is linear in (C, D), so scaling the structure
+    leaves the flag unchanged, and the abelian structure (all zero) is Kahler.
 
     The connection is affine in s, so its curvature is exactly the
     quadratic R(s) = R0 + s R1 + s^2 R2; each row costs one
@@ -366,5 +365,6 @@ def kahler_flatness_summary(
         if not math.isfinite(flat):
             raise ValidationError(f"flatness residual at s={s!r} is not finite")
     return FlatnessSummary(
-        torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=rows, kahler=tor.norm <= tol
+        torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=rows,
+        kahler=tor.norm <= tol * math.hypot(frobenius(U.C), frobenius(U.D)),
     )

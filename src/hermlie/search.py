@@ -11,10 +11,14 @@ torsion norm up when hunting for non-Kahler candidates.
 
 Apart from the hinge, every residual entry is a homogeneous quadratic
 x^T B x in the unknowns.  The symmetric bilinear form B is assembled
-once per (n, s, mode) from the bilinear Jacobi and curvature
-kernels evaluated on the basis vectors, one basis row at a time and
-only for b >= a, and only its nonzero entries are kept.  Residual rows
-that vanish for every x are dropped from the model (104 of 224 at n = 2);
+once per (n, s, mode) from the bilinear terms of the Jacobi and
+curvature identities (core._JACOBI_TERMS, core._CURVATURE_TERMS).  A
+basis vector has only a few nonzero entries in C, D, the connection
+endomorphisms and the bracket table, so each term on a pair of basis
+vectors is a join of their nonzero entries on the contracted index; the
+sums follow the order of the dense kernels, so B is bitwise the one they
+give.  Only the nonzero entries of B are kept.  Residual rows that
+vanish for every x are dropped from the model (104 of 224 at n = 2);
 jacobian() scatters the others back into the documented layout.  The
 Jacobian is J(x) = 2 B x and the residual is J(x) x / 2.
 
@@ -49,10 +53,10 @@ import numpy as np
 from ._config import finite, positive_finite
 from .core import (
     UnitaryStructure,
+    _CURVATURE_TERMS,
+    _JACOBI_TERMS,
     _brackets,
-    _curvature_tensor,
     _endomorphisms,
-    _jacobi_bilinear,
     _parallel_frame,
     _torsion,
     chern_torsion,
@@ -78,6 +82,7 @@ _STAGNATION_DECREASE = 1e-6
 _STAGNATION_STEPS = 10
 _DENSE_BYTES = 1 << 20  # models whose dense B fits in this many bytes also keep it dense
 _BLOCK_BYTES = 800_000  # working-set budget of one lockstep block of restarts
+_CHUNK_ROWS = 12  # basis rows a per pass of the model build, which bounds its working set
 # a converged restart is non-Kahler iff rho = max(jacobi, flatness) / |T|^2 is at most this.
 # Measured: rho <= 3.2e-8 at the non-Kahler finds of the s = 0 and s = 2 hunts, rho >= 0.43 at
 # the rigid-s points near the Kahler locus (n = 2, 3, 4); 1e-4 is near the gap's geometric mean.
@@ -227,63 +232,139 @@ class _QuadraticModel:
 @functools.lru_cache(maxsize=8)
 @np.errstate(over="ignore", invalid="ignore")
 def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
-    """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear
-    forms q of the Jacobi and curvature kernels, one basis row a at a time.
+    """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear terms q
+    of the Jacobi and curvature identities (core._JACOBI_TERMS, core._CURVATURE_TERMS),
+    joined over the nonzero entries of the basis images.
 
-    The basis vectors are decoded in one call and their torsion,
-    connection and bracket tables built batched.  Only b >= a is
-    computed; B[:, b, a] is emitted from the same values.  Raises
+    Every basis vector has a handful of nonzero entries in C, D, conj(D), the
+    connection endomorphisms A and the bracket table, so each term of q(e_a, e_b)
+    is a join of two short entry lists on its contracted index.  The terms are
+    added up per entry of B in the order of the dense kernels, so B is the one
+    they give, bitwise.  The lower index a runs in chunks of _CHUNK_ROWS rows, b
+    over b >= a, and B[:, b, a] is emitted from the same values.  Raises
     ValidationError when an entry of B overflows.
     """
     problem = SearchProblem(n=n, s=s, mode=mode)
     d = unknown_count(problem)
     Cb, Db = _decode(np.eye(d), problem)  # (C, D) of every basis vector
     T = _torsion(Cb, Db)
-    A = _endomorphisms(Db + s * T)
-    brk = _brackets(Cb, Db)
+    factors = {"C": Cb, "D": Db, "Dbar": np.conj(Db), "A": _endomorphisms(Db + s * T),
+               "brk": _brackets(Cb, Db)}
+    # at huge s, 2 (s - 1) T overflows and the zeros of C become nan (inf * 0): the joins
+    # would pair all of its entries, and B overflows anyway
+    if not all(np.isfinite(X).all() for X in factors.values()):
+        raise ValidationError(f"the search model overflows at s={s!r}")
     M = np.ascontiguousarray(T.reshape(d, -1).view(float).T)  # column a: T of basis vector a
-
-    def rows(jacobi, curv):
-        # residual rows of q over the b axis, in the residual layout
-        k = len(curv)
-        jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
-        cur = curv.reshape(k, 4 * n * n, 1, n * n)
-        return np.concatenate([np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
-                               np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1)], axis=1)
-
+    entries = {name: (np.nonzero(X), X[X != 0]) for name, X in factors.items()}
+    # complex residual entry o: the Jacobi families [f, i, j, k, l], then R[a, b, x, z] on
+    # the (1,0) blocks; layout[:, o] are its re and im rows, one block of g rows apart
+    jac, cur = (n,) * 4, (2 * n, 2 * n, n, n)
+    terms = [(sign, _operand(entries[left], ll, "ijkl", jac, f * n**4),
+              _operand(entries[right], rl, "ijkl", jac, 0))
+             for f, sign, left, ll, right, rl in _JACOBI_TERMS]
+    terms += [(sign, _operand(entries[left], ll, "abxz", cur, 3 * n**4),
+               _operand(entries[right], rl, "abxz", cur, 0))
+              for sign, left, ll, right, rl in _CURVATURE_TERMS]
+    o = np.arange(7 * n**4)
+    first, g = np.where(o < 3 * n**4, 0, 3 * n**4), np.where(o < 3 * n**4, n**4, n**2)
+    re = o + first + (o - first) // g * g
+    layout = np.stack([re, re + g])
     m = 14 * n**4  # re and im of 3 Jacobi families of n^4 and 4n^2 curvature blocks of n^2
-    block = slice(0, n)  # the curvature rows are the (1,0) blocks R[a, b, :n, :n]
-    row, left, right, vals = [], [], [], []
-    for a in range(d):
-        tail = slice(a, d)
-        ab = rows(_jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
-                  _curvature_tensor(A[a], brk[a], A[tail], ("", "Z"), block))
-        ba = rows(_jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
-                  _curvature_tensor(A[tail], brk[tail], A[a], ("Z", ""), block))
-        sym = 0.5 * (ab + ba)  # sym[b - a, r] = B[r, a, b] = B[r, b, a]
-        b_idx, row_idx = np.nonzero(sym)
-        v = sym[b_idx, row_idx]
-        b_idx += a
-        mirror = b_idx > a
-        # within every (r, a) bin of B x the b values come in ascending order
-        row += [row_idx, row_idx[mirror]]
-        left += [np.full(len(b_idx), a), b_idx[mirror]]
-        right += [b_idx, np.full(int(mirror.sum()), a)]
-        vals += [v, v[mirror]]
-    vals = np.concatenate(vals)
+    chunks = [_model_chunk(terms, layout, a0, min(d, a0 + _CHUNK_ROWS), d)
+              for a0 in range(0, d, _CHUNK_ROWS)]
+    row, left, right, vals = map(np.concatenate, zip(*chunks))
     if not np.isfinite(vals).all():
         raise ValidationError(f"the search model overflows at s={s!r}")
-    row = np.concatenate(row)
     live = np.flatnonzero(np.bincount(row, minlength=m))
     compact = np.zeros(m, np.intp)
     compact[live] = np.arange(len(live))
-    flat, cols = compact[row] * d + np.concatenate(left), np.concatenate(right)
+    flat, cols = compact[row] * d + left, right
     dense = None
     if 8 * len(live) * d * d <= _DENSE_BYTES:
         dense = np.zeros((d, len(live) * d))
         dense[cols, flat] = 2.0 * vals
         dense.flags.writeable = False
     return _QuadraticModel(m, d, live, flat, cols, vals, M, dense)
+
+
+def _operand(entries, labels, out_labels, out_shape, offset):
+    """One factor of a bilinear term: (basis index, contracted index, part of the
+    output index, value) of its nonzero entries that fall inside out_shape.
+
+    entries is (np.nonzero(X), values) of the stack X of basis images; labels
+    name the axes of X[a], one of them the contracted index and the others
+    output labels.  The output index is offset plus the row-major index into
+    out_shape, and the two factors of a term each contribute their part."""
+    (u, *idx), vals = entries
+    keep = np.ones(len(u), bool)
+    part = np.full(len(u), offset)
+    strides = np.cumprod((1,) + out_shape[:0:-1])[::-1]
+    for label, i in zip(labels, idx):
+        if label in out_labels:
+            axis = out_labels.index(label)
+            keep &= i < out_shape[axis]
+            part += i * strides[axis]
+        else:
+            key = i
+    return u[keep], key[keep], part[keep], vals[keep]
+
+
+def _join(left_key, right_key):
+    """Index pairs (i, j) with left_key[i] == right_key[j], in i-major order."""
+    order = np.argsort(right_key, kind="stable")
+    count = np.bincount(right_key, minlength=left_key.max(initial=0) + 1)
+    reps = count[left_key]
+    i = np.repeat(np.arange(len(left_key)), reps)
+    first = np.cumsum(reps) - reps  # where the pairs of each i start
+    start = np.cumsum(count) - count  # where each key starts in order
+    return i, order[np.repeat(start[left_key] - first, reps) + np.arange(len(i))]
+
+
+def _model_chunk(terms, layout, a0, a1, d):
+    """(row, left, right, value) of the nonzero B[row, left, right] with min(left, right)
+    in [a0, a1), in the emission order of _quadratic_model.
+
+    For each entry (a, b, o), b >= a, and each term, the products of its join are
+    summed first; then q(e_a, e_b) and q(e_b, e_a) each add their terms up in table
+    order, as the dense kernels do, and B = (q(e_a, e_b) + q(e_b, e_a)) / 2.
+    """
+    def basis(operand, lo, hi):  # the entries of the basis vectors lo <= u < hi
+        start, stop = np.searchsorted(operand[0], (lo, hi))
+        return [x[start:stop] for x in operand]
+
+    width = layout.shape[1]
+    keys, prods = [], []
+    for _, left, right in terms:
+        # q(e_a, e_b) takes the left factor from a in the chunk, q(e_b, e_a) from b >= a
+        for (lu, lk, lp, lv), (ru, rk, rp, rv), swap in (
+                (basis(left, a0, a1), basis(right, a0, d), False),
+                (basis(left, a0, d), basis(right, a0, a1), True)):
+            i, j = _join(lk, rk)
+            a, b = (ru[j], lu[i]) if swap else (lu[i], ru[j])
+            keep = b >= a
+            i, j = i[keep], j[keep]
+            keys.append(((a[keep] - a0) * d + b[keep]) * width + lp[i] + rp[j])
+            prods.append(lv[i] * rv[j])
+    slots, where = np.unique(np.concatenate(keys), return_inverse=True)
+    where = np.split(where, np.cumsum([len(k) for k in keys])[:-1])
+    q = np.zeros((2, 2, len(slots)))  # [q(e_a, e_b) or q(e_b, e_a), re or im, slot]
+    for t, (sign, _, _) in enumerate(terms):
+        for swap in (0, 1):
+            k, v = where[2 * t + swap], prods[2 * t + swap]
+            part = np.stack([np.bincount(k, v.real, len(slots)), np.bincount(k, v.imag, len(slots))])
+            q[swap] = q[swap] + part if sign > 0 else q[swap] - part
+    vals = (0.5 * (q[0] + q[1])).ravel()
+    row = layout[:, slots % width].ravel()
+    a, b = np.tile(slots // (d * width) + a0, 2), np.tile(slots // width % d, 2)
+    nz = np.flatnonzero(vals)
+    nz = nz[np.argsort(((a[nz] - a0) * d + b[nz]) * 2 * width + row[nz])]
+    row, a, b, vals = row[nz], a[nz], b[nz], vals[nz]
+    # per a: every b >= a in (b, row) order, then the mirrored entries B[:, b, a], b > a;
+    # so within every (r, a) bin of B x the b values come in ascending order
+    mirror = b > a
+    emit = np.argsort(np.concatenate([2 * a, 2 * a[mirror] + 1]), kind="stable")
+    return tuple(np.concatenate(pair)[emit] for pair in (
+        (row, row[mirror]), (a, b[mirror]), (b, a[mirror]), (vals, vals[mirror])))
 
 
 def _polynomial_model(problem: SearchProblem) -> _QuadraticModel:

@@ -8,6 +8,7 @@ import pytest
 import hermlie as hl
 from hermlie import search as S
 from hermlie._config import validity_tol
+from hermlie import core
 from hermlie.core import ResidualReport, _curvature_tensor, jacobi_residual_tensors
 from hermlie.exceptions import DimensionMismatchError
 from hermlie.tensors import antisymmetrize_lower, frozen, max_abs, transform_frame
@@ -132,6 +133,94 @@ def quadratic_part(x: np.ndarray, problem) -> np.ndarray:
     R = hl.curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
     parts.append(np.concatenate([R.real, R.imag], axis=1).ravel())
     return np.concatenate(parts)
+
+
+def _jacobi_bilinear(C1, D1, C2, D2, batch):
+    """The bilinear Jacobi forms, written out term by term; batch names leading axes of
+    (C1, D1) and of (C2, D2), which come first in the result in that order."""
+    p, q = batch
+
+    def term(spec, X, Y):
+        left, right = spec.split(",")
+        return np.einsum(f"{p}{left},{q}{right}->{p}{q}ijkl", X, Y, optimize=True)
+
+    cD2 = np.conj(D2)
+    fam1 = term("rij,lrk", C1, C2) + term("rjk,lri", C1, C2) + term("rki,lrj", C1, C2)
+    fam2 = term("rik,ljr", C1, D2) + term("rji,lrk", D1, D2) - term("rjk,lri", D1, D2)
+    fam3 = (
+        term("rik,rjl", C1, cD2)
+        - term("jrk,irl", C1, cD2)
+        + term("jri,krl", C1, cD2)
+        - term("lri,kjr", D1, cD2)
+        + term("lrk,ijr", D1, cD2)
+    )
+    return fam1, fam2, fam3
+
+
+def _curvature_bilinear(A, brk, A2, batch, block):
+    """A_a A2_b - A_b A2_a - brk[a,b,c] A2_c over the block of both matrix indices;
+    batch names leading axes of (A, brk) and of A2, which come first in that order."""
+    p, q = batch
+    left, right = A[..., block, :], A2[..., :, block]
+    prod = np.einsum(f"{p}axy,{q}byz->{p}{q}abxz", left, right, optimize=True)
+    comm = prod - prod.swapaxes(-4, -3)
+    lin = np.einsum(f"{p}abc,{q}cxy->{p}{q}abxy", brk, A2[..., block, block], optimize=True)
+    return comm - lin
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def row_by_row_model(n: int, s: float, mode: str):
+    """(m, d, rows, flat, cols, vals, torsion, dense) of search._quadratic_model, from
+    dense einsums of the Jacobi and curvature forms on every pair of basis vectors.
+
+    This is the model build of earlier releases: per basis row a it evaluates
+    q(e_a, e_b) and q(e_b, e_a) for all b >= a and keeps the nonzero entries of
+    B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2, in the same emission order.
+    """
+    problem = S.SearchProblem(n=n, s=s, mode=mode)
+    d = S.unknown_count(problem)
+    Cb, Db = S._decode(np.eye(d), problem)
+    T = core._torsion(Cb, Db)
+    A = core._endomorphisms(Db + s * T)
+    brk = core._brackets(Cb, Db)
+    M = np.ascontiguousarray(T.reshape(d, -1).view(float).T)
+
+    def rows(jacobi, curv):
+        k = len(curv)
+        jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
+        cur = curv.reshape(k, 4 * n * n, 1, n * n)
+        return np.concatenate([np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
+                               np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1)], axis=1)
+
+    m = 14 * n**4
+    block = slice(0, n)
+    row, left, right, vals = [], [], [], []
+    for a in range(d):
+        tail = slice(a, d)
+        ab = rows(_jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
+                  _curvature_bilinear(A[a], brk[a], A[tail], ("", "Z"), block))
+        ba = rows(_jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
+                  _curvature_bilinear(A[tail], brk[tail], A[a], ("Z", ""), block))
+        sym = 0.5 * (ab + ba)
+        b_idx, row_idx = np.nonzero(sym)
+        v = sym[b_idx, row_idx]
+        b_idx += a
+        mirror = b_idx > a
+        row += [row_idx, row_idx[mirror]]
+        left += [np.full(len(b_idx), a), b_idx[mirror]]
+        right += [b_idx, np.full(int(mirror.sum()), a)]
+        vals += [v, v[mirror]]
+    vals = np.concatenate(vals)
+    row = np.concatenate(row)
+    live = np.flatnonzero(np.bincount(row, minlength=m))
+    compact = np.zeros(m, np.intp)
+    compact[live] = np.arange(len(live))
+    flat, cols = compact[row] * d + np.concatenate(left), np.concatenate(right)
+    dense = None
+    if 8 * len(live) * d * d <= S._DENSE_BYTES:
+        dense = np.zeros((d, len(live) * d))
+        dense[cols, flat] = 2.0 * vals
+    return m, d, live, flat, cols, vals, M, dense
 
 
 def residual_vector(x, problem) -> np.ndarray:

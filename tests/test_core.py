@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hermlie as hl
 from hermlie import core
@@ -275,10 +276,10 @@ class TestValidateStructure:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_paired_batch_label_matches_each_structure(self, n):
-        # a label given to both operands is one paired axis: slice z is (C[z], D[z]) alone
+        # the leading axes of C and D are paired: slice z is (C[z], D[z]) alone
         stack = [random_structure(n, 600 + 10 * n + z) for z in range(5)]
         C, D = np.stack([U.C for U in stack]), np.stack([U.D for U in stack])
-        families = core._jacobi_bilinear(C, D, C, D, ("Z", "Z"))
+        families = core.jacobi_residual_tensors(C, D)
         for z, U in enumerate(stack):
             scale = (frobenius(U.C) + frobenius(U.D)) ** 2
             for got, want in zip(families, core.jacobi_residual_tensors(U.C, U.D)):
@@ -493,6 +494,23 @@ class TestSummaryAndGauge:
             hl.kahler_flatness_summary(samelson, np.linspace(-1.0, 4.0, points))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(which=st.sampled_from(["abelian", "samelson", "bdf4"]),
+           eps=st.sampled_from([0.0, 1e-11, 1e-9, 1e-7]), seed=st.integers(0, 2**16),
+           k=st.integers(-30, 30))
+    def test_kahler_flag_does_not_depend_on_scale(self, which, eps, seed, k):
+        # scaling by 2^k multiplies |T|, |C| and |D| exactly; eps puts |T| near the threshold
+        base = {"abelian": hl.abelian(2), "samelson": hl.samelson_su2_r(1.0),
+                "bdf4": hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))}[which]
+        noise = random_structure(2, seed)
+        U = hl.UnitaryStructure(n=2, C=base.C + eps * noise.C, D=base.D + eps * noise.D)
+        scaled = hl.UnitaryStructure(n=2, C=U.C * 2.0**k, D=U.D * 2.0**k)
+        a = hl.kahler_flatness_summary(U, [0.0])
+        b = hl.kahler_flatness_summary(scaled, [0.0])
+        assert b.torsion_norm == a.torsion_norm * 2.0**k
+        assert a.kahler == b.kahler == (a.torsion_norm <= 1e-9 * np.hypot(
+            frobenius(U.C), frobenius(U.D)))
 
     def test_gauge_invariance_of_reported_scalars(self, samelson, bdf4_structure, affine):
         for U in (samelson, bdf4_structure, affine):

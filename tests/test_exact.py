@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hermlie import core, theorems
+from hermlie import core, search, theorems
 
 X = sp.symbols("x1:5", real=True)  # re and im of T^1_{12}, then of T^2_{12}
 S = sp.Symbol("s", real=True)
@@ -81,12 +81,79 @@ def test_batched_kernel_matches_the_polynomials_at_rational_points():
             for f, value in enumerate(triple):
                 fams[(f, *idx)] = complex(sp.expand(value))
         exact.append(fams)
-    got = core._jacobi_bilinear(np.stack(C), np.stack(D), np.stack(C), np.stack(D), ("Z", "Z"))
+    got = core.jacobi_residual_tensors(np.stack(C), np.stack(D))
     for z, fams in enumerate(exact):
         scale = np.abs(fams).max()
         assert scale > 0.1
         for f in range(3):
             assert np.abs(got[f][z] - fams[f]).max() <= 1e-14 * scale
+
+
+def parallel_frame_curvature(T, s):
+    """R(a, b) = [A_a, A_b] - A_{[a,b]} on the (1,0) frame of (C, D) = (2(s-1)T, -sT), for
+    every pair of the 2n directions, from the conventions of the README.
+
+    The (1,0) block of the connection along e_k is A_k[j][i] = Gamma^j_{ik} and along ebar_k
+    it is -conj(Gamma^i_{jk}), with Gamma^j_{ik} = D^j_{ik} + s T^j_{ik}; the brackets are
+    [e_i, e_k] = C^j_{ik} e_j, [ebar_j, e_i] = D^j_{ki} ebar_k - conj(D^i_{kj}) e_k and
+    [ebar_j, ebar_k] = conj(C^i_{jk}) ebar_i.  Under the hypothesis Gamma = 0, so R = 0.
+    """
+    n, cj = len(T), sp.conjugate
+    R = range(n)
+    C = [[[2 * (s - 1) * T[j][i][k] for k in R] for i in R] for j in R]
+    D = [[[-s * T[j][i][k] for k in R] for i in R] for j in R]
+    G = [[[D[j][i][k] + s * T[j][i][k] for k in R] for i in R] for j in R]
+    A = [sp.Matrix(n, n, lambda j, i: G[j][i][k]) for k in R]
+    A += [sp.Matrix(n, n, lambda j, i: -cj(G[i][j][k])) for k in R]
+    brk = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for i, j, k in itertools.product(R, repeat=3):
+        brk[i][k][j] = C[j][i][k]
+        brk[n + j][i][n + k] = D[j][k][i]
+        brk[n + j][i][k] = -cj(D[i][k][j])
+        brk[n + j][n + k][n + i] = cj(C[i][j][k])
+    for j, i, c in itertools.product(R, R, range(2 * n)):
+        brk[i][n + j][c] = -brk[n + j][i][c]
+    return {(a, b): A[a] * A[b] - A[b] * A[a] - sum((brk[a][b][c] * A[c] for c in range(2 * n)),
+                                                   sp.zeros(n, n))
+            for a, b in itertools.product(range(2 * n), repeat=2)}
+
+
+@functools.cache
+def surface_model_rows():
+    """(residual row, real quadratic in X and S) of every row of the search residual at n = 2
+    in parallel-frame mode: re and im of the three Jacobi families, then of each curvature
+    block R[a, b], in the layout of hermlie.search.jacobian."""
+    T = surface_torsion(X)
+    rows = {}
+    for (i, j, k, l), families in parallel_frame_jacobi(T, S).items():
+        for f, value in enumerate(families):
+            re, im = sp.expand(value).as_real_imag()
+            rows[32 * f + 8 * i + 4 * j + 2 * k + l] = re
+            rows[32 * f + 16 + 8 * i + 4 * j + 2 * k + l] = im
+    for (a, b), block in parallel_frame_curvature(T, S).items():
+        for x, z in itertools.product(range(2), repeat=2):
+            re, im = sp.expand(block[x, z]).as_real_imag()
+            rows[96 + 8 * (4 * a + b) + 2 * x + z] = re
+            rows[96 + 8 * (4 * a + b) + 4 + 2 * x + z] = im
+    return rows
+
+
+@pytest.mark.parametrize("s", map(sp.Rational, ("1/3", "3/2", "3")), ids=str)
+def test_search_model_matches_the_exact_polynomials(s):
+    # B[r, a, b] is the coefficient of x_a x_b in row r, halved off the diagonal
+    model = search._quadratic_model(2, float(s), search.PARALLEL_FRAME)
+    live = np.zeros((len(model.rows) * model.d, model.d))
+    live[model.flat, model.cols] = model.vals
+    B = np.zeros((model.m, model.d, model.d))
+    B[model.rows] = live.reshape(-1, model.d, model.d)
+    exact = np.zeros_like(B)
+    for r, poly in surface_model_rows().items():
+        for powers, coeff in sp.Poly(sp.expand(poly.subs(S, s)), *X).as_dict().items():
+            a, b = [i for i, p in enumerate(powers) for _ in range(p)]
+            exact[r, a, b] = exact[r, b, a] = float(coeff) / (1 if a == b else 2)
+    assert len(surface_model_rows()) == model.m == 224
+    assert np.abs(exact).max() > 0.1
+    assert np.abs(B - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 LAM = sp.Symbol("lam", nonzero=True)

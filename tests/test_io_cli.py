@@ -204,6 +204,18 @@ class TestCli:
         flat = {float(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
         assert flat[2.0] <= 1e-12 and flat[0.0] > 0.1 and flat[1.0] > 0.1
 
+    def test_shrunken_samelson_is_not_kahler(self, tmp_path, capsys):
+        # |T| = 5e-11 is below the validity tolerance, but the flag compares it with the scale
+        path = tmp_path / "tiny.json"
+        assert main(["catalog", "samelson", "--c", "1e-10", "--emit", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--s-grid", "0,2"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row.split(",")[2]) == pytest.approx(5e-11)
+            assert row.split(",")[4] == "false"
+
     def test_validate_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         main(["catalog", "bdf4", "--q", "1", "--emit", str(good)])

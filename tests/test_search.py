@@ -16,7 +16,7 @@ from hermlie.tensors import transform_frame
 
 from conftest import (
     point_from_structure, point_from_torsion, quadratic_part, random_structure, random_unitary,
-    residual_vector, unitary_change,
+    residual_vector, row_by_row_model, unitary_change,
 )
 
 
@@ -155,6 +155,35 @@ MODEL_PROBLEMS = [
     S.SearchProblem(n=2, s=2.0, hunt=True),
 ]
 MODEL_IDS = ["full-2", "full-3", "par-2", "par-3", "hunt"]
+# the model tests that need no dense oracle also run at n = 4 full mode
+ALL_MODEL_PROBLEMS = MODEL_PROBLEMS + [S.SearchProblem(n=4, s=1.3)]
+ALL_MODEL_IDS = MODEL_IDS + ["full-4"]
+
+SQ2 = np.sqrt(2.0)
+# (n, s, mode) of the bitwise comparison with the row-by-row build, covering both modes,
+# n = 1..4 and the endpoints, rigid values and the roots (6 +- 2 sqrt 2) / 7; n = 4 full
+# mode is left out, since its row-by-row build takes seconds
+ROW_BY_ROW_CASES = [
+    (1, 0.7, S.FULL), (2, 0.0, S.FULL), (2, 0.37, S.FULL), (2, 1.5, S.FULL), (2, 2.0, S.FULL),
+    (2, (6 - 2 * SQ2) / 7, S.FULL), (3, 1.0, S.FULL), (3, 3.0, S.FULL),
+    (2, SQ2, S.PARALLEL_FRAME), (2, 0.61, S.PARALLEL_FRAME),
+    (2, (6 + 2 * SQ2) / 7, S.PARALLEL_FRAME), (3, 1.0, S.PARALLEL_FRAME),
+    (3, 1.3, S.PARALLEL_FRAME), (4, 1.0, S.PARALLEL_FRAME), (4, 0.37, S.PARALLEL_FRAME),
+]
+
+
+def assert_same_model(n, s, mode):
+    """Every field of the model equals the row-by-row build's, bit for bit."""
+    model = S._quadratic_model(n, s, mode)
+    want = row_by_row_model(n, s, mode)
+    fields = (model.m, model.d, model.rows, model.flat, model.cols, model.vals, model.torsion)
+    assert fields[:2] == want[:2]
+    for got, ref in zip(fields[2:], want[2:]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    assert (model.dense is None) == (want[-1] is None)
+    if model.dense is not None:
+        assert model.dense.tobytes() == want[-1].tobytes()
 
 
 class TestQuadraticModel:
@@ -165,7 +194,22 @@ class TestQuadraticModel:
         model = S._polynomial_model(problem)
         assert np.abs(dense_form(model) - B).max() <= 1e-14 * np.abs(B).max()
 
-    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("n, s, mode", ROW_BY_ROW_CASES)
+    def test_equals_the_row_by_row_build_bitwise(self, n, s, mode):
+        assert_same_model(n, s, mode)
+
+    @settings(derandomize=True, max_examples=15, deadline=None, database=None)
+    @given(case=st.sampled_from([(2, S.FULL), (3, S.PARALLEL_FRAME)]),
+           s=st.floats(-4.0, 5.0, allow_nan=False))
+    def test_equals_the_row_by_row_build_at_any_parameter(self, case, s):
+        assert_same_model(case[0], s, case[1])
+
+    def test_non_finite_basis_images_are_an_error(self):
+        # at s = 1e308, 2 (s - 1) T overflows and every entry of C is inf or nan
+        with pytest.raises(hl.exceptions.ValidationError, match="overflows at s=1e\\+308"):
+            S._quadratic_model(4, 1e308, S.PARALLEL_FRAME)
+
+    @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
     def test_half_jacobian_times_point_is_residual(self, problem):
         rng = np.random.default_rng(17)
         m = S._polynomial_model(problem).m
@@ -176,13 +220,13 @@ class TestQuadraticModel:
             assert np.abs(model_r - r).max() <= 1e-13 * max(1.0, np.abs(r).max())
 
     def test_torsion_map_matches_chern_torsion(self):
-        for problem in MODEL_PROBLEMS:
+        for problem in ALL_MODEL_PROBLEMS:
             x = np.random.default_rng(3).standard_normal(S.unknown_count(problem))
             T = hl.chern_torsion(S.structure_from_point(problem, x)).T.ravel()
             t = S._polynomial_model(problem).torsion @ x
             assert np.abs(t[0::2] + 1j * t[1::2] - T).max() <= 1e-14 * max(1.0, np.abs(T).max())
 
-    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
     def test_keeps_only_rows_that_can_be_nonzero(self, problem):
         # with the oracle test: the dropped rows of B are zero, the kept ones are not
         model = S._polynomial_model(problem)

@@ -96,7 +96,8 @@ def parallel_frame_curvature(T, s):
     The (1,0) block of the connection along e_k is A_k[j][i] = Gamma^j_{ik} and along ebar_k
     it is -conj(Gamma^i_{jk}), with Gamma^j_{ik} = D^j_{ik} + s T^j_{ik}; the brackets are
     [e_i, e_k] = C^j_{ik} e_j, [ebar_j, e_i] = D^j_{ki} ebar_k - conj(D^i_{kj}) e_k and
-    [ebar_j, ebar_k] = conj(C^i_{jk}) ebar_i.  Under the hypothesis Gamma = 0, so R = 0.
+    [ebar_j, ebar_k] = conj(C^i_{jk}) ebar_i.  Under the parallel-frame hypothesis Gamma = 0, so
+    every R(a, b) vanishes.
     """
     n, cj = len(T), sp.conjugate
     R = range(n)

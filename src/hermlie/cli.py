@@ -127,6 +127,7 @@ def _cmd_validate(args) -> int:
     print(f"n: {U.n}")
     print(f"max_abs: {report.max_abs:.17g}")
     print(f"tol: {report.tol:.17g}")
+    print(f"threshold: {report.threshold:.17g}")
     print(f"valid: {'true' if report.valid else 'false'}")
     return 0 if report.valid else 1
 

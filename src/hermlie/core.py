@@ -111,17 +111,23 @@ class ResidualReport:
     """Residuals of an identity family, keyed by index tuple or by sub-family.
 
     When the producing operation was given a tolerance it is recorded
-    here and ``valid`` reports the max_abs <= tol judgment.
+    here, with the size the tolerance is relative to (1 for an absolute
+    one), and ``valid`` reports the max_abs <= threshold = tol * scale judgment.
     """
 
     name: str
     max_abs: float
     per_identity: dict
     tol: float | None = None
+    scale: float = 1.0
+
+    @property
+    def threshold(self) -> float | None:
+        return None if self.tol is None else self.tol * self.scale
 
     @property
     def valid(self) -> bool | None:
-        return None if self.tol is None else self.max_abs <= self.tol
+        return None if self.tol is None else self.max_abs <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -233,7 +239,8 @@ _CURVATURE_TERMS = (
 
 
 def _curvature_tensor(A: np.ndarray, brk: np.ndarray, A2=None) -> np.ndarray:
-    """R[a,b] = A_a A_b - A_b A_a - A_{[a,b]} for every ordered pair.
+    """R[a,b] = A_a A_b - A_b A_a - A_{[a,b]} for every ordered pair, over any leading
+    axes of (A, brk, A2), which are paired.
 
     With a second operand A2 this is the bilinear form of _CURVATURE_TERMS,
     whose value on (A, A) is R: A_a A2_b - A_b A2_a - brk[a,b,c] A2_c, where
@@ -241,9 +248,10 @@ def _curvature_tensor(A: np.ndarray, brk: np.ndarray, A2=None) -> np.ndarray:
     matmul; the bracket sum is added up on its own and subtracted last.
     """
     A2 = A if A2 is None else A2
-    prod = np.matmul(A[:, None], A2[None])  # unplanned einsum is slower than matmul at n >= 3
+    # unplanned einsum is slower than matmul at n >= 3
+    prod = np.matmul(A[..., :, None, :, :], A2[..., None, :, :, :])
     comm = prod - prod.swapaxes(-4, -3)
-    lin = np.einsum("abc,cxy->abxy", brk, A2)
+    lin = np.einsum("...abc,...cxy->...abxy", brk, A2)
     return comm - lin
 
 
@@ -265,14 +273,17 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
 
     per_identity maps ("ccc",), ("cdd",) and ("cdbar",) to the largest
     residual modulus of each family.  The structure is declared valid
-    iff max_abs <= tol (default: the package validity tolerance).  No
-    separate integrability check exists here: C carries no (0,1) part
-    by construction.
+    iff max_abs <= tol * (|C|^2 + |D|^2), Frobenius norms (tol defaults to
+    the package validity tolerance).  The residuals are quadratic in (C, D),
+    so scaling the structure leaves the verdict unchanged, and the abelian
+    structure (all zero) is valid.  No separate integrability check exists
+    here: C carries no (0,1) part by construction.
     """
     res = jacobi_residual_tensors(U.C, U.D)
     per = {(fam,): max_abs(arr) for fam, arr in zip(("ccc", "cdd", "cdbar"), res)}
     return ResidualReport(
-        name="jacobi", max_abs=max(per.values()), per_identity=per, tol=validity_tol(tol)
+        name="jacobi", max_abs=max(per.values()), per_identity=per, tol=validity_tol(tol),
+        scale=frobenius(U.C) ** 2 + frobenius(U.D) ** 2,
     )
 
 

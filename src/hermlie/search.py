@@ -17,9 +17,13 @@ basis vector has only a few nonzero entries in C, D, the connection
 endomorphisms and the bracket table, so each term on a pair of basis
 vectors is a join of their nonzero entries on the contracted index; the
 sums follow the order of the dense kernels, so B is bitwise the one they
-give.  Only the nonzero entries of B are kept.  Residual rows that
-vanish for every x are dropped from the model (104 of 224 at n = 2);
-jacobian() scatters the others back into the documented layout.  The
+give.  Only the nonzero entries of B are kept.  The index symmetries of
+the identities (R[a, b] = -R[b, a], its conjugate, the antisymmetries of
+the Jacobi families) make most rows +-1 times another row for every x and
+s, and some rows vanish identically (_class_map).  The model keeps one row
+per class, weighted so that the residual norm and the normal equations are
+those of every row: 40 of 224 rows at n = 2 full mode, 249 of 1134 at
+n = 3.  jacobian() scatters them back into the documented layout.  The
 Jacobian is J(x) = 2 B x and the residual is J(x) x / 2.
 
 Levenberg-Marquardt runs with the fixed damping schedule (reject
@@ -56,11 +60,10 @@ from .core import (
     _CURVATURE_TERMS,
     _JACOBI_TERMS,
     _brackets,
+    _curvature_tensor,
     _endomorphisms,
     _parallel_frame,
     _torsion,
-    chern_torsion,
-    curvature,
     jacobi_residual_tensors,
 )
 from .exceptions import DimensionMismatchError, ValidationError
@@ -206,22 +209,27 @@ def _hinge(x: np.ndarray, problem: SearchProblem):
 
 @dataclass(frozen=True, eq=False)
 class _QuadraticModel:
-    """Sparse symmetric bilinear form B of the residual rows that can be nonzero,
-    and the linear torsion map.
+    """Sparse symmetric bilinear form B of one weighted representative row per
+    class of residual rows (see _class_map), and the linear torsion map.
 
-    Model row i is row rows[i] of the m-row residual layout (see
-    jacobian), which equals x^T B[i] x there; the other rows vanish for
-    every x and are not stored.  Entry k is B[i, a, cols[k]] = vals[k] with
-    flat[k] = i * d + a, so one bincount over flat gives B x.  Zeros of
-    B are not stored either.  A small model also keeps 2 B densely as the
-    (d, rows * d) matrix dense, so x @ dense holds the Jacobian rows 2 B x
-    at every point of a stack x; dense is None otherwise.  torsion is the
-    real matrix M with (T entries as interleaved re/im) = M @ x.
+    Model row i is weights[i] times row rows[i] of the m-row residual layout
+    (see jacobian), whose value there is x^T B[i] x / weights[i]; the other
+    rows of its class are real multiples of it, and classes that vanish for
+    every x are not stored.  weights[i] is the root of the sum of the squared
+    factors over the class, so ||r||^2, J^T J and J^T r are those of the full
+    layout.  classes is the (rep, factor) class map of the layout.  Entry k is
+    B[i, a, cols[k]] = vals[k] with flat[k] = i * d + a, so one bincount over
+    flat gives B x.  Zeros of B are not stored either.  A small model also
+    keeps 2 B densely as the (d, rows * d) matrix dense, so x @ dense holds the
+    Jacobian rows 2 B x at every point of a stack x; dense is None otherwise.
+    torsion is the real matrix M with (T entries as interleaved re/im) = M @ x.
     """
 
     m: int
     d: int
     rows: np.ndarray
+    weights: np.ndarray
+    classes: tuple
     flat: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -229,20 +237,103 @@ class _QuadraticModel:
     dense: np.ndarray | None
 
 
+def _layout(n: int) -> np.ndarray:
+    """(2, 7 n^4) rows of the re and im parts of each complex residual entry o: the
+    Jacobi families [f, i, j, k, l], then R[a, b, x, z] on the (1,0) blocks."""
+    o = np.arange(7 * n**4)
+    first, g = np.where(o < 3 * n**4, 0, 3 * n**4), np.where(o < 3 * n**4, n**4, n**2)
+    re = o + first + (o - first) // g * g
+    return np.stack([re, re + g])
+
+
+@functools.lru_cache(maxsize=8)
+def _class_map(n: int):
+    """(rep, factor) over the m = 14 n^4 residual rows: row r equals factor[r] times
+    row rep[r] at every point, parameter and mode, and rep[rep[r]] = rep[r].
+
+    The classes are the orbits of the index symmetries of each family: the
+    first Jacobi family is alternating in (i, j, k), the other two are
+    antisymmetric in (i, k), and R[a, b] = -R[b, a] = -conj(R[abar, bbar])^T
+    on the (1,0) blocks (R(X, Y) is skew-Hermitian for real X, Y).  The
+    representative of an orbit is its entry of least index; a row that an
+    orbit maps to minus itself vanishes identically and gets factor 0 and
+    rep[r] = r.  The factors are +-1 or 0.  The arrays are read-only.
+    """
+    N = 2 * n
+    bar = (np.arange(N) + n) % N  # the conjugate direction
+    parity = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (1, 0, 2, -1), (0, 2, 1, -1), (2, 1, 0, -1))
+    # per block of complex entries: its index shape, then each group element as the
+    # image of the index tuple t and the factors of its re and im parts there
+    blocks = [((n,) * 4, [(lambda t, p=p: (t[p[0]], t[p[1]], t[p[2]], t[3]), p[3], p[3])
+                          for p in parity])]
+    blocks += [((n,) * 4, [(lambda t: t, 1, 1), (lambda t: (t[2], t[1], t[0], t[3]), -1, -1)])] * 2
+    blocks.append(((N, N, n, n), [
+        (lambda t: t, 1, 1), (lambda t: (t[1], t[0], t[2], t[3]), -1, -1),
+        (lambda t: (bar[t[0]], bar[t[1]], t[3], t[2]), -1, 1),
+        (lambda t: (bar[t[1]], bar[t[0]], t[3], t[2]), 1, -1)]))
+    layout = _layout(n)
+    rep, factor = np.empty(14 * n**4, np.intp), np.empty(14 * n**4)
+    offset = 0
+    for shape, group in blocks:
+        t = tuple(np.indices(shape).reshape(4, -1))
+        o = np.arange(len(t[0]))
+        image = np.stack([np.ravel_multi_index(g(t), shape) for g, _, _ in group])
+        signs = np.array([(re, im) for _, re, im in group], float)
+        best = image.argmin(axis=0)
+        for part in (0, 1):
+            f = signs[best, part]
+            # an element fixing the entry with factor -1 makes this part vanish
+            f[((image == o) & (signs[:, part, None] < 0)).any(axis=0)] = 0.0
+            rows = layout[part, offset + o]
+            rep[rows] = np.where(f != 0, layout[part, offset + image[best, o]], rows)
+            factor[rows] = f
+        offset += len(o)
+    return frozen(rep), frozen(factor)
+
+
 @functools.lru_cache(maxsize=8)
 @np.errstate(over="ignore", invalid="ignore")
 def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
-    """Assemble B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 from the bilinear terms q
-    of the Jacobi and curvature identities (core._JACOBI_TERMS, core._CURVATURE_TERMS),
-    joined over the nonzero entries of the basis images.
+    """The model of _representative_entries, each row weighted by the root of the
+    sum of the squared factors of its class.  Raises ValidationError when an
+    entry of B overflows."""
+    (row, left, right, vals), M = _representative_entries(n, s, mode)
+    m, d = 14 * n**4, M.shape[1]
+    rep, factor = classes = _class_map(n)
+    live = np.flatnonzero(np.bincount(row, minlength=m))
+    compact = np.zeros(m, np.intp)
+    compact[live] = np.arange(len(live))
+    weights = np.sqrt(np.bincount(rep, factor * factor, m))[live]
+    row = compact[row]
+    vals *= weights[row]  # after the sums, so each representative's sums are the kernels'
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"the search model overflows at s={s!r}")
+    flat, cols = row * d + left, right
+    dense = None
+    if 8 * len(live) * d * d <= _DENSE_BYTES:
+        dense = np.zeros((d, len(live) * d))
+        dense[cols, flat] = 2.0 * vals
+        dense.flags.writeable = False
+    return _QuadraticModel(m, d, live, weights, classes, flat, cols, vals, M, dense)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _representative_entries(n: int, s: float, mode: str):
+    """((row, left, right, value) of the nonzero B[row, left, right] of the representative
+    rows of _class_map, in (left, group, right, row) order, and the torsion map M),
+    where B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2 for the bilinear terms q of the
+    Jacobi and curvature identities (core._JACOBI_TERMS, core._CURVATURE_TERMS), joined
+    over the nonzero entries of the basis images.
 
     Every basis vector has a handful of nonzero entries in C, D, conj(D), the
     connection endomorphisms A and the bracket table, so each term of q(e_a, e_b)
-    is a join of two short entry lists on its contracted index.  The terms are
-    added up per entry of B in the order of the dense kernels, so B is the one
-    they give, bitwise.  The lower index a runs in chunks of _CHUNK_ROWS rows, b
-    over b >= a, and B[:, b, a] is emitted from the same values.  Raises
-    ValidationError when an entry of B overflows.
+    is a join of two short entry lists on its contracted index.  Joined pairs whose
+    output entry is not a representative are dropped before their products are
+    formed.  The terms are added up per entry of B in the order of the dense
+    kernels, so each representative row is the one they give, bitwise.  The lower
+    index a runs in chunks of _CHUNK_ROWS rows, b over b >= a, and B[:, b, a] is
+    emitted from the same values.  Raises ValidationError when a basis image
+    overflows.
     """
     problem = SearchProblem(n=n, s=s, mode=mode)
     d = unknown_count(problem)
@@ -256,8 +347,7 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
         raise ValidationError(f"the search model overflows at s={s!r}")
     M = np.ascontiguousarray(T.reshape(d, -1).view(float).T)  # column a: T of basis vector a
     entries = {name: (np.nonzero(X), X[X != 0]) for name, X in factors.items()}
-    # complex residual entry o: the Jacobi families [f, i, j, k, l], then R[a, b, x, z] on
-    # the (1,0) blocks; layout[:, o] are its re and im rows, one block of g rows apart
+    # complex residual entry o: the Jacobi families, then the curvature blocks
     jac, cur = (n,) * 4, (2 * n, 2 * n, n, n)
     terms = [(sign, _operand(entries[left], ll, "ijkl", jac, f * n**4),
               _operand(entries[right], rl, "ijkl", jac, 0))
@@ -265,26 +355,11 @@ def _quadratic_model(n: int, s: float, mode: str) -> _QuadraticModel:
     terms += [(sign, _operand(entries[left], ll, "abxz", cur, 3 * n**4),
                _operand(entries[right], rl, "abxz", cur, 0))
               for sign, left, ll, right, rl in _CURVATURE_TERMS]
-    o = np.arange(7 * n**4)
-    first, g = np.where(o < 3 * n**4, 0, 3 * n**4), np.where(o < 3 * n**4, n**4, n**2)
-    re = o + first + (o - first) // g * g
-    layout = np.stack([re, re + g])
-    m = 14 * n**4  # re and im of 3 Jacobi families of n^4 and 4n^2 curvature blocks of n^2
-    chunks = [_model_chunk(terms, layout, a0, min(d, a0 + _CHUNK_ROWS), d)
+    rep, factor = _class_map(n)
+    representative = (rep == np.arange(len(rep))) & (factor != 0)
+    chunks = [_model_chunk(terms, _layout(n), representative, a0, min(d, a0 + _CHUNK_ROWS), d)
               for a0 in range(0, d, _CHUNK_ROWS)]
-    row, left, right, vals = map(np.concatenate, zip(*chunks))
-    if not np.isfinite(vals).all():
-        raise ValidationError(f"the search model overflows at s={s!r}")
-    live = np.flatnonzero(np.bincount(row, minlength=m))
-    compact = np.zeros(m, np.intp)
-    compact[live] = np.arange(len(live))
-    flat, cols = compact[row] * d + left, right
-    dense = None
-    if 8 * len(live) * d * d <= _DENSE_BYTES:
-        dense = np.zeros((d, len(live) * d))
-        dense[cols, flat] = 2.0 * vals
-        dense.flags.writeable = False
-    return _QuadraticModel(m, d, live, flat, cols, vals, M, dense)
+    return tuple(map(np.concatenate, zip(*chunks))), M
 
 
 def _operand(entries, labels, out_labels, out_shape, offset):
@@ -320,19 +395,23 @@ def _join(left_key, right_key):
     return i, order[np.repeat(start[left_key] - first, reps) + np.arange(len(i))]
 
 
-def _model_chunk(terms, layout, a0, a1, d):
+def _model_chunk(terms, layout, representative, a0, a1, d):
     """(row, left, right, value) of the nonzero B[row, left, right] with min(left, right)
-    in [a0, a1), in the emission order of _quadratic_model.
+    in [a0, a1) and row a representative, in the emission order of
+    _representative_entries.
 
-    For each entry (a, b, o), b >= a, and each term, the products of its join are
-    summed first; then q(e_a, e_b) and q(e_b, e_a) each add their terms up in table
-    order, as the dense kernels do, and B = (q(e_a, e_b) + q(e_b, e_a)) / 2.
+    Only the pairs whose complex entry o has a representative re or im row
+    (layout[:, o]) form products.  For each entry (a, b, o), b >= a, and each term,
+    the products of its join are summed first; then q(e_a, e_b) and q(e_b, e_a) each
+    add their terms up in table order, as the dense kernels do, and
+    B = (q(e_a, e_b) + q(e_b, e_a)) / 2.
     """
     def basis(operand, lo, hi):  # the entries of the basis vectors lo <= u < hi
         start, stop = np.searchsorted(operand[0], (lo, hi))
         return [x[start:stop] for x in operand]
 
     width = layout.shape[1]
+    wanted = representative[layout].any(axis=0)
     keys, prods = [], []
     for _, left, right in terms:
         # q(e_a, e_b) takes the left factor from a in the chunk, q(e_b, e_a) from b >= a
@@ -341,9 +420,10 @@ def _model_chunk(terms, layout, a0, a1, d):
                 (basis(left, a0, d), basis(right, a0, a1), True)):
             i, j = _join(lk, rk)
             a, b = (ru[j], lu[i]) if swap else (lu[i], ru[j])
-            keep = b >= a
+            o = lp[i] + rp[j]
+            keep = (b >= a) & wanted[o]
             i, j = i[keep], j[keep]
-            keys.append(((a[keep] - a0) * d + b[keep]) * width + lp[i] + rp[j])
+            keys.append(((a[keep] - a0) * d + b[keep]) * width + o[keep])
             prods.append(lv[i] * rv[j])
     slots, where = np.unique(np.concatenate(keys), return_inverse=True)
     where = np.split(where, np.cumsum([len(k) for k in keys])[:-1])
@@ -356,7 +436,7 @@ def _model_chunk(terms, layout, a0, a1, d):
     vals = (0.5 * (q[0] + q[1])).ravel()
     row = layout[:, slots % width].ravel()
     a, b = np.tile(slots // (d * width) + a0, 2), np.tile(slots // width % d, 2)
-    nz = np.flatnonzero(vals)
+    nz = np.flatnonzero((vals != 0) & representative[row])
     nz = nz[np.argsort(((a[nz] - a0) * d + b[nz]) * 2 * width + row[nz])]
     row, a, b, vals = row[nz], a[nz], b[nz], vals[nz]
     # per a: every b >= a in (b, row) order, then the mirrored entries B[:, b, a], b > a;
@@ -408,14 +488,21 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
     re then im of each n x n curvature block R[a, b] at parameter s, a-major,
     then the torsion hinge when hunting.  Every polynomial entry is a
     homogeneous quadratic x^T B x, so its derivative is 2 B x, from the
-    cached model; the rows the model drops are zero.
+    cached model: each row is its factor over its class's weight times the
+    model row of its class (see _QuadraticModel), and the rows of classes
+    that vanish for every x are zero.
     The hinge row is differentiated analytically.
     """
     J = _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
     model = _polynomial_model(problem)
     live = len(model.rows)
+    rep, factor = model.classes
+    at = np.full(model.m, -1)  # model row of each representative row
+    at[model.rows] = np.arange(live)
+    member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
+    k = at[rep[member]]
     full = np.zeros((model.m + len(J) - live, model.d))
-    full[model.rows] = J[:live]
+    full[member] = (factor[member] / model.weights[k])[:, None] * J[k]
     full[model.m :] = J[live:]
     return full
 
@@ -454,11 +541,12 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
     (J, its candidate and temporaries).  A restart that stops leaves the block and
     the next start takes its place.  Each restart keeps its own damping, iteration
     count, history and stop reason, so its result does not depend on the schedule.
+    The end points are re-validated together once every restart has stopped.
     """
     model = _polynomial_model(problem)
     width = max(1, _BLOCK_BYTES // max(1, 32 * (len(model.rows) + problem.hunt) * model.d))
     starts, admitted = np.asarray(starts, dtype=float), 0
-    results, history = [None] * len(starts), [None] * len(starts)
+    ends, stops, history = np.empty_like(starts), [None] * len(starts), [None] * len(starts)
     state = None  # live (the restart of each row), x, J, r, norm, mu, iterations
     ended = {}  # row -> step_floor or stagnation, from the last accepted step
     while True:
@@ -477,14 +565,14 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
             i, reason = live[row], ended.get(row) or (
                 "tol" if norm[row] <= problem.tol
                 else "damping_ceiling" if mu[row] >= _DAMPING_CEILING else "max_iters")
-            results[i] = _classify(problem, x[row], int(iterations[row]), seeds[i],
-                                   float(norm[row]), reason, tuple(history[i]))
+            ends[i] = x[row]
+            stops[i] = (int(iterations[row]), float(norm[row]), reason)
         ended = {}
         if done.any():
             state = tuple(a[~done] for a in state)
             continue
         if not len(live):
-            return results
+            return _classify(problem, ends, stops, seeds, history)
         iterations += 1
         step = _lm_step(J, r, mu)
         cand = x + step
@@ -538,26 +626,60 @@ def _lm_step(J: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return step
 
 
-def _classify(problem: SearchProblem, x, iterations, seed_used, residual_norm, stop_reason,
-              history) -> SearchResult:
-    # hinge-free re-validation: reported residuals are pure Jacobi + flatness
-    U = structure_from_point(problem, x)
-    jac = float(np.sqrt(sum(np.sum(np.abs(f) ** 2) for f in jacobi_residual_tensors(U.C, U.D))))
-    flat = curvature(U, problem.s).frobenius
-    torsion = chern_torsion(U).norm
-    if not all(map(math.isfinite, (jac, flat, torsion))):
-        raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
-    # rho does not depend on scale: the residuals are quadratic and T is linear.  Divided
-    # twice, since torsion ** 2 raises OverflowError at |T| ~ 1e160 where division gives inf.
-    rho = max(jac, flat) / torsion / torsion if torsion else math.inf
-    cls = NOT_CONVERGED
-    if max(jac, flat) <= problem.tol:
-        cls = CONVERGED_NONKAHLER if rho <= _RHO_MAX else CONVERGED_KAHLER
-    return SearchResult(
-        best_point=U, final_jacobi=jac, final_flatness=flat, torsion_norm=torsion, rho=rho,
-        classification=cls, iterations=iterations, seed_used=seed_used,
-        residual_norm=residual_norm, stop_reason=stop_reason, residual_history=history,
-    )
+def _classify(problem: SearchProblem, x: np.ndarray, stops, seeds, histories) -> list:
+    """The results of the restarts that ended at the points x (k, d), with their
+    (iterations, residual norm, stop reason), seeds and residual histories.
+
+    The reported residuals are re-validated without the hinge (_revalidate).
+    Raises ValidationError when they overflow.
+    """
+    checks = zip(*_revalidate(problem, x))
+    results = []
+    for point, (jac, flat, torsion), (iterations, norm, reason), seed, history in zip(
+            x, checks, stops, seeds, histories):
+        jac, flat, torsion = float(jac), float(flat), float(torsion)
+        if not all(map(math.isfinite, (jac, flat, torsion))):
+            raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
+        # rho does not depend on scale: the residuals are quadratic and T is linear.  Divided
+        # twice, since torsion ** 2 raises OverflowError at |T| ~ 1e160 where division gives inf.
+        rho = max(jac, flat) / torsion / torsion if torsion else math.inf
+        cls = NOT_CONVERGED
+        if max(jac, flat) <= problem.tol:
+            cls = CONVERGED_NONKAHLER if rho <= _RHO_MAX else CONVERGED_KAHLER
+        results.append(SearchResult(
+            best_point=structure_from_point(problem, point), final_jacobi=jac,
+            final_flatness=flat, torsion_norm=torsion, rho=rho, classification=cls,
+            iterations=iterations, seed_used=seed, residual_norm=norm, stop_reason=reason,
+            residual_history=tuple(history),
+        ))
+    return results
+
+
+def _revalidate(problem: SearchProblem, x: np.ndarray):
+    """(jacobi, flatness, torsion) norms at each point of the stack x (k, d): the Frobenius
+    norms of the Jacobi residuals (jacobi_residual_tensors), of the curvature at s
+    (curvature) and of the torsion (chern_torsion) of the point's structure.
+
+    The kernels run once per chunk of points, with a leading axis; each value is
+    bitwise the one of the kernels on that point alone.  A chunk holds as many
+    points as four complex curvature tensors of theirs fit in _BLOCK_BYTES.
+    """
+    n, s = problem.n, problem.s
+    chunk = max(1, _BLOCK_BYTES // (4 * 16 * (2 * n) ** 4))
+    parts = []
+    for lo in range(0, len(x), chunk):
+        C, D = _decode(x[lo : lo + chunk], problem)
+        T = _torsion(C, D)
+        R = _curvature_tensor(_endomorphisms(D + s * T), _brackets(C, D))[..., :n, :n]
+        jac = sum(_squares(f) for f in jacobi_residual_tensors(C, D))
+        parts.append(np.sqrt([jac, _squares(R), _squares(T)]))
+    return np.concatenate(parts, axis=1) if parts else np.zeros((3, 0))
+
+
+def _squares(X: np.ndarray) -> np.ndarray:
+    """Sum of |X|^2 over all axes but the first.  Like frobenius on X[i] alone, the sum
+    runs in memory order, which the kernels' outputs need not share with index order."""
+    return np.sum(np.abs(X) ** 2, axis=tuple(range(1, X.ndim)))
 
 
 def random_start(problem: SearchProblem, seed: int) -> np.ndarray:
@@ -570,9 +692,9 @@ def multistart_search(problem: SearchProblem) -> MultistartSummary:
 
     Restart k draws its start from seed problem.seed + k.  The restarts
     run in lockstep blocks (see _lm_batch) whose size is the budget
-    _BLOCK_BYTES over the working set of one restart: about ten at n = 2
-    full mode, five at n = 3 parallel-frame mode and one at n = 3 full
-    mode.  Each restart's result does not depend on its block.  The
+    _BLOCK_BYTES over the working set of one restart: 30 at n = 2 full
+    mode, 12 at n = 3 parallel-frame mode and one at n = 3 full mode and
+    n = 4.  Each restart's verdict does not depend on its block.  The
     summary counts classifications and stop reasons.  Non-convergence is
     counted, never dropped: absence of non-Kahler solutions is evidence
     about this search, not a proof, and the bookkeeping keeps that

@@ -168,39 +168,49 @@ def _curvature_bilinear(A, brk, A2, batch, block):
     return comm - lin
 
 
+def _images(problem, x):
+    """(C, D, A, brk) of the stack of points x, A at the problem's parameter."""
+    C, D = S._decode(x, problem)
+    return C, D, core._endomorphisms(D + problem.s * core._torsion(C, D)), core._brackets(C, D)
+
+
+def _bilinear_rows(first, second, batch, n):
+    """Full-layout rows of the bilinear residual q(first, second) of the Jacobi and
+    curvature forms, one row per pair of (C, D, A, brk) images; batch names the leading
+    axes of first and of second, and the stacked one comes first."""
+    (C1, D1, A1, brk1), (C2, D2, A2, _) = first, second
+    jac = np.stack(_jacobi_bilinear(C1, D1, C2, D2, batch), axis=1)
+    curv = _curvature_bilinear(A1, brk1, A2, batch, slice(0, n))
+    k = len(curv)
+    jac = jac.reshape(k, 3, 1, n**4)
+    cur = curv.reshape(k, 4 * n * n, 1, n * n)
+    return np.concatenate([np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
+                           np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1)], axis=1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def row_by_row_model(n: int, s: float, mode: str):
-    """(m, d, rows, flat, cols, vals, torsion, dense) of search._quadratic_model, from
-    dense einsums of the Jacobi and curvature forms on every pair of basis vectors.
+    """(m, d, rows, flat, cols, vals, torsion, dense) of the full-row model: B over every
+    residual row of the layout that is not identically zero, from dense einsums of the
+    Jacobi and curvature forms on every pair of basis vectors.
 
-    This is the model build of earlier releases: per basis row a it evaluates
-    q(e_a, e_b) and q(e_b, e_a) for all b >= a and keeps the nonzero entries of
-    B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2, in the same emission order.
+    This is the model build of earlier releases, which kept every row: per basis
+    row a it evaluates q(e_a, e_b) and q(e_b, e_a) for all b >= a and keeps the
+    nonzero entries of B[:, a, b] = (q(e_a, e_b) + q(e_b, e_a)) / 2, in the emission
+    order of search._representative_entries.
     """
     problem = S.SearchProblem(n=n, s=s, mode=mode)
     d = S.unknown_count(problem)
-    Cb, Db = S._decode(np.eye(d), problem)
-    T = core._torsion(Cb, Db)
-    A = core._endomorphisms(Db + s * T)
-    brk = core._brackets(Cb, Db)
+    basis = _images(problem, np.eye(d))
+    T = core._torsion(*basis[:2])
     M = np.ascontiguousarray(T.reshape(d, -1).view(float).T)
 
-    def rows(jacobi, curv):
-        k = len(curv)
-        jac = np.stack(jacobi, axis=1).reshape(k, 3, 1, n**4)
-        cur = curv.reshape(k, 4 * n * n, 1, n * n)
-        return np.concatenate([np.concatenate([jac.real, jac.imag], axis=2).reshape(k, -1),
-                               np.concatenate([cur.real, cur.imag], axis=2).reshape(k, -1)], axis=1)
-
     m = 14 * n**4
-    block = slice(0, n)
     row, left, right, vals = [], [], [], []
     for a in range(d):
-        tail = slice(a, d)
-        ab = rows(_jacobi_bilinear(Cb[a], Db[a], Cb[tail], Db[tail], ("", "Z")),
-                  _curvature_bilinear(A[a], brk[a], A[tail], ("", "Z"), block))
-        ba = rows(_jacobi_bilinear(Cb[tail], Db[tail], Cb[a], Db[a], ("Z", "")),
-                  _curvature_bilinear(A[tail], brk[tail], A[a], ("Z", ""), block))
+        one, tail = [X[a] for X in basis], [X[a:] for X in basis]
+        ab = _bilinear_rows(one, tail, ("", "Z"), n)
+        ba = _bilinear_rows(tail, one, ("Z", ""), n)
         sym = 0.5 * (ab + ba)
         b_idx, row_idx = np.nonzero(sym)
         v = sym[b_idx, row_idx]
@@ -221,6 +231,34 @@ def row_by_row_model(n: int, s: float, mode: str):
         dense = np.zeros((d, len(live) * d))
         dense[cols, flat] = 2.0 * vals
     return m, d, live, flat, cols, vals, M, dense
+
+
+def full_row_jacobian(x, problem) -> np.ndarray:
+    """2 B x of the full-row model at the point x, (m, d), without building B: column b
+    is q(x, e_b) + q(e_b, x), from the same dense einsums as row_by_row_model."""
+    d = S.unknown_count(problem)
+    point = _images(problem, np.asarray(x, dtype=float))
+    basis = _images(problem, np.eye(d))
+    n = problem.n
+    return (_bilinear_rows(point, basis, ("", "Z"), n)
+            + _bilinear_rows(basis, point, ("Z", ""), n)).T
+
+
+def full_form(model) -> np.ndarray:
+    """B of the model over the full row layout, (m, d, d): each row is its factor over its
+    class's weight times the model row of its class; rows of classes not in the model
+    are zero."""
+    B = np.zeros((len(model.rows) * model.d, model.d))
+    B[model.flat, model.cols] = model.vals
+    B = B.reshape(-1, model.d, model.d)
+    rep, factor = model.classes
+    at = np.full(model.m, -1)
+    at[model.rows] = np.arange(len(model.rows))
+    full = np.zeros((model.m, model.d, model.d))
+    member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
+    k = at[rep[member]]
+    full[member] = (factor[member] / model.weights[k])[:, None, None] * B[k]
+    return full
 
 
 def residual_vector(x, problem) -> np.ndarray:

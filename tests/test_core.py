@@ -270,6 +270,32 @@ class TestValidateStructure:
         # sum_r C^r_{ik} D^l_{jr} with the single C and single D entry -> 0.1
         assert rep.max_abs == pytest.approx(0.1)
 
+    def test_threshold_is_relative_to_the_structure(self, samelson):
+        rep = hl.validate_structure(samelson, 1e-9)
+        assert rep.threshold == 1e-9 * (frobenius(samelson.C) ** 2 + frobenius(samelson.D) ** 2)
+        assert rep.valid == (rep.max_abs <= rep.threshold)
+        abelian = hl.validate_structure(hl.abelian(3), 1e-9)
+        assert abelian.threshold == 0.0 and abelian.valid  # 0 <= 0
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(which=st.sampled_from(["abelian", "affine", "samelson", "bdf4"]),
+           eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]), seed=st.integers(0, 2**16),
+           k=st.integers(-20, 20))
+    def test_verdict_does_not_depend_on_scale(self, which, eps, seed, k):
+        # scaling by 2^k multiplies the residuals and |C|^2 + |D|^2 by exactly 4^k
+        base = {"abelian": hl.abelian(2), "affine": hl.affine_complex_group(1.0),
+                "samelson": hl.samelson_su2_r(1.0),
+                "bdf4": hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))}[which]
+        U = hl.perturb(base, eps, seed) if eps else base
+        scaled = hl.UnitaryStructure(n=2, C=U.C * 2.0**k, D=U.D * 2.0**k)
+        a, b = hl.validate_structure(U), hl.validate_structure(scaled)
+        assert b.max_abs == a.max_abs * 4.0**k and b.threshold == a.threshold * 4.0**k
+        assert a.valid == b.valid
+        if not eps:
+            assert a.valid
+        elif which == "abelian":  # noise alone fails the identities at every size
+            assert not a.valid
+
     def test_shape_error(self):
         with pytest.raises(hl.exceptions.DimensionMismatchError):
             hl.UnitaryStructure(n=2, C=np.zeros((2, 2, 2)), D=np.zeros((3, 3, 3)))

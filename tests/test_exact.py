@@ -17,6 +17,8 @@ import sympy as sp
 
 from hermlie import core, search, theorems
 
+from conftest import full_form
+
 X = sp.symbols("x1:5", real=True)  # re and im of T^1_{12}, then of T^2_{12}
 S = sp.Symbol("s", real=True)
 
@@ -143,10 +145,7 @@ def surface_model_rows():
 def test_search_model_matches_the_exact_polynomials(s):
     # B[r, a, b] is the coefficient of x_a x_b in row r, halved off the diagonal
     model = search._quadratic_model(2, float(s), search.PARALLEL_FRAME)
-    live = np.zeros((len(model.rows) * model.d, model.d))
-    live[model.flat, model.cols] = model.vals
-    B = np.zeros((model.m, model.d, model.d))
-    B[model.rows] = live.reshape(-1, model.d, model.d)
+    B = full_form(model)
     exact = np.zeros_like(B)
     for r, poly in surface_model_rows().items():
         for powers, coeff in sp.Poly(sp.expand(poly.subs(S, s)), *X).as_dict().items():

@@ -400,10 +400,30 @@ class TestCli:
         assert hl.chern_torsion(U).norm <= 1e-12
 
     def test_tolerance_env_override(self, tmp_path, capsys, monkeypatch):
-        # quadratic residual ~1e-6 sits between the default 1e-9 and the override
+        # the quadratic residual is 0.29 (|C|^2 + |D|^2): between the default 1e-9 and the
+        # override
         noisy = tmp_path / "noisy.json"
         U = hl.perturb(hl.abelian(2), 1e-3, 3)
         noisy.write_bytes(structio.emit_structure(U))
         assert main(["validate", str(noisy)]) == 1
-        monkeypatch.setenv("HERMLIE_TOL", "1e-2")
+        monkeypatch.setenv("HERMLIE_TOL", "0.5")
         assert main(["validate", str(noisy)]) == 0
+
+    def test_shrunken_perturbed_samelson_stays_invalid(self, tmp_path, capsys):
+        base, noisy = tmp_path / "s.json", tmp_path / "noisy.json"
+        main(["catalog", "samelson", "--c", "1", "--emit", str(base)])
+        main(["catalog", "perturb", "--base", str(base), "--eps", "0.1", "--seed", "3",
+              "--emit", str(noisy)])
+        U = structio.parse_structure(noisy.read_bytes())
+        tiny = tmp_path / "tiny.json"
+        tiny.write_bytes(structio.emit_structure(hl.UnitaryStructure(n=2, C=U.C * 1e-6,
+                                                                     D=U.D * 1e-6)))
+        for path in (noisy, tiny):
+            capsys.readouterr()
+            assert main(["validate", str(path)]) == 1
+            lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+            V = structio.parse_structure(path.read_bytes())
+            want = 1e-9 * (np.sum(np.abs(V.C) ** 2) + np.sum(np.abs(V.D) ** 2))
+            assert float(lines["threshold"]) == pytest.approx(want, rel=1e-12)
+            assert float(lines["max_abs"]) > float(lines["threshold"])
+            assert lines["valid"] == "false"

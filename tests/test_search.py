@@ -15,8 +15,8 @@ from hermlie.cli import main
 from hermlie.tensors import transform_frame
 
 from conftest import (
-    point_from_structure, point_from_torsion, quadratic_part, random_structure, random_unitary,
-    residual_vector, row_by_row_model, unitary_change,
+    full_form, full_row_jacobian, point_from_structure, point_from_torsion, quadratic_part,
+    random_structure, random_unitary, residual_vector, row_by_row_model, unitary_change,
 )
 
 
@@ -138,13 +138,11 @@ def polarization_model(problem):
     return r0, L, B
 
 
-def dense_form(model):
-    """B of shape (m, d, d) in the full row layout; dropped rows are zero."""
+def model_form(model):
+    """B of the model's own (weighted) rows, shape (rows, d, d)."""
     B = np.zeros((len(model.rows) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    full = np.zeros((model.m, model.d, model.d))
-    full[model.rows] = B.reshape(-1, model.d, model.d)
-    return full
+    return B.reshape(-1, model.d, model.d)
 
 
 MODEL_PROBLEMS = [
@@ -173,17 +171,25 @@ ROW_BY_ROW_CASES = [
 
 
 def assert_same_model(n, s, mode):
-    """Every field of the model equals the row-by-row build's, bit for bit."""
-    model = S._quadratic_model(n, s, mode)
-    want = row_by_row_model(n, s, mode)
-    fields = (model.m, model.d, model.rows, model.flat, model.cols, model.vals, model.torsion)
-    assert fields[:2] == want[:2]
-    for got, ref in zip(fields[2:], want[2:]):
+    """The unweighted representative rows equal those rows of the row-by-row build of
+    every row, bit for bit, in its emission order; the model weights them after the
+    sums and loses no row that build keeps."""
+    (row, left, right, vals), M = S._representative_entries(n, s, mode)
+    m, d, live, flat, cols, want_vals, want_M, _ = row_by_row_model(n, s, mode)
+    rep, factor = S._class_map(n)
+    want_row = live[flat // d]
+    keep = (rep[want_row] == want_row) & (factor[want_row] != 0)
+    want = (want_row[keep], (flat % d)[keep], cols[keep], want_vals[keep], want_M)
+    for got, ref in zip((row, left, right, vals, M), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    assert (model.dense is None) == (want[-1] is None)
-    if model.dense is not None:
-        assert model.dense.tobytes() == want[-1].tobytes()
+    model = S._quadratic_model(n, s, mode)
+    assert (model.m, model.d) == (m, d) and model.torsion.tobytes() == M.tobytes()
+    assert np.array_equal(model.rows, np.unique(row))
+    assert (factor[live] != 0).all() and np.isin(rep[live], model.rows).all()
+    at = np.searchsorted(model.rows, row)
+    assert model.vals.tobytes() == (vals * model.weights[at]).tobytes()
+    assert np.array_equal(model.flat, at * d + left) and np.array_equal(model.cols, right)
 
 
 class TestQuadraticModel:
@@ -192,7 +198,7 @@ class TestQuadraticModel:
         r0, L, B = polarization_model(problem)
         assert np.abs(r0).max() == 0.0 and np.abs(L).max() == 0.0  # homogeneous quadratics
         model = S._polynomial_model(problem)
-        assert np.abs(dense_form(model) - B).max() <= 1e-14 * np.abs(B).max()
+        assert np.abs(full_form(model) - B).max() <= 1e-14 * np.abs(B).max()
 
     @pytest.mark.parametrize("n, s, mode", ROW_BY_ROW_CASES)
     def test_equals_the_row_by_row_build_bitwise(self, n, s, mode):
@@ -244,6 +250,87 @@ class TestQuadraticModel:
         assert S._polynomial_model(a) is S._polynomial_model(b)
         for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME)):
             assert S._polynomial_model(c) is not S._polynomial_model(a)
+
+
+CLASS_CASES = [(n, mode) for mode in (S.FULL, S.PARALLEL_FRAME) for n in (2, 3, 4)]
+# representative rows of the model at s = 1.3, and the rows of the full-row model in brackets
+REPRESENTATIVE_ROWS = {(2, S.FULL): 40, (3, S.FULL): 249, (4, S.FULL): 864,  # 120, 774, 2720
+                       (2, S.PARALLEL_FRAME): 14, (3, S.PARALLEL_FRAME): 114,  # 28, 252
+                       (4, S.PARALLEL_FRAME): 416}  # 960
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max() if np.abs(want).max() else np.abs(got).max()
+
+
+class TestClassMap:
+    @pytest.mark.parametrize("n, mode", CLASS_CASES)
+    def test_is_the_same_at_every_parameter(self, n, mode):
+        rep, factor = S._class_map(n)
+        assert not rep.flags.writeable and not factor.flags.writeable
+        assert np.array_equal(rep[rep], rep) and set(np.unique(factor)) <= {-1.0, 0.0, 1.0}
+        for s in (0.0, 0.37, 1.0, 1.3, 2.0, 3.0, -2.5):
+            model = S._quadratic_model(n, s, mode)
+            assert model.classes[0] is rep and model.classes[1] is factor
+            assert (rep[model.rows] == model.rows).all() and (factor[model.rows] == 1).all()
+            members = np.bincount(rep, factor * factor, model.m)[model.rows]
+            assert np.array_equal(model.weights, np.sqrt(members))
+        assert len(S._quadratic_model(n, 1.3, mode).rows) == REPRESENTATIVE_ROWS[n, mode]
+
+    @pytest.mark.parametrize("n, mode", [c for c in CLASS_CASES if c != (4, S.FULL)])
+    @pytest.mark.parametrize("s", [0.37, 1.3, 3.0])
+    def test_each_row_is_its_factor_times_its_representative(self, n, mode, s):
+        # B of every row from the row-by-row build (n = 4 full mode takes seconds there and
+        # is covered by the normal-equation test below)
+        m, d, live, flat, cols, vals, _, _ = row_by_row_model(n, s, mode)
+        B = np.zeros((m, d * d))
+        B[live[flat // d], flat % d * d + cols] = vals
+        rep, factor = S._class_map(n)
+        assert relative_gap(B, factor[:, None] * B[rep]) <= 1e-15
+        assert not B[factor == 0].any()
+
+    @pytest.mark.parametrize("n, mode", CLASS_CASES)
+    @pytest.mark.parametrize("s", [0.0, 0.37, 1.0, 1.3, 2.0, 3.0])
+    def test_normal_equations_equal_the_full_row_model(self, n, mode, s):
+        problem = S.SearchProblem(n=n, s=s, mode=mode)
+        rng = np.random.default_rng(7 * n + len(mode))
+        for x in rng.standard_normal((2, S.unknown_count(problem))):
+            full_J = full_row_jacobian(x, problem)
+            full_r = 0.5 * full_J @ x
+            J, r, _ = S._evaluate(x[None], problem)
+            J, r = J[0], r[0]
+            assert relative_gap(r @ r, full_r @ full_r) <= 1e-13
+            assert relative_gap(J.T @ J, full_J.T @ full_J) <= 1e-13
+            assert relative_gap(J.T @ r, full_J.T @ full_r) <= 1e-13
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS[:3], ids=MODEL_IDS[:3])
+    def test_full_row_jacobian_is_twice_the_full_row_form_times_the_point(self, problem):
+        m, d, live, flat, cols, vals, _, _ = row_by_row_model(problem.n, problem.s, problem.mode)
+        B = np.zeros((m * d, d))
+        B[live[flat // d] * d + flat % d, cols] = vals
+        x = np.random.default_rng(5).standard_normal(d)
+        want = 2.0 * (B @ x).reshape(m, d)
+        assert relative_gap(full_row_jacobian(x, problem), want) <= 1e-14
+
+
+class TestBatchedRevalidation:
+    @pytest.mark.parametrize("n, mode", CLASS_CASES)
+    @pytest.mark.parametrize("block_bytes", [S._BLOCK_BYTES, 1], ids=["chunks", "one-by-one"])
+    def test_equals_each_point_alone_bitwise(self, n, mode, block_bytes, monkeypatch):
+        monkeypatch.setattr(S, "_BLOCK_BYTES", block_bytes)
+        for s in (0.37, 1.5, 2.0):
+            problem = S.SearchProblem(n=n, s=s, mode=mode)
+            rng = np.random.default_rng(n + 10 * len(mode))
+            x = rng.standard_normal((8, S.unknown_count(problem)))
+            x *= 10.0 ** rng.integers(-6, 4, (8, 1))
+            jac, flat, torsion = S._revalidate(problem, x)
+            for k, point in enumerate(x):
+                U = S.structure_from_point(problem, point)
+                alone = np.sqrt(sum(np.sum(np.abs(f) ** 2)
+                                    for f in core.jacobi_residual_tensors(U.C, U.D)))
+                assert jac[k] == alone
+                assert flat[k] == hl.curvature(U, s).frobenius
+                assert torsion[k] == hl.chern_torsion(U).norm
 
 
 CODEC_CASES = [(n, S.FULL) for n in (1, 2, 3, 4)] + [(n, S.PARALLEL_FRAME) for n in (2, 3, 4)]
@@ -518,7 +605,7 @@ class TestLockstep:
             if model.dense is not None:
                 # column i * d + a of dense.T holds 2 B[i, a, :]
                 assert np.array_equal(model.dense.T.reshape(len(model.rows), model.d, model.d),
-                                      2 * dense_form(model)[model.rows])
+                                      2 * model_form(model))
 
     def test_failed_batched_solve_falls_back_for_that_restart_only(self, monkeypatch):
         prob = S.SearchProblem(n=2, s=1.5, restarts=4, seed=3, max_iters=40)
@@ -537,8 +624,17 @@ class TestLockstep:
         # the batched solve fails, then restart 0's own system; restarts 1-3 solve theirs
         patched = S.multistart_search(prob)
         assert calls[:5] == [(4, 20, 20)] + [(20, 20)] * 4
+        # restarts 1-3 take the steps they take without the failure: bitwise while restart 0
+        # shares their block, to rounding once it has left, since a smaller block takes
+        # other BLAS kernels; restart 0's own path can end it at another iteration
+        shared = min(plain.results[0].iterations, patched.results[0].iterations)
         for before, after in list(zip(plain.results, patched.results))[1:]:
-            assert after.residual_history == before.residual_history
+            assert (after.iterations, after.stop_reason) == (before.iterations, before.stop_reason)
+            assert len(after.residual_history) == len(before.residual_history)
+            # at most iterations - shared accepted steps come after iteration `shared`
+            keep = len(after.residual_history) - max(0, after.iterations - shared)
+            assert after.residual_history[:keep] == before.residual_history[:keep]
+            assert np.allclose(after.residual_history, before.residual_history, rtol=1e-12, atol=0)
         assert patched.results[0].residual_history != plain.results[0].residual_history
         # alone, restart 0 takes the same gradient step when its first solve fails
         calls.clear()
@@ -561,7 +657,7 @@ class TestLockstep:
 
 def revalidate(problem, x):
     """_classify of the point x, as at the end of a restart."""
-    return S._classify(problem, x, 0, -1, 0.0, "tol", ())
+    return S._classify(problem, x[None], [(0, 0.0, "tol")], [-1], [()])[0]
 
 
 def frame_changed(problem, x, V):

@@ -111,23 +111,19 @@ class ResidualReport:
     """Residuals of an identity family, keyed by index tuple or by sub-family.
 
     When the producing operation was given a tolerance it is recorded
-    here, with the size the tolerance is relative to (1 for an absolute
-    one), and ``valid`` reports the max_abs <= threshold = tol * scale judgment.
+    here with the threshold it sets, and ``valid`` reports the
+    max_abs <= threshold judgment.
     """
 
     name: str
     max_abs: float
     per_identity: dict
     tol: float | None = None
-    scale: float = 1.0
-
-    @property
-    def threshold(self) -> float | None:
-        return None if self.tol is None else self.tol * self.scale
+    threshold: float | None = None
 
     @property
     def valid(self) -> bool | None:
-        return None if self.tol is None else self.max_abs <= self.threshold
+        return None if self.threshold is None else self.max_abs <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -277,14 +273,18 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
     the package validity tolerance).  The residuals are quadratic in (C, D),
     so scaling the structure leaves the verdict unchanged, and the abelian
     structure (all zero) is valid.  No separate integrability check exists
-    here: C carries no (0,1) part by construction.
+    here: C carries no (0,1) part by construction.  Raises ValidationError
+    when a residual or |C|^2 + |D|^2 overflows.
     """
-    res = jacobi_residual_tensors(U.C, U.D)
-    per = {(fam,): max_abs(arr) for fam, arr in zip(("ccc", "cdd", "cdbar"), res)}
-    return ResidualReport(
-        name="jacobi", max_abs=max(per.values()), per_identity=per, tol=validity_tol(tol),
-        scale=frobenius(U.C) ** 2 + frobenius(U.D) ** 2,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = jacobi_residual_tensors(U.C, U.D)
+        per = {(fam,): max_abs(arr) for fam, arr in zip(("ccc", "cdd", "cdbar"), res)}
+        size = float(np.square(frobenius(U.C)) + np.square(frobenius(U.D)))
+    if not all(map(math.isfinite, (*per.values(), size))):
+        raise ValidationError("the Jacobi residuals of the structure overflow")
+    tol = validity_tol(tol)
+    return ResidualReport(name="jacobi", max_abs=max(per.values()), per_identity=per, tol=tol,
+                          threshold=tol * size)
 
 
 # The Jacobi identities of validate_structure as bilinear terms (family, sign, left

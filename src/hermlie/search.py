@@ -37,7 +37,8 @@ restart leaves it when it stops.  A small model (n = 2 full mode,
 parallel-frame mode up to n = 3) also keeps B dense, so B x of a block
 is one GEMM; a larger one applies its sparse B one point at a time.
 Restart seeds are preassigned (problem.seed + restart index) and every
-restart keeps its own state, so the results do not depend on the blocks.
+restart keeps its own state, so the results do not depend on the blocks,
+to the last digit (see _gemm).
 
 Each end point is re-validated without the hinge.  tol decides convergence
 only (Jacobi and flatness residuals <= tol); a converged restart is
@@ -197,13 +198,31 @@ def structure_from_point(problem: SearchProblem, x: np.ndarray) -> UnitaryStruct
 # residuals
 
 
+def _gemm(x: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
+    """x @ A for the stack x (k, p), by GEMM whatever k, into out when given.
+
+    numpy hands a product with one row to GEMV, which rounds otherwise, so one
+    row is padded to two; a row's product is then the same in a stack of any size,
+    as GEMM computes each row alike whatever the number of rows (TestLockstep
+    checks the paths this gives bitwise).
+    """
+    if len(x) > 1:
+        return np.matmul(x, A, out=out)
+    pair = np.matmul(np.concatenate([x, x]), A)
+    if out is None:
+        return pair[:1]
+    out[...] = pair[:1]
+    return out
+
+
 def _hinge(x: np.ndarray, problem: SearchProblem):
-    """Hinge value and gradient row at each point x[..., :] (gradient zero when inactive)."""
+    """Hinge value and gradient row at each point of the stack x (k, d) (gradient zero
+    when inactive)."""
     M = _polynomial_model(problem).torsion
-    t = x @ M.T
+    t = _gemm(x, M.T)
     norm = _norms(t)[..., None]
     pushing = (norm > 0.0) & (norm < _TORSION_TARGET)
-    grad = np.divide(-(t @ M), norm, out=np.zeros_like(x), where=pushing)
+    grad = np.divide(-_gemm(t, M), norm, out=np.zeros_like(x), where=pushing)
     return np.maximum(_TORSION_TARGET - norm[..., 0], 0.0), grad
 
 
@@ -456,15 +475,16 @@ def _evaluate(x: np.ndarray, problem: SearchProblem):
     """(J, r, ||r||) at each point of the stack x (k, d): J (k, rows, d) over
     the model rows, then the hinge row when hunting, r (k, rows) and ||r|| (k,).
 
-    J = 2 B x is one GEMM with the dense 2 B of a small model and one
-    bincount per point otherwise; r = J x / 2.
+    J = 2 B x is one GEMM (_gemm) with the dense 2 B of a small model and one
+    bincount per point otherwise; r = J x / 2.  A point's J and r do not depend
+    on the other points of the stack, nor on their number.
     """
     model = _polynomial_model(problem)
     live = len(model.rows)
     J = np.empty((len(x), live + problem.hunt, model.d))
     rows = J.reshape(len(x), -1)[:, : live * model.d]  # a view of the model rows of J
     if model.dense is not None:
-        np.matmul(x, model.dense, out=rows)
+        _gemm(x, model.dense, out=rows)
     else:  # one bincount per point
         for p, row in zip(x, rows):
             np.multiply(np.bincount(model.flat, model.vals * p[model.cols], len(row)), 2.0, out=row)
@@ -496,14 +516,21 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
     J = _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
     model = _polynomial_model(problem)
     live = len(model.rows)
+    return np.concatenate([_expand(model, J[:live]), J[live:]])
+
+
+def _expand(model: _QuadraticModel, values: np.ndarray) -> np.ndarray:
+    """values (rows, ...) of the model rows over the full row layout, (m, ...): each
+    row is its factor over its class's weight times the value of its class's model
+    row, and the rows of classes not in the model are zero."""
     rep, factor = model.classes
     at = np.full(model.m, -1)  # model row of each representative row
-    at[model.rows] = np.arange(live)
+    at[model.rows] = np.arange(len(model.rows))
     member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
     k = at[rep[member]]
-    full = np.zeros((model.m + len(J) - live, model.d))
-    full[member] = (factor[member] / model.weights[k])[:, None] * J[k]
-    full[model.m :] = J[live:]
+    full = np.zeros((model.m,) + values.shape[1:])
+    scale = factor[member] / model.weights[k]
+    full[member] = scale.reshape((-1,) + (1,) * (values.ndim - 1)) * values[k]
     return full
 
 
@@ -540,7 +567,8 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
     solve per iteration; width is _BLOCK_BYTES over four float arrays of J's size
     (J, its candidate and temporaries).  A restart that stops leaves the block and
     the next start takes its place.  Each restart keeps its own damping, iteration
-    count, history and stop reason, so its result does not depend on the schedule.
+    count, history and stop reason, and its products do not depend on the block
+    (_evaluate), so its result is bitwise the same under any schedule.
     The end points are re-validated together once every restart has stopped.
     """
     model = _polynomial_model(problem)
@@ -694,11 +722,11 @@ def multistart_search(problem: SearchProblem) -> MultistartSummary:
     run in lockstep blocks (see _lm_batch) whose size is the budget
     _BLOCK_BYTES over the working set of one restart: 30 at n = 2 full
     mode, 12 at n = 3 parallel-frame mode and one at n = 3 full mode and
-    n = 4.  Each restart's verdict does not depend on its block.  The
-    summary counts classifications and stop reasons.  Non-convergence is
-    counted, never dropped: absence of non-Kahler solutions is evidence
-    about this search, not a proof, and the bookkeeping keeps that
-    explicit.
+    n = 4.  Each restart's result is bitwise the one of lm_minimize from
+    its start, whatever its block.  The summary counts classifications
+    and stop reasons.  Non-convergence is counted, never dropped: absence
+    of non-Kahler solutions is evidence about this search, not a proof,
+    and the bookkeeping keeps that explicit.
     """
     seeds = range(problem.seed, problem.seed + problem.restarts)
     results = tuple(_lm_batch(problem, np.stack([random_start(problem, k) for k in seeds]), seeds))

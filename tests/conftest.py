@@ -245,20 +245,10 @@ def full_row_jacobian(x, problem) -> np.ndarray:
 
 
 def full_form(model) -> np.ndarray:
-    """B of the model over the full row layout, (m, d, d): each row is its factor over its
-    class's weight times the model row of its class; rows of classes not in the model
-    are zero."""
+    """B of the model over the full row layout, (m, d, d), through search._expand."""
     B = np.zeros((len(model.rows) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    B = B.reshape(-1, model.d, model.d)
-    rep, factor = model.classes
-    at = np.full(model.m, -1)
-    at[model.rows] = np.arange(len(model.rows))
-    full = np.zeros((model.m, model.d, model.d))
-    member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
-    k = at[rep[member]]
-    full[member] = (factor[member] / model.weights[k])[:, None, None] * B[k]
-    return full
+    return S._expand(model, B.reshape(-1, model.d, model.d))
 
 
 def residual_vector(x, problem) -> np.ndarray:
@@ -272,7 +262,7 @@ def residual_vector(x, problem) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = quadratic_part(x, problem)
     if problem.hunt:
-        value, _ = S._hinge(x, problem)
+        value, _ = S._hinge(x[None], problem)
         r = np.append(r, value)
     return r
 
@@ -359,7 +349,8 @@ def validate_real(P: hl.RealPresentation, tol: float | None = None) -> ResidualR
             per[("integrability", a + 1, b + 1)] = float(np.abs(nij[:, a, b]).max())
 
     worst = max(per.values())
-    return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol)
+    return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol,
+                          threshold=tol)
 
 
 def frame_gram_residual(P: hl.RealPresentation, E: np.ndarray) -> float:

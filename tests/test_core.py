@@ -270,6 +270,15 @@ class TestValidateStructure:
         # sum_r C^r_{ik} D^l_{jr} with the single C and single D entry -> 0.1
         assert rep.max_abs == pytest.approx(0.1)
 
+    def test_overflowing_residuals_raise(self):
+        U = hl.affine_complex_group(1.0)
+        D = np.array(U.D)
+        D[0, 0, 0] = 0.1
+        for size in (1e160, 1e200):  # its residual and |C|^2 + |D|^2 overflow
+            huge = hl.UnitaryStructure(n=2, C=U.C * size, D=D * size)
+            with pytest.raises(hl.exceptions.ValidationError, match="overflow"):
+                hl.validate_structure(huge, 1e-9)
+
     def test_threshold_is_relative_to_the_structure(self, samelson):
         rep = hl.validate_structure(samelson, 1e-9)
         assert rep.threshold == 1e-9 * (frobenius(samelson.C) ** 2 + frobenius(samelson.D) ** 2)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UnitaryStructure, jacobi_residual_tensors
+from .core import UnitaryStructure, validate_structure
 from .exceptions import DegenerateParameterError, ValidationError
 from .realform import RealPresentation
-from .tensors import antisymmetrize_lower, max_abs
+from .tensors import antisymmetrize_lower
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -41,21 +41,17 @@ def complex_group(C, n: int | None = None) -> UnitaryStructure:
     The holomorphic and antiholomorphic left-invariant fields commute,
     so D vanishes and the s=0 connection coefficients vanish with it:
     every structure built here is flat at s = 0.  C must satisfy the
-    purely holomorphic Jacobi identity.
+    purely holomorphic Jacobi identity, judged as validate_structure judges
+    it (with D = 0 the other two families vanish) at tolerance 1e-12.
     """
     C = np.asarray(C, dtype=complex)
     if n is None:
         n = C.shape[0]
     U = UnitaryStructure(n=n, C=C, D=_zeros(n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        fam1, _, _ = jacobi_residual_tensors(U.C, U.D)
-    worst = max_abs(fam1)
-    if not np.isfinite(worst):
-        raise ValidationError("C is too large: its holomorphic Jacobi residual overflows")
-    if worst > 1e-12:
-        raise ValidationError(
-            f"C violates the holomorphic Jacobi identity (residual {worst:.3e})"
-        )
+    report = validate_structure(U, 1e-12)
+    if not report.valid:
+        raise ValidationError(f"C violates the holomorphic Jacobi identity (residual "
+                              f"{report.max_abs:.3e} > {report.threshold:.3e})")
     return U
 
 

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--mode", choices=("full", "parallel_frame"), default="full")
     p_se.add_argument("--restarts", type=int, default=100)
     p_se.add_argument("--seed", type=int, default=0)
-    p_se.add_argument("--hunt", action="store_true", help="reward non-Kahler candidates")
+    p_se.add_argument("--hunt", action="store_true", help="hold |T| at 0.5 by the row 0.1 (|T|^2 - 0.25) to hunt for non-Kahler structures")
     p_se.add_argument("--tol", type=float, default=None)
     p_se.add_argument("--max-iters", type=int, default=None)
 

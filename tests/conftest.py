@@ -245,10 +245,11 @@ def full_row_jacobian(x, problem) -> np.ndarray:
 
 
 def full_form(model) -> np.ndarray:
-    """B of the model over the full row layout, (m, d, d), through search._expand."""
-    B = np.zeros((len(model.rows) * model.d, model.d))
+    """B of the model's class rows over the full row layout, (m, d, d), through
+    search._expand; a hunt model's slice row is left off."""
+    B = np.zeros((len(model.const) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    return S._expand(model, B.reshape(-1, model.d, model.d))
+    return S._expand(model, B.reshape(-1, model.d, model.d)[: len(model.rows)])
 
 
 def residual_vector(x, problem) -> np.ndarray:
@@ -256,14 +257,15 @@ def residual_vector(x, problem) -> np.ndarray:
 
     Layout: re/im of the three Jacobi families (all index tuples), then
     re/im of the curvature R[a, b, x, y] at parameter s in index order
-    (re then im of each n x n block R[a, b]), then the torsion hinge when
-    hunting.
+    (re then im of each n x n block R[a, b]), then when hunting the torsion
+    slice row w (|T|^2 - c), with |T| the norm of the decoded structure's
+    Chern torsion.
     """
     x = np.asarray(x, dtype=float)
     r = quadratic_part(x, problem)
     if problem.hunt:
-        value, _ = S._hinge(x[None], problem)
-        r = np.append(r, value)
+        T = hl.chern_torsion(S.structure_from_point(problem, x)).norm
+        r = np.append(r, S._SLICE_WEIGHT * (T * T - S._SLICE))
     return r
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import hermlie as hl
+from hermlie.tensors import transform_frame
 
-from conftest import levi_civita, validate_real
+from conftest import levi_civita, random_unitary, validate_real
 
 SQ2 = np.sqrt(2.0)
 
@@ -46,8 +47,20 @@ class TestComplexGroup:
         # [e1,e2]=e3 with [e2,e3]=e2 leaves [[e3,e1],e2] cyclic sum = -e3
         C[2, 0, 1], C[2, 1, 0] = 1, -1
         C[1, 1, 2], C[1, 2, 1] = 1, -1
-        with pytest.raises(hl.exceptions.ValidationError):
-            hl.complex_group(C)
+        for k in (-20, 0, 20, 40):
+            with pytest.raises(hl.exceptions.ValidationError, match="violates"):
+                hl.complex_group(C * 2.0**k)
+
+    def test_jacobi_is_judged_relative_to_the_size_of_C(self):
+        # sl(2, C): [h, e] = 2 e, [h, f] = -2 f, [e, f] = h, in a random unitary frame; its
+        # family-1 residual at scale 1e3 is 7.7e-10, below 1e-12 (|C|^2 + |D|^2) = 0.018
+        C = np.zeros((3, 3, 3), complex)
+        for j, i, k, c in ((1, 0, 1, 2.0), (2, 0, 2, -2.0), (0, 1, 2, 1.0)):
+            C[j, i, k], C[j, k, i] = c, -c
+        C = transform_frame(C, random_unitary(3, 11))
+        for scale in (1e3, *(2.0**k for k in (-20, 0, 20, 40))):
+            U = hl.complex_group(C * scale)
+            assert hl.validate_structure(U).valid and not U.D.any()
 
 
 class TestSamelson:

@@ -79,11 +79,19 @@ class TestResidualVector:
         assert np.abs(U.C - 2 * (1.5 - 1) * T).max() <= 1e-13
         assert np.abs(U.D + 1.5 * T).max() <= 1e-13
 
-    def test_hunt_appends_hinge(self):
+    def test_hunt_appends_slice_row(self):
         prob = S.SearchProblem(n=2, s=1.0, hunt=True)
         x = point_from_structure(prob, hl.abelian(2))
-        r = residual_vector(x, prob)
-        assert r[-1] == 0.5  # 0.5 - |T| with T = 0
+        slice_row = -S._SLICE_WEIGHT * S._SLICE  # w (|T|^2 - c) with T = 0
+        assert residual_vector(x, prob)[-1] == slice_row
+        assert S._evaluate(x[None], prob)[1][0, -1] == slice_row
+        for problem in (prob, S.SearchProblem(n=3, s=0.0, hunt=True),
+                        S.SearchProblem(n=3, s=1.0, mode=S.PARALLEL_FRAME, hunt=True)):
+            rng = np.random.default_rng(problem.n)
+            for x in rng.standard_normal((4, S.unknown_count(problem))):
+                want = residual_vector(x, problem)[-1]
+                got = S._evaluate(x[None], problem)[1][0, -1]
+                assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestJacobian:
@@ -139,8 +147,9 @@ def polarization_model(problem):
 
 
 def model_form(model):
-    """B of the model's own (weighted) rows, shape (rows, d, d)."""
-    B = np.zeros((len(model.rows) * model.d, model.d))
+    """B of the model's own rows (weighted class rows, then a hunt's slice row), shape
+    (rows, d, d)."""
+    B = np.zeros((len(model.const) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
     return B.reshape(-1, model.d, model.d)
 
@@ -234,9 +243,11 @@ class TestQuadraticModel:
 
     @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
     def test_keeps_only_rows_that_can_be_nonzero(self, problem):
-        # with the oracle test: the dropped rows of B are zero, the kept ones are not
+        # with the oracle test: the dropped rows of B are zero, the kept ones are not; a
+        # hunt's slice row comes after the class rows
         model = S._polynomial_model(problem)
-        assert np.array_equal(np.unique(model.flat // model.d), np.arange(len(model.rows)))
+        assert np.array_equal(np.unique(model.flat // model.d), np.arange(len(model.const)))
+        assert len(model.const) == len(model.rows) + problem.hunt
         assert len(model.rows) < model.m
 
     def test_stored_size_is_bounded(self):
@@ -245,11 +256,23 @@ class TestQuadraticModel:
         assert model.flat.nbytes + model.cols.nbytes + model.vals.nbytes < 5e6
 
     def test_cached_on_what_defines_the_model(self):
-        a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8, hunt=True)
+        a = S.SearchProblem(n=2, s=0.7, seed=1, restarts=3, tol=1e-8)
         b = S.SearchProblem(n=2, s=0.7, seed=2, max_iters=10, restarts=5)
         assert S._polynomial_model(a) is S._polynomial_model(b)
-        for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME)):
+        hunt = dataclasses.replace(a, hunt=True)
+        assert S._polynomial_model(hunt) is S._polynomial_model(dataclasses.replace(b, hunt=True))
+        for c in (S.SearchProblem(n=2, s=0.8), S.SearchProblem(n=2, s=0.7, mode=S.PARALLEL_FRAME),
+                  hunt):
             assert S._polynomial_model(c) is not S._polynomial_model(a)
+        # the hunt model is the plain model, bitwise, followed by the slice row B = w M^T M
+        plain, hunt = S._polynomial_model(a), S._polynomial_model(hunt)
+        for name in ("rows", "weights", "torsion", "flat", "cols", "vals", "dense"):
+            got, want = getattr(hunt, name), getattr(plain, name)
+            assert got[..., : want.shape[-1]].tobytes() == want.tobytes()
+        assert hunt.const.tobytes() == np.append(plain.const, S._SLICE_WEIGHT * S._SLICE).tobytes()
+        assert not plain.const.any() and len(hunt.flat) > len(plain.flat)
+        M = plain.torsion
+        assert np.array_equal(model_form(hunt)[-1], S._SLICE_WEIGHT * (M.T @ M))
 
 
 CLASS_CASES = [(n, mode) for mode in (S.FULL, S.PARALLEL_FRAME) for n in (2, 3, 4)]
@@ -542,6 +565,13 @@ class TestMultistart:
             summ = S.multistart_search(prob)
             assert summ.count(S.CONVERGED_NONKAHLER) >= 1
 
+    def test_slice_hunt_converges_at_n3_chern_parameter(self):
+        prob = S.SearchProblem(n=3, s=0.0, restarts=6, seed=7, hunt=True, max_iters=400)
+        summ = S.multistart_search(prob)
+        assert summ.count(S.CONVERGED_NONKAHLER) == 6
+        for res in summ.results:
+            assert res.torsion_norm == pytest.approx(0.5, abs=1e-6)
+
     def test_rigid_parameter_yields_none(self):
         prob = S.SearchProblem(
             n=2, s=1.5, restarts=12, seed=20240810, hunt=True,
@@ -606,8 +636,8 @@ class TestLockstep:
             model = S._polynomial_model(problem)
             assert (model.dense is None) == (problem.n == 3 and problem.mode == S.FULL)
             if model.dense is not None:
-                # column i * d + a of dense.T holds 2 B[i, a, :]
-                assert np.array_equal(model.dense.T.reshape(len(model.rows), model.d, model.d),
+                # column i * d + a of dense.T holds 2 B[i, a, :], a hunt's slice row included
+                assert np.array_equal(model.dense.T.reshape(len(model.const), model.d, model.d),
                                       2 * model_form(model))
 
     def test_failed_batched_solve_falls_back_for_that_restart_only(self, monkeypatch):

@@ -111,8 +111,8 @@ class ResidualReport:
     """Residuals of an identity family, keyed by index tuple or by sub-family.
 
     When the producing operation was given a tolerance it is recorded
-    here with the threshold it sets, and ``valid`` reports the
-    max_abs <= threshold judgment.
+    here with the threshold it sets, and ``valid`` holds the
+    max_abs <= threshold judgment, made where neither side underflows.
     """
 
     name: str
@@ -120,10 +120,7 @@ class ResidualReport:
     per_identity: dict
     tol: float | None = None
     threshold: float | None = None
-
-    @property
-    def valid(self) -> bool | None:
-        return None if self.threshold is None else self.max_abs <= self.threshold
+    valid: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -271,20 +268,26 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
     residual modulus of each family.  The structure is declared valid
     iff max_abs <= tol * (|C|^2 + |D|^2), Frobenius norms (tol defaults to
     the package validity tolerance).  The residuals are quadratic in (C, D),
-    so scaling the structure leaves the verdict unchanged, and the abelian
-    structure (all zero) is valid.  No separate integrability check exists
-    here: C carries no (0,1) part by construction.  Raises ValidationError
-    when a residual or |C|^2 + |D|^2 overflows.
+    so the verdict does not depend on scale: it is made on the structure times
+    the power of two 2^-k that brings its largest entry into [1/2, 1), which is
+    exact, and the residuals and the threshold are reported times 4^k.  They
+    can underflow to 0 where the verdict cannot.  The abelian structure (all
+    zero) is valid.  No separate integrability check exists here: C carries no
+    (0,1) part by construction.  Raises ValidationError when a reported
+    residual or the threshold overflows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = jacobi_residual_tensors(U.C, U.D)
-        per = {(fam,): max_abs(arr) for fam, arr in zip(("ccc", "cdd", "cdbar"), res)}
-        size = float(np.square(frobenius(U.C)) + np.square(frobenius(U.D)))
-    if not all(map(math.isfinite, (*per.values(), size))):
-        raise ValidationError("the Jacobi residuals of the structure overflow")
+    k = int(np.frexp(max(max_abs(U.C), max_abs(U.D)))[1])
+    C, D = (np.ldexp(X.real, -k) + 1j * np.ldexp(X.imag, -k) for X in (U.C, U.D))
+    worst = [max_abs(arr) for arr in jacobi_residual_tensors(C, D)]
     tol = validity_tol(tol)
-    return ResidualReport(name="jacobi", max_abs=max(per.values()), per_identity=per, tol=tol,
-                          threshold=tol * size)
+    bound = tol * (np.square(frobenius(C)) + np.square(frobenius(D)))
+    with np.errstate(over="ignore"):
+        *per, threshold = (float(np.ldexp(v, 2 * k)) for v in (*worst, bound))
+    if not all(map(math.isfinite, (*per, threshold))):
+        raise ValidationError("the Jacobi residuals of the structure overflow")
+    return ResidualReport(name="jacobi", max_abs=max(per),
+                          per_identity={(fam,): v for fam, v in zip(("ccc", "cdd", "cdbar"), per)},
+                          tol=tol, threshold=threshold, valid=bool(max(worst) <= bound))
 
 
 # The Jacobi identities of validate_structure as bilinear terms (family, sign, left

@@ -39,8 +39,11 @@ Restart seeds are preassigned (problem.seed + restart index) and every
 restart keeps its own state, so the results do not depend on the blocks,
 to the last digit (see _gemm).
 
-Each end point is re-validated without the slice row.  tol decides convergence
-only (Jacobi and flatness residuals <= tol); a converged restart is
+The verdict of a restart is read from the model residual r at its end
+point: the Jacobi and flatness norms are those of its Jacobi rows and of
+its other class rows (a hunt's slice row left out), which the class
+weights make the Frobenius norms of the full tensors, and |T| = ||M x||.
+tol decides convergence only (Jacobi and flatness residuals <= tol); a converged restart is
 non-Kahler iff the scale-free rho = max(jacobi, flatness) / |T|^2 is <= _RHO_MAX.
 """
 
@@ -60,11 +63,9 @@ from .core import (
     _CURVATURE_TERMS,
     _JACOBI_TERMS,
     _brackets,
-    _curvature_tensor,
     _endomorphisms,
     _parallel_frame,
     _torsion,
-    jacobi_residual_tensors,
 )
 from .exceptions import DimensionMismatchError, ValidationError
 from .tensors import frozen
@@ -102,7 +103,7 @@ class SearchProblem:
 
     hunt turns on the counterexample hunt: the residual gains the slice row
     w (|T|^2 - 0.25), which holds |T| at 0.5.  tol is the convergence threshold on the
-    residual 2-norm and on the re-validated residuals: it decides
+    residual 2-norm and on the Jacobi and flatness norms at the end point: it decides
     convergence only, and the scale-free rho decides Kahler (see _classify).
     """
 
@@ -553,7 +554,7 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
       max_iters        problem.max_iters iterations have run.
     Accepted steps never increase the residual norm.  Singular or
     non-finite normal equations fall back to a small gradient step.
-    Raises ValidationError when the re-validated residuals overflow.
+    Raises ValidationError when the residuals at the end point overflow.
     """
     return _lm_batch(problem, np.asarray(start, dtype=float)[None], [seed_used])[0]
 
@@ -568,12 +569,13 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
     the next start takes its place.  Each restart keeps its own damping, iteration
     count, history and stop reason, and its products do not depend on the block
     (_evaluate), so its result is bitwise the same under any schedule.
-    The end points are re-validated together once every restart has stopped.
+    Each restart's model residual r at its end point is kept for _classify.
     """
     model = _polynomial_model(problem)
     width = max(1, _BLOCK_BYTES // max(1, 32 * len(model.const) * model.d))
     starts, admitted = np.asarray(starts, dtype=float), 0
     ends, stops, history = np.empty_like(starts), [None] * len(starts), [None] * len(starts)
+    residuals = np.empty((len(starts), len(model.const)))
     state = None  # live (the restart of each row), x, J, r, norm, mu, iterations
     ended = {}  # row -> step_floor or stagnation, from the last accepted step
     while True:
@@ -592,14 +594,14 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
             i, reason = live[row], ended.get(row) or (
                 "tol" if norm[row] <= problem.tol
                 else "damping_ceiling" if mu[row] >= _DAMPING_CEILING else "max_iters")
-            ends[i] = x[row]
+            ends[i], residuals[i] = x[row], r[row]
             stops[i] = (int(iterations[row]), float(norm[row]), reason)
         ended = {}
         if done.any():
             state = tuple(a[~done] for a in state)
             continue
         if not len(live):
-            return _classify(problem, ends, stops, seeds, history)
+            return _classify(problem, ends, residuals, stops, seeds, history)
         iterations += 1
         step = _lm_step(J, r, mu)
         cand = x + step
@@ -653,18 +655,25 @@ def _lm_step(J: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return step
 
 
-def _classify(problem: SearchProblem, x: np.ndarray, stops, seeds, histories) -> list:
-    """The results of the restarts that ended at the points x (k, d), with their
-    (iterations, residual norm, stop reason), seeds and residual histories.
+def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds,
+              histories) -> list:
+    """The results of the restarts that ended at the points x (k, d) with model
+    residuals r (k, rows), with their (iterations, residual norm, stop reason), seeds
+    and residual histories.
 
-    The reported residuals are re-validated without the slice row (_revalidate).
-    Raises ValidationError when they overflow.
+    The Jacobi norm is that of the Jacobi rows of r (full-layout rows below 6 n^4, a
+    prefix of the sorted model.rows), the flatness norm that of the other class rows,
+    a hunt's slice row left out, and the torsion norm is ||M x||.  The class weights
+    make them the Frobenius norms of the Jacobi residuals, of the curvature at s and
+    of the torsion.  Raises ValidationError when they overflow.
     """
-    checks = zip(*_revalidate(problem, x))
+    model = _polynomial_model(problem)
+    split = np.searchsorted(model.rows, 6 * problem.n**4)
+    checks = np.stack([_norms(r[:, :split]), _norms(r[:, split : len(model.rows)]),
+                       _norms(_gemm(x, model.torsion.T))], axis=1)
     results = []
     for point, (jac, flat, torsion), (iterations, norm, reason), seed, history in zip(
-            x, checks, stops, seeds, histories):
-        jac, flat, torsion = float(jac), float(flat), float(torsion)
+            x, checks.tolist(), stops, seeds, histories):
         if not all(map(math.isfinite, (jac, flat, torsion))):
             raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
         # rho does not depend on scale: the residuals are quadratic and T is linear.  Divided
@@ -680,33 +689,6 @@ def _classify(problem: SearchProblem, x: np.ndarray, stops, seeds, histories) ->
             residual_history=tuple(history),
         ))
     return results
-
-
-def _revalidate(problem: SearchProblem, x: np.ndarray):
-    """(jacobi, flatness, torsion) norms at each point of the stack x (k, d): the Frobenius
-    norms of the Jacobi residuals (jacobi_residual_tensors), of the curvature at s
-    (curvature) and of the torsion (chern_torsion) of the point's structure.
-
-    The kernels run once per chunk of points, with a leading axis; each value is
-    bitwise the one of the kernels on that point alone.  A chunk holds as many
-    points as four complex curvature tensors of theirs fit in _BLOCK_BYTES.
-    """
-    n, s = problem.n, problem.s
-    chunk = max(1, _BLOCK_BYTES // (4 * 16 * (2 * n) ** 4))
-    parts = []
-    for lo in range(0, len(x), chunk):
-        C, D = _decode(x[lo : lo + chunk], problem)
-        T = _torsion(C, D)
-        R = _curvature_tensor(_endomorphisms(D + s * T), _brackets(C, D))[..., :n, :n]
-        jac = sum(_squares(f) for f in jacobi_residual_tensors(C, D))
-        parts.append(np.sqrt([jac, _squares(R), _squares(T)]))
-    return np.concatenate(parts, axis=1) if parts else np.zeros((3, 0))
-
-
-def _squares(X: np.ndarray) -> np.ndarray:
-    """Sum of |X|^2 over all axes but the first.  Like frobenius on X[i] alone, the sum
-    runs in memory order, which the kernels' outputs need not share with index order."""
-    return np.sum(np.abs(X) ** 2, axis=tuple(range(1, X.ndim)))
 
 
 def random_start(problem: SearchProblem, seed: int) -> np.ndarray:

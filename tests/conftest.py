@@ -352,7 +352,7 @@ def validate_real(P: hl.RealPresentation, tol: float | None = None) -> ResidualR
 
     worst = max(per.values())
     return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol,
-                          threshold=tol)
+                          threshold=tol, valid=worst <= tol)
 
 
 def frame_gram_residual(P: hl.RealPresentation, E: np.ndarray) -> float:

@@ -1,17 +1,51 @@
-"""perfbench finds the functions it times by name; every name it reads must resolve."""
+"""perfbench finds the functions it times by name and checks the output of every command it
+runs; every name it reads must resolve and every check must accept the commands' output."""
 
 from pathlib import Path
 
+import pytest
+
 import hermlie.cli
+from hermlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_names_resolve(monkeypatch):
+@pytest.fixture
+def run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
+
+    return run
+
+
+def test_traced_names_resolve(run):
     import shim
 
     names = set(shim.targets(hermlie.cli).values())
     wanted = {*run.TIMED, *run.CORE_COUNTED, *run.CORE_PER_N, "search.model_build", "cli.main"}
     assert wanted <= names, sorted(wanted - names)
+
+
+def output(command, capsys):
+    """stdout of the command, which exits as the benchmark expects."""
+    assert main(command.args) == command.expect_exit
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s, hunt", [(0.0, True), (2.0, True), (1.5, False)],
+                         ids=["hunt-0", "hunt-2", "plain-1.5"])
+def test_search_output_passes_its_check(run, s, hunt, capsys):
+    command = run.search_command(2, s, 2, 7, hunt=hunt)
+    assert command.check(output(command, capsys)) == []
+
+
+def test_validate_output_passes_its_check(run, tmp_path, capsys):
+    samelson, noisy = str(tmp_path / "samelson.json"), str(tmp_path / "noisy.json")
+    main(["catalog", "samelson", "--c", "1", "--emit", samelson])
+    main(["catalog", "perturb", "--base", samelson, "--eps", "0.1", "--seed", "7",
+          "--emit", noisy])
+    capsys.readouterr()
+    for path, valid in ((samelson, True), (noisy, False)):
+        command = run.validate_command(path, valid)
+        assert command.check(output(command, capsys)) == []

@@ -12,7 +12,7 @@ import hermlie as hl
 from hermlie import core
 from hermlie import search as S
 from hermlie.cli import main
-from hermlie.tensors import transform_frame
+from hermlie.tensors import frobenius, transform_frame
 
 from conftest import (
     full_form, full_row_jacobian, point_from_structure, point_from_torsion, quadratic_part,
@@ -336,26 +336,6 @@ class TestClassMap:
         assert relative_gap(full_row_jacobian(x, problem), want) <= 1e-14
 
 
-class TestBatchedRevalidation:
-    @pytest.mark.parametrize("n, mode", CLASS_CASES)
-    @pytest.mark.parametrize("block_bytes", [S._BLOCK_BYTES, 1], ids=["chunks", "one-by-one"])
-    def test_equals_each_point_alone_bitwise(self, n, mode, block_bytes, monkeypatch):
-        monkeypatch.setattr(S, "_BLOCK_BYTES", block_bytes)
-        for s in (0.37, 1.5, 2.0):
-            problem = S.SearchProblem(n=n, s=s, mode=mode)
-            rng = np.random.default_rng(n + 10 * len(mode))
-            x = rng.standard_normal((8, S.unknown_count(problem)))
-            x *= 10.0 ** rng.integers(-6, 4, (8, 1))
-            jac, flat, torsion = S._revalidate(problem, x)
-            for k, point in enumerate(x):
-                U = S.structure_from_point(problem, point)
-                alone = np.sqrt(sum(np.sum(np.abs(f) ** 2)
-                                    for f in core.jacobi_residual_tensors(U.C, U.D)))
-                assert jac[k] == alone
-                assert flat[k] == hl.curvature(U, s).frobenius
-                assert torsion[k] == hl.chern_torsion(U).norm
-
-
 CODEC_CASES = [(n, S.FULL) for n in (1, 2, 3, 4)] + [(n, S.PARALLEL_FRAME) for n in (2, 3, 4)]
 
 
@@ -586,7 +566,7 @@ class TestMultistart:
         (-1e120, "the search residuals overflow at s=-1e+120"),
     ], ids=["model", "residuals", "residuals-hunt"])
     def test_overflowing_parameter_is_an_error(self, s, message):
-        # a finite model can still overflow in the LM and the re-validation
+        # a finite model can still overflow in the LM and in the residuals at the end point
         prob = S.SearchProblem(n=2, s=s, restarts=2, hunt=s < 0)
         with pytest.raises(hl.exceptions.ValidationError, match=re.escape(message)):
             S.multistart_search(prob)
@@ -618,6 +598,7 @@ class TestLockstep:
         # every product of a step runs point by point, so the paths are bitwise the same
         assert [r.residual_history for r in alone.results] == [
             r.residual_history for r in together.results]
+        assert list(map(norms, alone.results)) == list(map(norms, together.results))
 
     @pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS[1:], ids=LOCKSTEP_IDS[1:])
     def test_dense_and_sparse_jacobians_agree(self, problem, monkeypatch):
@@ -679,11 +660,71 @@ class TestLockstep:
             assert alone.seed_used == res.seed_used == seed
             assert alone.iterations == res.iterations
             assert alone.residual_history == res.residual_history
+            assert norms(alone) == norms(res) and alone.rho == res.rho
 
 
 def revalidate(problem, x):
     """_classify of the point x, as at the end of a restart."""
-    return S._classify(problem, x[None], [(0, 0.0, "tol")], [-1], [()])[0]
+    return S._classify(problem, x[None], S._evaluate(x[None], problem)[1], [(0, 0.0, "tol")],
+                       [-1], [()])[0]
+
+
+def norms(result):
+    return result.final_jacobi, result.final_flatness, result.torsion_norm
+
+
+class TestVerdictNorms:
+    """_classify reads the Jacobi, flatness and torsion norms from the model the LM
+    minimised; the class weights make them the norms the dense kernels give."""
+
+    @pytest.mark.parametrize("hunt", [False, True], ids=["plain", "hunt"])
+    @pytest.mark.parametrize("s", [0.0, 0.37, 1.5, 2.0, -3.0])
+    @pytest.mark.parametrize("n, mode", CODEC_CASES)
+    def test_match_the_dense_kernels(self, n, mode, s, hunt):
+        problem = S.SearchProblem(n=n, s=s, mode=mode, hunt=hunt)
+        rng = np.random.default_rng(n + 10 * len(mode))
+        x = rng.standard_normal((8, S.unknown_count(problem)))
+        x *= 10.0 ** np.linspace(-6, 3, 8)[:, None]
+        for point in x:
+            got = revalidate(problem, point)
+            U = S.structure_from_point(problem, point)
+            torsion = hl.chern_torsion(U).norm
+            jacobi = np.sqrt(sum(np.sum(np.abs(f) ** 2)
+                                 for f in core.jacobi_residual_tensors(U.C, U.D)))
+            want = jacobi, hl.curvature(U, s).frobenius, torsion
+            # the residuals are quadratic in the point and the torsion is linear
+            size = frobenius(U.C) + frobenius(U.D) + abs(s) * torsion
+            gaps = np.abs(np.subtract(norms(got), want))
+            assert (gaps <= 1e-14 * np.array([size**2, size**2, size])).all()
+
+    @pytest.mark.parametrize("n, mode", CODEC_CASES)
+    def test_jacobi_rows_are_a_prefix_of_the_model(self, n, mode):
+        model = S._polynomial_model(S.SearchProblem(n=n, s=0.37, mode=mode))
+        layout = S._layout(n)
+        # the Jacobi entries o < 3 n^4 own exactly the full-layout rows below 6 n^4
+        assert np.array_equal(np.sort(layout[:, : 3 * n**4], axis=None), np.arange(6 * n**4))
+        assert (np.diff(model.rows) > 0).all()
+        split = np.searchsorted(model.rows, 6 * n**4)
+        assert (model.rows[:split] < 6 * n**4).all() and (model.rows[split:] >= 6 * n**4).all()
+
+    @pytest.mark.parametrize("n, mode", CODEC_CASES)
+    def test_slice_row_is_left_out(self, n, mode):
+        plain = S.SearchProblem(n=n, s=2.0, mode=mode)
+        hunt = dataclasses.replace(plain, hunt=True)
+        for point in np.random.default_rng(n).standard_normal((4, S.unknown_count(plain))):
+            got, want = norms(revalidate(hunt, point)), norms(revalidate(plain, point))
+            if n > 1:
+                assert got == want
+            else:  # numpy takes r = J x / 2 of the plain model's single row by a dot product,
+                # which rounds otherwise than the matrix-vector product of two rows
+                assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_a_stop_on_tol_has_converged(self):
+        # the residual norm bounds the Jacobi and the flatness norm, its parts
+        stopped = [r for problem in LOCKSTEP_PROBLEMS
+                   for r in S.multistart_search(problem).results if r.stop_reason == "tol"]
+        assert stopped
+        assert all(r.classification != S.NOT_CONVERGED for r in stopped)
 
 
 def frame_changed(problem, x, V):

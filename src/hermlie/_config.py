@@ -1,4 +1,4 @@
-"""Shared default tolerances.
+"""Shared default tolerances and the Kahler verdict threshold.
 
 The validity tolerance can be overridden through the environment
 variable ``HERMLIE_TOL`` (a decimal value, e.g. ``1e-10``).  All other
@@ -13,6 +13,9 @@ from .exceptions import ValidationError
 # ~1000x accumulated double-precision rounding at n <= 6
 VALIDITY_TOL = 1e-9
 FLATNESS_TOL = 1e-8
+# Non-Kahler iff rho = residual / |T|^2 <= RHO_MAX, in the search and the parallel battery.
+# Measured: rho <= 3.2e-8 at the hunts' finds, >= 0.43 at rigid-s points, >= 0.1 on battery draws.
+RHO_MAX = 1e-4
 
 TOL_ENV_VAR = "HERMLIE_TOL"
 

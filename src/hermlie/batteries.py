@@ -7,8 +7,8 @@ on bdf4 (q = 1, 5) over S_GRID_SIX, su(2) x R at s = 2 and the complex
 group at s = 0.  surface: the n = 2 obstruction chain on 1000 points of
 [-3, 5], at s = 0, 2 and at the quadratic roots.  parallel: 1600 random
 parallel-frame draws, the su(2) x R torsion at s = 2 and the descent;
-the draws are evaluated as stacks, one batched Jacobi residual of the
-parallel-frame structures per (n, s) and chunk of draws.
+the draws are evaluated as stacks, one batched Jacobi residual per (n, s)
+and chunk of draws, and judged by the search's Kahler ratio rule (RHO_MAX).
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, theorems
+from ._config import RHO_MAX
 from .core import _parallel_frame, chern_torsion, curvature, jacobi_residual_tensors
 from .realform import to_unitary_structure
+from .tensors import antisymmetrize_lower
 
 RESIDUAL_TOL = 1e-10
 S_GRID_SIX = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -77,12 +79,13 @@ def surface() -> tuple:
 
 
 def parallel() -> tuple:
-    """Parallel-frame rigidity; the first record's value counts valid non-Kahler draws."""
+    """Parallel-frame rigidity; the first record's value counts the valid non-Kahler draws:
+    those with |T| > 0 whose largest Jacobi residual is at most RHO_MAX |T|^2."""
     hits = draws = 0
     for T in _draws():
-        big = np.linalg.norm(T.reshape(len(T), -1), axis=1) > 1e-4
+        size = np.square(np.linalg.norm(T.reshape(len(T), -1), axis=1))
         for s in (0.5, 1.0, 1.5, 3.0):
-            hits += int(np.count_nonzero((_worst_jacobi(T, s) <= 1e-8) & big))
+            hits += int(np.count_nonzero((_worst_jacobi(T, s) <= RHO_MAX * size) & (size > 0)))
             draws += len(T)
     tor = chern_torsion(catalog.samelson_su2_r(1.0))
     U, jacobi = theorems.parallel_frame_reduction(tor, 2.0)
@@ -101,10 +104,8 @@ def _draws():
     """The battery's random torsions: a stack of 200 antisymmetric draws at n = 2, then n = 3."""
     rng = np.random.default_rng(20240811)
     for n in (2, 3):
-        T = np.empty((200, n, n, n), dtype=complex)
-        for z in range(len(T)):
-            X = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-            T[z] = 0.5 * (X - X.transpose(0, 2, 1))
+        T = rng.standard_normal((200, 2, n, n, n))  # draw z is T[z, 0] + i T[z, 1]
+        T = antisymmetrize_lower(T[:, 0] + 1j * T[:, 1])  # the real draws are not kept
         yield T
 
 

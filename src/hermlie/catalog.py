@@ -3,7 +3,7 @@
 Constructors return a UnitaryStructure where the calculus is naturally
 complex (abelian, complex Lie groups, the su(2) x R model) and a
 RealPresentation where the data is naturally real (the flat Kahler
-families); the realform module bridges the two.
+families); the realform module bridges the two and is imported to build these.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import UnitaryStructure, validate_structure
 from .exceptions import DegenerateParameterError, ValidationError
-from .realform import RealPresentation
 from .tensors import antisymmetrize_lower
 
 _SQRT2 = np.sqrt(2.0)
@@ -91,6 +90,7 @@ def bdf_flat_kahler_4d(q: float) -> RealPresentation:
     central, J X = W and J Y = Z.  The J signs are the ones that pass
     integrability (J X = W rather than J W = X matters).
     """
+    from .realform import RealPresentation
     if q == 0:
         raise DegenerateParameterError("q = 0 is the abelian case; use abelian(2)")
     f = np.zeros((4, 4, 4))
@@ -173,6 +173,7 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
     follows the spec pairing with J F_{2i-1} = F_{2i} on the planes.
     Every output is Kahler (zero torsion) and flat at all parameters.
     """
+    from .realform import RealPresentation
     h, c, p = spec.h_dim, spec.c_dim, spec.p
     d = h + c + 2 * p
     if d == 0 or d % 2 != 0:
@@ -185,29 +186,16 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
             w = spec.q[a, i]
             e1 = plane0 + 2 * i
             e2 = plane0 + 2 * i + 1
-            f[e2, a, e1] = w
-            f[e2, e1, a] = -w
-            f[e1, a, e2] = -w
-            f[e1, e2, a] = w
+            f[e2, a, e1] = f[e1, e2, a] = w
+            f[e2, e1, a] = f[e1, a, e2] = -w
 
+    # J a = b over the pairs (a, b): those inside h, those inside the centre, the leftovers
+    # of h with the leftovers of the centre in order, and the two directions of each plane
+    hp, cp = 2 * spec.h_internal_pairs, 2 * spec.c_internal_pairs
+    a = np.r_[0:hp:2, h:h + cp:2, hp:h, plane0:d:2]
+    b = np.r_[1:hp:2, h + 1:h + cp:2, h + cp:plane0, plane0 + 1:d:2]
     J = np.zeros((d, d))
-    for t in range(spec.h_internal_pairs):
-        J[2 * t + 1, 2 * t] = 1.0
-        J[2 * t, 2 * t + 1] = -1.0
-    for t in range(spec.c_internal_pairs):
-        a = h + 2 * t
-        J[a + 1, a] = 1.0
-        J[a, a + 1] = -1.0
-    h1 = spec.h_dim - 2 * spec.h_internal_pairs
-    for u in range(h1):
-        a = 2 * spec.h_internal_pairs + u
-        b = h + 2 * spec.c_internal_pairs + u
-        J[b, a] = 1.0
-        J[a, b] = -1.0
-    for i in range(p):
-        a = plane0 + 2 * i
-        J[a + 1, a] = 1.0
-        J[a, a + 1] = -1.0
+    J[b, a], J[a, b] = 1.0, -1.0
 
     return RealPresentation(dim=d, f=f, G=np.eye(d), J=J)
 
@@ -225,15 +213,10 @@ def perturb(U: UnitaryStructure, eps: float, seed: int) -> UnitaryStructure:
         raise DegenerateParameterError(f"seed must be nonnegative, got {seed}")
     if eps == 0:
         return U
-    rng = np.random.default_rng(seed)
     n = U.n
-
-    def noise():
-        return eps * (
-            rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        )
-
+    X = np.random.default_rng(seed).standard_normal((2, 2, n, n, n))  # C, then D: re, im parts
     with np.errstate(over="ignore", invalid="ignore"):
-        C = U.C + antisymmetrize_lower(noise())
-        D = U.D + noise()
+        noise = eps * (X[:, 0] + 1j * X[:, 1])
+        C = U.C + antisymmetrize_lower(noise[0])
+        D = U.D + noise[1]
     return UnitaryStructure(n=n, C=C, D=D)

@@ -176,7 +176,6 @@ def _built_from(option: str, value, build, *build_args):
 
 def _cmd_catalog(args) -> int:
     from . import catalog, structio
-    from .realform import to_unitary_structure
     name = args.name
     for option, value in (("--c", args.c), ("--eps", args.eps)):
         if not math.isfinite(value):
@@ -195,11 +194,13 @@ def _cmd_catalog(args) -> int:
         U = _built_from("--c", args.c, catalog.samelson_su2_r, args.c)
         label = f"samelson(c={args.c})"
     elif name == "bdf4":
+        from .realform import to_unitary_structure
         U = to_unitary_structure(catalog.bdf_flat_kahler_4d(q[0]))
         label = f"bdf4(q={q[0]})"
     elif name == "bdf-general":
         spec = catalog.BdfSpec(p=args.p, h_dim=args.h_dim, c_dim=args.c_dim, q=q,
                                h_internal_pairs=args.h_pairs, c_internal_pairs=args.c_pairs)
+        from .realform import to_unitary_structure
         U = to_unitary_structure(catalog.bdf_general(spec))
         label = f"bdf-general(p={args.p}, h={args.h_dim}, c={args.c_dim})"
     elif name == "perturb":

@@ -221,6 +221,7 @@ def _endomorphisms(gamma: np.ndarray) -> np.ndarray:
     return A
 
 
+_CURVE_CHUNK = 64  # grid points per stacked evaluation in kahler_flatness_summary: bounds memory
 # R[a, b] = A_a A_b - A_b A_a - A_{[a,b]} as bilinear terms (sign, left factor and its
 # labels, right factor and its labels) over R[a, b, x, z], in the order they are added
 # up; the left factors belong to the first operand, the right factor A to the second.
@@ -276,8 +277,7 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
     (0,1) part by construction.  Raises ValidationError when a reported
     residual or the threshold overflows.
     """
-    k = int(np.frexp(max(max_abs(U.C), max_abs(U.D)))[1])
-    C, D = (np.ldexp(X.real, -k) + 1j * np.ldexp(X.imag, -k) for X in (U.C, U.D))
+    k, C, D = _unit_scaled(U)
     worst = [max_abs(arr) for arr in jacobi_residual_tensors(C, D)]
     tol = validity_tol(tol)
     bound = tol * (np.square(frobenius(C)) + np.square(frobenius(D)))
@@ -288,6 +288,12 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
     return ResidualReport(name="jacobi", max_abs=max(per),
                           per_identity={(fam,): v for fam, v in zip(("ccc", "cdd", "cdbar"), per)},
                           tol=tol, threshold=threshold, valid=bool(max(worst) <= bound))
+
+
+def _unit_scaled(U: UnitaryStructure):
+    """(k, C, D) of U times 2^-k (exact), k the np.frexp exponent of its largest entry."""
+    k = int(np.frexp(max(max_abs(U.C), max_abs(U.D)))[1])
+    return k, *(np.ldexp(X.real, -k) + 1j * np.ldexp(X.imag, -k) for X in (U.C, U.D))
 
 
 # The Jacobi identities of validate_structure as bilinear terms (family, sign, left
@@ -356,12 +362,14 @@ def kahler_flatness_summary(
     curvature tensor.  Kahler iff the torsion norm is at or below
     tol * hypot(|C|, |D|): T is linear in (C, D), so scaling the structure
     leaves the flag unchanged, and the abelian structure (all zero) is Kahler.
+    The flag is judged as validate_structure judges: on U times a power of two.
 
     The connection is affine in s, so its curvature is exactly the
-    quadratic R(s) = R0 + s R1 + s^2 R2; each row costs one
-    frobenius(R0 + s (R1 + s R2)) and agrees with curvature(U, s).frobenius
-    within 1e-13 (|C| + |D| + |A0| + |s| |T|)^2, A0 the Chern endomorphisms;
-    when T = 0, R1 = R2 = 0 exactly and the two agree bitwise.
+    quadratic R(s) = R0 + s R1 + s^2 R2; the rows are the Frobenius norms of
+    R0 + s (R1 + s R2), taken _CURVE_CHUNK grid points at a time.  Each agrees
+    with curvature(U, s).frobenius within 1e-13 (|C| + |D| + |A0| + |s| |T|)^2,
+    A0 the Chern endomorphisms; when T = 0, R1 = R2 = 0 exactly and the two
+    agree bitwise.
     Raises ValidationError when a flatness residual overflows.
     """
     tol = validity_tol(tol)
@@ -373,12 +381,18 @@ def kahler_flatness_summary(
     R0 = _curvature_tensor(A0, brk, A0)[:, :, :n, :n]
     R1 = (_curvature_tensor(A0, brk, A1) + _curvature_tensor(A1, zero, A0))[:, :, :n, :n]
     R2 = _curvature_tensor(A1, zero, A1)[:, :, :n, :n]
+    grid = np.array(s_grid, dtype=float)
+    flat = np.empty(len(grid))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = tuple((float(s), frobenius(R0 + s * (R1 + s * R2))) for s in s_grid)
-    for s, flat in rows:
-        if not math.isfinite(flat):
-            raise ValidationError(f"flatness residual at s={s!r} is not finite")
+        for start in range(0, len(grid), _CURVE_CHUNK):
+            S = grid[start:start + _CURVE_CHUNK, None, None, None, None]
+            R = np.square(np.abs(R0 + S * (R1 + S * R2))).reshape(len(S), -1)
+            flat[start:start + len(S)] = np.sqrt(R.sum(axis=1))
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        raise ValidationError(f"flatness residual at s={float(grid[bad[0]])!r} is not finite")
+    _, C, D = _unit_scaled(U)
     return FlatnessSummary(
-        torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=rows,
-        kahler=tor.norm <= tol * math.hypot(frobenius(U.C), frobenius(U.D)),
+        torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=tuple(zip(grid.tolist(), flat.tolist())),
+        kahler=frobenius(_torsion(C, D)) <= tol * math.hypot(frobenius(C), frobenius(D)),
     )

@@ -27,7 +27,7 @@ from .exceptions import (
     IntegrabilityError,
     ValidationError,
 )
-from .tensors import frozen
+from .tensors import antisymmetrize_lower, frozen
 
 _RANK_TOL = 1e-10
 
@@ -62,7 +62,7 @@ class RealPresentation:
             if M.shape != (d, d):
                 raise DimensionMismatchError(f"{name}: expected {(d, d)}, got {M.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            f = 0.5 * (f - f.transpose(0, 2, 1))
+            f = antisymmetrize_lower(f)
             G = 0.5 * (G + G.T)
         if not (np.isfinite(f).all() and np.isfinite(G).all() and np.isfinite(J).all()):
             raise ValidationError(

@@ -44,7 +44,7 @@ point: the Jacobi and flatness norms are those of its Jacobi rows and of
 its other class rows (a hunt's slice row left out), which the class
 weights make the Frobenius norms of the full tensors, and |T| = ||M x||.
 tol decides convergence only (Jacobi and flatness residuals <= tol); a converged restart is
-non-Kahler iff the scale-free rho = max(jacobi, flatness) / |T|^2 is <= _RHO_MAX.
+non-Kahler iff the scale-free rho = max(jacobi, flatness) / |T|^2 is <= _config.RHO_MAX.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._config import finite, positive_finite
+from ._config import RHO_MAX, finite, positive_finite
 from .core import (
     UnitaryStructure,
     _CURVATURE_TERMS,
@@ -91,10 +91,6 @@ _STAGNATION_STEPS = 10
 _DENSE_BYTES = 1 << 20  # models whose dense B fits in this many bytes also keep it dense
 _BLOCK_BYTES = 800_000  # working-set budget of one lockstep block of restarts
 _CHUNK_ROWS = 12  # basis rows a per pass of the model build, which bounds its working set
-# a converged restart is non-Kahler iff rho = max(jacobi, flatness) / |T|^2 is at most this.
-# Measured: rho <= 3.2e-8 at the non-Kahler finds of the s = 0 and s = 2 hunts, rho >= 0.43 at
-# the rigid-s points near the Kahler locus (n = 2, 3, 4); 1e-4 is near the gap's geometric mean.
-_RHO_MAX = 1e-4
 
 
 @dataclass(frozen=True)
@@ -308,7 +304,7 @@ def _class_map(n: int):
 
 @functools.lru_cache(maxsize=8)
 @np.errstate(over="ignore", invalid="ignore")
-def _quadratic_model(n: int, s: float, mode: str, hunt: bool = False) -> _QuadraticModel:
+def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel:
     """The model of _representative_entries, each row weighted by the root of the
     sum of the squared factors of its class; with hunt, that model's arrays
     followed by the slice row.  Raises ValidationError when an entry of B
@@ -681,7 +677,7 @@ def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds
         rho = max(jac, flat) / torsion / torsion if torsion else math.inf
         cls = NOT_CONVERGED
         if max(jac, flat) <= problem.tol:
-            cls = CONVERGED_NONKAHLER if rho <= _RHO_MAX else CONVERGED_KAHLER
+            cls = CONVERGED_NONKAHLER if rho <= RHO_MAX else CONVERGED_KAHLER
         results.append(SearchResult(
             best_point=structure_from_point(problem, point), final_jacobi=jac,
             final_flatness=flat, torsion_norm=torsion, rho=rho, classification=cls,

@@ -158,20 +158,21 @@ def emit_report(report, fmt: str = "json") -> bytes:
     """
     if isinstance(report, FlatnessSummary):
         columns = _ANALYZE_COLUMNS
-        rows = [dict(zip(columns, (s, res, report.torsion_norm, report.eta_norm, report.kahler)))
-                for s, res in report.rows]
+        tail = (report.torsion_norm, report.eta_norm, report.kahler)
+        tail = tuple(map(_csv_cell, tail)) if fmt == "csv" else tail  # formatted once per table
+        table = [(s, res, *tail) for s, res in report.rows]
     else:
         rows = list(report)
         columns = tuple(rows[0]) if rows else ()
+        table = [[row[c] for c in columns] for row in rows]
     if fmt == "json":
-        text = json.dumps(_jsonable(rows), sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        rows = _jsonable([dict(zip(columns, values)) for values in table])
+        return (json.dumps(rows, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+        writer.writerows([_csv_cell(value) for value in values] for values in table)
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -31,8 +31,9 @@ def as_coefficient_tensor(entries, n: int, name: str = "tensor") -> np.ndarray:
 
 
 def antisymmetrize_lower(X: np.ndarray) -> np.ndarray:
-    """Project onto the part antisymmetric in the two lower indices."""
-    return 0.5 * (X - X.transpose(0, 2, 1))
+    """Project onto the part antisymmetric in the two lower indices, the last two axes,
+    over any leading axes of X."""
+    return 0.5 * (X - X.swapaxes(-1, -2))
 
 
 def frobenius(X: np.ndarray) -> float:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hermlie as hl
 from hermlie import core
@@ -548,6 +548,49 @@ class TestSummaryAndGauge:
         assert b.torsion_norm == a.torsion_norm * 2.0**k
         assert a.kahler == b.kahler == (a.torsion_norm <= 1e-9 * np.hypot(
             frobenius(U.C), frobenius(U.D)))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(which=st.sampled_from(["abelian", "samelson", "bdf4"]),
+           eps=st.sampled_from([0.0, 1e-11, 1e-9, 1e-7]), seed=st.integers(0, 2**16),
+           k=st.integers(-600, 500))
+    @example(which="samelson", eps=0.0, seed=0, k=-600)  # |T|^2, |C|^2, |D|^2 all underflow
+    @example(which="bdf4", eps=1e-7, seed=1, k=-560)  # |T|^2 underflows, |C|^2 does not
+    def test_kahler_flag_holds_where_the_norms_underflow(self, which, eps, seed, k):
+        # the flag is judged on the structure times a power of two, so it is the unscaled
+        # flag at every 2^k, also where |T|, |C| and |D| underflow; the grid is empty so
+        # that no flatness residual overflows at large k
+        base = {"abelian": hl.abelian(2), "samelson": hl.samelson_su2_r(1.0),
+                "bdf4": hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))}[which]
+        noise = random_structure(2, seed)
+        U = hl.UnitaryStructure(n=2, C=base.C + eps * noise.C, D=base.D + eps * noise.D)
+        scaled = hl.UnitaryStructure(n=2, C=U.C * 2.0**k, D=U.D * 2.0**k)
+        a = hl.kahler_flatness_summary(U, [])
+        assert hl.kahler_flatness_summary(scaled, []).kahler == a.kahler
+        if which == "samelson":
+            assert not a.kahler
+
+    @pytest.mark.parametrize("size", [1e-150, 1e-165, 1e-170])
+    def test_tiny_samelson_is_not_kahler(self, samelson, size):
+        # below about 1e-160 the reported |T| underflows to 0; the flag does not
+        tiny = hl.UnitaryStructure(n=2, C=samelson.C * size, D=samelson.D * size)
+        summary = hl.kahler_flatness_summary(tiny, [])
+        assert not summary.kahler
+        assert (summary.torsion_norm == 0.0) == (size < 1e-160)
+
+    def test_chunks_do_not_change_the_rows(self, samelson, monkeypatch):
+        grid = np.linspace(-1.0, 4.0, 150)  # three chunks, the last one short
+        rows = hl.kahler_flatness_summary(samelson, grid).rows
+        assert [s for s, _ in rows] == grid.tolist()
+        for chunk in (1, 7, 150):
+            monkeypatch.setattr(core, "_CURVE_CHUNK", chunk)
+            assert hl.kahler_flatness_summary(samelson, grid).rows == rows
+
+    def test_first_non_finite_row_is_named(self, samelson):
+        grid = np.linspace(-1.0, 4.0, 150)
+        grid[[100, 120]] = -1e300, 1e308
+        with pytest.raises(hl.exceptions.ValidationError,
+                           match=r"flatness residual at s=-1e\+300 is not finite"):
+            hl.kahler_flatness_summary(samelson, grid)
 
     def test_gauge_invariance_of_reported_scalars(self, samelson, bdf4_structure, affine):
         for U in (samelson, bdf4_structure, affine):

@@ -144,7 +144,7 @@ def surface_model_rows():
 @pytest.mark.parametrize("s", map(sp.Rational, ("1/3", "3/2", "3")), ids=str)
 def test_search_model_matches_the_exact_polynomials(s):
     # B[r, a, b] is the coefficient of x_a x_b in row r, halved off the diagonal
-    model = search._quadratic_model(2, float(s), search.PARALLEL_FRAME)
+    model = search._quadratic_model(2, float(s), search.PARALLEL_FRAME, False)
     B = full_form(model)
     exact = np.zeros_like(B)
     for r, poly in surface_model_rows().items():

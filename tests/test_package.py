@@ -92,7 +92,7 @@ HEAVY = {"hermlie.search", "hermlie.theorems", "hermlie.batteries"}
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["catalog", "abelian", "--n", "1"], HEAVY),
+        (["catalog", "abelian", "--n", "1"], HEAVY | {"hermlie.realform"}),
         (["validate", "{file}"], HEAVY | {"hermlie.realform", "hermlie.catalog"}),
         (["analyze", "{file}", "--s-grid", "0,1"], HEAVY | {"hermlie.realform", "hermlie.catalog"}),
     ],

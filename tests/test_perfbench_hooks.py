@@ -49,3 +49,16 @@ def test_validate_output_passes_its_check(run, tmp_path, capsys):
     for path, valid in ((samelson, True), (noisy, False)):
         command = run.validate_command(path, valid)
         assert command.check(output(command, capsys)) == []
+
+
+@pytest.mark.parametrize("catalog_args, truth", [
+    (["samelson", "--c", "1"], "samelson_truth"),
+    (["bdf4", "--q", "1.37"], "bdf_truth"),
+    (["complex-group", "--n", "3", "--c", "0.8"], "complex_group_truth"),
+], ids=["samelson", "bdf4", "complex-group"])
+def test_analyze_output_passes_its_check(run, catalog_args, truth, tmp_path, capsys):
+    path = str(tmp_path / "structure.json")
+    main(["catalog", *catalog_args, "--emit", path])
+    capsys.readouterr()
+    command = run.analyze_command(path, [0.3, 0.0, -0.7, 2.0, 3.6, 1.0], getattr(run, truth))
+    assert command.check(output(command, capsys)) == []

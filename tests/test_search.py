@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hermlie as hl
 from hermlie import core
 from hermlie import search as S
+from hermlie._config import RHO_MAX
 from hermlie.cli import main
 from hermlie.tensors import frobenius, transform_frame
 
@@ -192,7 +193,7 @@ def assert_same_model(n, s, mode):
     for got, ref in zip((row, left, right, vals, M), want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-    model = S._quadratic_model(n, s, mode)
+    model = S._quadratic_model(n, s, mode, False)
     assert (model.m, model.d) == (m, d) and model.torsion.tobytes() == M.tobytes()
     assert np.array_equal(model.rows, np.unique(row))
     assert (factor[live] != 0).all() and np.isin(rep[live], model.rows).all()
@@ -222,7 +223,7 @@ class TestQuadraticModel:
     def test_non_finite_basis_images_are_an_error(self):
         # at s = 1e308, 2 (s - 1) T overflows and every entry of C is inf or nan
         with pytest.raises(hl.exceptions.ValidationError, match="overflows at s=1e\\+308"):
-            S._quadratic_model(4, 1e308, S.PARALLEL_FRAME)
+            S._quadratic_model(4, 1e308, S.PARALLEL_FRAME, False)
 
     @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
     def test_half_jacobian_times_point_is_residual(self, problem):
@@ -293,12 +294,12 @@ class TestClassMap:
         assert not rep.flags.writeable and not factor.flags.writeable
         assert np.array_equal(rep[rep], rep) and set(np.unique(factor)) <= {-1.0, 0.0, 1.0}
         for s in (0.0, 0.37, 1.0, 1.3, 2.0, 3.0, -2.5):
-            model = S._quadratic_model(n, s, mode)
+            model = S._quadratic_model(n, s, mode, False)
             assert model.classes[0] is rep and model.classes[1] is factor
             assert (rep[model.rows] == model.rows).all() and (factor[model.rows] == 1).all()
             members = np.bincount(rep, factor * factor, model.m)[model.rows]
             assert np.array_equal(model.weights, np.sqrt(members))
-        assert len(S._quadratic_model(n, 1.3, mode).rows) == REPRESENTATIVE_ROWS[n, mode]
+        assert len(S._quadratic_model(n, 1.3, mode, False).rows) == REPRESENTATIVE_ROWS[n, mode]
 
     @pytest.mark.parametrize("n, mode", [c for c in CLASS_CASES if c != (4, S.FULL)])
     @pytest.mark.parametrize("s", [0.37, 1.3, 3.0])
@@ -788,7 +789,7 @@ class TestScaleFreeVerdict:
 
 class TestRigidParameterVerdicts:
     """Searches at parameters outside {0, 2} converge only near the Kahler locus, where
-    rho stays above _RHO_MAX however small the point shrinks."""
+    rho stays above RHO_MAX however small the point shrinks."""
 
     def test_baseline_command_reports_no_nonkahler(self, capsys):
         assert main(["search", "--n", "2", "--s", "1.5", "--restarts", "20", "--seed", "42"]) == 0
@@ -805,4 +806,4 @@ class TestRigidParameterVerdicts:
         assert summary.count(S.CONVERGED_NONKAHLER) == 0
         for res in summary.results:
             if res.classification != S.NOT_CONVERGED:
-                assert res.rho > S._RHO_MAX
+                assert res.rho > RHO_MAX

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie import batteries, theorems
+from hermlie import batteries, core, theorems
 from hermlie.tensors import transform_frame
 
 from conftest import random_structure, random_unitary
@@ -272,6 +272,26 @@ class TestParallelBattery:
         assert [c.ok for c in checks] == [True] * 3
         assert (checks[0].value, checks[0].detail) == (0, "1600 draws")
         assert 0 < len(calls) <= 2
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0, 0.3, 2.7, -1.0])
+    def test_n2_draws_sit_at_the_exact_gap(self, s):
+        # at n = 2 the parallel-frame Jacobi residuals are s(s-2) times quadratics in T
+        # (tests/test_exact.py), and ||residuals||_F / |T|^2 = |s(s-2)| on every draw
+        T = next(batteries._draws())
+        assert T.shape[1:] == (2, 2, 2)
+        residuals = core.jacobi_residual_tensors(*core._parallel_frame(T, s))
+        frob = np.sqrt(sum(np.square(np.abs(f)).reshape(len(T), -1).sum(axis=1)
+                           for f in residuals))
+        ratio = frob / np.square(np.abs(T)).reshape(len(T), -1).sum(axis=1)
+        assert np.abs(ratio / abs(s * (s - 2)) - 1).max() <= 1e-14
+
+    def test_n3_draws_stay_far_above_the_kahler_ratio(self):
+        # the battery's ratio worst Jacobi / |T|^2 against RHO_MAX = 1e-4
+        T = list(batteries._draws())[1]
+        assert T.shape[1:] == (3, 3, 3)
+        size = np.square(np.abs(T)).reshape(len(T), -1).sum(axis=1)
+        for s in (0.5, 1.0, 1.5, 3.0):
+            assert (batteries._worst_jacobi(T, s) / size).min() > 0.1
 
 
 def test_parallel_battery_passes():

@@ -10,12 +10,17 @@ Every command runs in a fresh process that compiles the modules it
 imports from source, so each subcommand imports only the modules it
 runs.  The parser spells out the --mode and --suite choices; a test
 keeps them equal to the modes of search and the suites of batteries.
+A command run through run() ends once its output is flushed: it runs the
+atexit callbacks, flushes and skips the interpreter's teardown, and exits
+normally under a tracer or profiler, with -i, or when a flush fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -101,6 +106,36 @@ def main(argv=None) -> int:
     except (HermlieError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def run(argv=None) -> int:
+    """main(argv) as a process: end it with os._exit once the output is flushed.
+
+    Tearing the interpreter down after a report (numpy, its random module,
+    OpenSSL) costs more than many commands compute, and nothing hermlie
+    holds needs it.  The atexit callbacks run first, as the interpreter
+    would run them.  Returns main's code, for a normal exit, when a trace,
+    profile or monitoring tool is installed, under -i, or when a flush
+    fails, so that the interpreter reports it as it would anyway; an
+    exception escaping main() takes the normal path too.
+    """
+    code = main(argv)
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or _monitored():
+        return code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
+
+
+def _monitored() -> bool:
+    """Whether a sys.monitoring tool (Python 3.12+: coverage, cProfile) holds one of ids 0-5."""
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
 def _load(path: Path):
@@ -235,5 +270,5 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(run())

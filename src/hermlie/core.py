@@ -364,6 +364,10 @@ def kahler_flatness_summary(
     leaves the flag unchanged, and the abelian structure (all zero) is Kahler.
     The flag is judged as validate_structure judges: on U times a power of two.
 
+    Everything is computed on U times 2^-k, as the flag is, and the norms
+    and rows are scaled back by 2^k and 4^k; both scalings are exact, so no
+    sum of squares overflows or underflows before the reported value does.
+
     The connection is affine in s, so its curvature is exactly the
     quadratic R(s) = R0 + s R1 + s^2 R2; the rows are the Frobenius norms of
     R0 + s (R1 + s R2), taken _CURVE_CHUNK grid points at a time.  Each agrees
@@ -373,9 +377,9 @@ def kahler_flatness_summary(
     Raises ValidationError when a flatness residual overflows.
     """
     tol = validity_tol(tol)
-    tor = chern_torsion(U)
-    n, brk = U.n, bracket_tables(U)
-    A0, A1, zero = _endomorphisms(U.D), _endomorphisms(tor.T), np.zeros_like(brk)
+    k, C, D = _unit_scaled(U)
+    n, T, brk = U.n, _torsion(C, D), _brackets(C, D)
+    A0, A1, zero = _endomorphisms(D), _endomorphisms(T), np.zeros_like(brk)
     # R(s) = Q(A0 + s A1, A0 + s A1) for the bilinear form Q of _curvature_tensor,
     # whose bracket term belongs to the first operand: brk to A0, none to A1
     R0 = _curvature_tensor(A0, brk, A0)[:, :, :n, :n]
@@ -388,11 +392,14 @@ def kahler_flatness_summary(
             S = grid[start:start + _CURVE_CHUNK, None, None, None, None]
             R = np.square(np.abs(R0 + S * (R1 + S * R2))).reshape(len(S), -1)
             flat[start:start + len(S)] = np.sqrt(R.sum(axis=1))
+        flat = np.ldexp(flat, 2 * k)
     bad = np.flatnonzero(~np.isfinite(flat))
     if len(bad):
         raise ValidationError(f"flatness residual at s={float(grid[bad[0]])!r} is not finite")
-    _, C, D = _unit_scaled(U)
+    torsion_norm = frobenius(T)
     return FlatnessSummary(
-        torsion_norm=tor.norm, eta_norm=tor.eta_norm, rows=tuple(zip(grid.tolist(), flat.tolist())),
-        kahler=frobenius(_torsion(C, D)) <= tol * math.hypot(frobenius(C), frobenius(D)),
+        torsion_norm=float(np.ldexp(torsion_norm, k)),
+        eta_norm=float(np.ldexp(frobenius(np.einsum("kkr->r", T)), k)),
+        rows=tuple(zip(grid.tolist(), flat.tolist())),
+        kahler=torsion_norm <= tol * math.hypot(frobenius(C), frobenius(D)),
     )

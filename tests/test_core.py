@@ -557,8 +557,8 @@ class TestSummaryAndGauge:
     @example(which="bdf4", eps=1e-7, seed=1, k=-560)  # |T|^2 underflows, |C|^2 does not
     def test_kahler_flag_holds_where_the_norms_underflow(self, which, eps, seed, k):
         # the flag is judged on the structure times a power of two, so it is the unscaled
-        # flag at every 2^k, also where |T|, |C| and |D| underflow; the grid is empty so
-        # that no flatness residual overflows at large k
+        # flag at every 2^k, also where |T|, |C| and |D| underflow; the rows over the
+        # same range are test_rows_scale_exactly's
         base = {"abelian": hl.abelian(2), "samelson": hl.samelson_su2_r(1.0),
                 "bdf4": hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))}[which]
         noise = random_structure(2, seed)
@@ -571,11 +571,45 @@ class TestSummaryAndGauge:
 
     @pytest.mark.parametrize("size", [1e-150, 1e-165, 1e-170])
     def test_tiny_samelson_is_not_kahler(self, samelson, size):
-        # below about 1e-160 the reported |T| underflows to 0; the flag does not
+        # below about 1e-160 the squares of |T| underflow; neither the flag nor |T| does
         tiny = hl.UnitaryStructure(n=2, C=samelson.C * size, D=samelson.D * size)
         summary = hl.kahler_flatness_summary(tiny, [])
         assert not summary.kahler
-        assert (summary.torsion_norm == 0.0) == (size < 1e-160)
+        assert summary.torsion_norm == pytest.approx(0.5 * size, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("size", [1e140, 1e152])
+    def test_huge_samelson_reads_finite_rows(self, samelson, size):
+        # the squares of these rows overflow; the rows (up to 1.4e304) do not
+        huge = hl.UnitaryStructure(n=2, C=samelson.C * size, D=samelson.D * size)
+        grid = [0.0, 1.0, 2.0, 3.0]
+        got, want = hl.kahler_flatness_summary(huge, grid), hl.kahler_flatness_summary(samelson, grid)
+        assert got.torsion_norm == pytest.approx(want.torsion_norm * size, rel=1e-15)
+        assert got.eta_norm == pytest.approx(want.eta_norm * size, rel=1e-15)
+        assert [s for s, _ in got.rows] == grid
+        for (_, row), (_, base) in zip(got.rows, want.rows):
+            assert np.isfinite(row) and row == pytest.approx(base * size**2, rel=1e-14)
+        assert got.rows[2][1] == 0.0 and not got.kahler
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(which=st.sampled_from(["abelian", "samelson", "bdf4"]),
+           eps=st.sampled_from([0.0, 1e-11, 1e-9, 1e-7]), seed=st.integers(0, 2**16),
+           k=st.integers(-600, 500))
+    @example(which="samelson", eps=1e-7, seed=0, k=500)  # the squares of the rows overflow
+    def test_rows_scale_exactly(self, which, eps, seed, k):
+        # the summary is computed on the structure times a power of two, so 2^k U reads
+        # the norms of U times 2^k and its rows times 4^k, bitwise
+        base = {"abelian": hl.abelian(2), "samelson": hl.samelson_su2_r(1.0),
+                "bdf4": hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))}[which]
+        noise = random_structure(2, seed)
+        U = hl.UnitaryStructure(n=2, C=base.C + eps * noise.C, D=base.D + eps * noise.D)
+        scaled = hl.UnitaryStructure(n=2, C=U.C * 2.0**k, D=U.D * 2.0**k)
+        grid = [-1.0, 0.0, 0.5, 2.0, 3.0]
+        a, b = hl.kahler_flatness_summary(U, grid), hl.kahler_flatness_summary(scaled, grid)
+        assert b.torsion_norm == np.ldexp(a.torsion_norm, k)
+        assert b.eta_norm == np.ldexp(a.eta_norm, k)
+        rows = np.array([row for _, row in a.rows])
+        assert np.array_equal([row for _, row in b.rows], np.ldexp(rows, 2 * k))
+        assert a.kahler == b.kahler
 
     def test_chunks_do_not_change_the_rows(self, samelson, monkeypatch):
         grid = np.linspace(-1.0, 4.0, 150)  # three chunks, the last one short

@@ -216,6 +216,20 @@ class TestCli:
             assert float(row.split(",")[2]) == pytest.approx(5e-11)
             assert row.split(",")[4] == "false"
 
+    @pytest.mark.parametrize("c", ["1e140", "1e152"])
+    def test_huge_samelson_prints_finite_rows(self, c, tmp_path, capsys):
+        # the squares of these rows overflow; the rows, |T| and eta do not
+        path = tmp_path / "huge.json"
+        assert main(["catalog", "samelson", "--c", c, "--emit", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--s-grid", "0,1,2,3"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        for row in rows:
+            assert all(np.isfinite(float(x)) for x in row[:4]) and row[4] == "false"
+            assert float(row[2]) == pytest.approx(0.5 * float(c), rel=1e-15)
+        assert float(rows[0][1]) == pytest.approx(float(c) ** 2, rel=1e-14)  # 1 at c = 1
+
     def test_validate_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         main(["catalog", "bdf4", "--q", "1", "--emit", str(good)])

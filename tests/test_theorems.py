@@ -270,8 +270,22 @@ class TestParallelBattery:
         monkeypatch.setattr(theorems, "parallel_frame_reduction", counted)
         checks = batteries.parallel()
         assert [c.ok for c in checks] == [True] * 3
-        assert (checks[0].value, checks[0].detail) == (0, "1600 draws")
+        assert checks[0].value == 0
+        assert checks[0].detail.startswith("1600 draws, smallest ratio ")
         assert 0 < len(calls) <= 2
+
+    def test_detail_prints_the_smallest_ratio(self):
+        # worst Jacobi / |T|^2, each draw against its own parallel_frame_reduction
+        ratios = []
+        for T in batteries._draws():
+            for s in (0.5, 1.0, 1.5, 3.0):
+                for z in range(len(T)):
+                    tor = hl.TorsionData(T=T[z], eta=np.einsum("kkr->r", T[z]))
+                    ratios.append(hl.parallel_frame_reduction(tor, s)[1].max_abs / tor.norm**2)
+        assert len(ratios) == 1600
+        detail = batteries.parallel()[0].detail
+        assert detail == f"1600 draws, smallest ratio {min(ratios):.3g}" == (
+            "1600 draws, smallest ratio 0.106")
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0, 0.3, 2.7, -1.0])
     def test_n2_draws_sit_at_the_exact_gap(self, s):

@@ -80,15 +80,15 @@ def surface() -> tuple:
 
 def parallel() -> tuple:
     """Parallel-frame rigidity; the first record's value counts the valid non-Kahler draws:
-    those with |T| > 0 whose largest Jacobi residual is at most RHO_MAX |T|^2.  Its
-    detail prints the smallest ratio largest Jacobi residual / |T|^2 over the draws."""
+    those whose largest Jacobi residual is at most RHO_MAX |T|^2.  Its detail prints the
+    smallest ratio largest Jacobi residual / |T|^2 over the draws."""
     hits = draws = 0
     smallest = np.inf
     for T in _draws():  # Gaussian draws, so every |T| > 0
         size = np.square(np.linalg.norm(T.reshape(len(T), -1), axis=1))
         for s in (0.5, 1.0, 1.5, 3.0):
             worst = _worst_jacobi(T, s)
-            hits += int(np.count_nonzero((worst <= RHO_MAX * size) & (size > 0)))
+            hits += int(np.count_nonzero(worst <= RHO_MAX * size))
             smallest = min(smallest, float(np.min(worst / size)))
             draws += len(T)
     tor = chern_torsion(catalog.samelson_su2_r(1.0))

@@ -39,6 +39,7 @@ from .tensors import (
     antisymmetrize_lower,
     as_coefficient_tensor,
     frobenius,
+    frobenius_rows,
     frozen,
     max_abs,
 )
@@ -365,8 +366,9 @@ def kahler_flatness_summary(
     The flag is judged as validate_structure judges: on U times a power of two.
 
     Everything is computed on U times 2^-k, as the flag is, and the norms
-    and rows are scaled back by 2^k and 4^k; both scalings are exact, so no
-    sum of squares overflows or underflows before the reported value does.
+    and rows are scaled back by 2^k and 4^k; both scalings are exact, so the
+    scale of (C, D) makes no entry of the curvature, which is quadratic in
+    (C, D), overflow or underflow before the reported value does.
 
     The connection is affine in s, so its curvature is exactly the
     quadratic R(s) = R0 + s R1 + s^2 R2; the rows are the Frobenius norms of
@@ -390,8 +392,7 @@ def kahler_flatness_summary(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grid), _CURVE_CHUNK):
             S = grid[start:start + _CURVE_CHUNK, None, None, None, None]
-            R = np.square(np.abs(R0 + S * (R1 + S * R2))).reshape(len(S), -1)
-            flat[start:start + len(S)] = np.sqrt(R.sum(axis=1))
+            flat[start:start + len(S)] = frobenius_rows(R0 + S * (R1 + S * R2))
         flat = np.ldexp(flat, 2 * k)
     bad = np.flatnonzero(~np.isfinite(flat))
     if len(bad):

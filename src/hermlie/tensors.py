@@ -36,8 +36,17 @@ def antisymmetrize_lower(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X - X.swapaxes(-1, -2))
 
 
+def frobenius_rows(X: np.ndarray) -> np.ndarray:
+    """Frobenius norms of X[0], X[1], ...  Each row is divided by the power of two of
+    its largest entry before it is squared and multiplied back after the square root;
+    both steps are exact, so no square overflows or underflows before the norm does."""
+    A = np.abs(np.reshape(X, (len(X), -1)))
+    _, e = np.frexp(A.max(axis=1, initial=0.0))
+    return np.ldexp(np.sqrt(np.square(np.ldexp(A, -e[:, None])).sum(axis=1)), e)
+
+
 def frobenius(X: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(X) ** 2)))
+    return float(frobenius_rows(np.reshape(X, (1, -1)))[0])
 
 
 def max_abs(X: np.ndarray) -> float:

@@ -65,6 +65,25 @@ class TestChernTorsion:
             T = hl.chern_torsion(random_structure(3, 100 + seed)).T
             assert np.all(T + T.transpose(0, 2, 1) == 0)
 
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+    def test_norms_scale_exactly(self, samelson, affine, k):
+        # the squares of these norms overflow or underflow; the norms do not
+        for U in (samelson, affine, random_structure(3, 7)):
+            scaled = hl.UnitaryStructure(n=U.n, C=U.C * 2.0**k, D=U.D * 2.0**k)
+            a, b = hl.chern_torsion(U), hl.chern_torsion(scaled)
+            assert b.norm == np.ldexp(a.norm, k) and b.eta_norm == np.ldexp(a.eta_norm, k)
+            if abs(k) < 500:  # the curvature is quadratic in (C, D)
+                assert hl.curvature(scaled, 1.5).frobenius == np.ldexp(
+                    hl.curvature(U, 1.5).frobenius, 2 * k)
+
+    def test_frobenius_keeps_the_bytes(self):
+        # dividing by a power of two before squaring is exact: the unscaled sum in range
+        rng = np.random.default_rng(5)
+        for shape in [(3,), (2, 2, 2), (4, 4, 2, 2), (0,)]:
+            X = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 1e3
+            assert frobenius(X) == float(np.sqrt(np.sum(np.abs(X) ** 2)))
+        assert frobenius(np.array([3.0, 4.0])) == 5.0
+
 
 def conjugate_direction_coefficients(U, s):
     """gamma_bar[j, i, k], read from the blocks A[n + k][:n, :n] of the endomorphisms."""

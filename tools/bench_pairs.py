@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent tree against a change.
 
     python3 tools/bench_pairs.py --parent REF [--change REF] --workload W [--workload W ...]
-        --seeds FIRST-LAST [--seconds 40] [--claim W:METRIC] [--note TEXT]
+        --seeds FIRST-LAST [--claim W:METRIC] [--note TEXT]
         --workdir DIR --out BENCH_<N>.json
 
 Run it from inside the repository.  --change defaults to the working tree:
@@ -12,15 +12,16 @@ comparison.  For each seed the two sides each run
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once, the side that runs first alternating between pairs (the parent first on
-even-indexed pairs); the environment is passed through unchanged.  The result
-file holds, per workload and end-to-end metric, each side's runs, median and
-quartiles (statistics.quantiles, method 'inclusive'), the pairs in which the
-change reads better (ties count for neither) and the change of the median.  It
-is rewritten after every pair, so an interrupted session keeps the pairs it
-finished.  --claim names a workload and metric whose gain is judged: better in
-at least nine tenths of the pairs, and a median gap larger than the distance
-between the parent's quartiles.
+once, T the run_seconds of the parent's BENCHMARK.json, the side that runs first
+alternating between pairs (the parent first on even-indexed pairs); the
+environment is passed through unchanged.  The result file holds, per workload
+and end-to-end metric, each side's runs, median and quartiles
+(statistics.quantiles, method 'inclusive'), the pairs in which the change reads
+better (ties count for neither) and the change of the median.  It is rewritten
+after every pair, so an interrupted session keeps the pairs it finished.
+--claim names a workload and metric whose gain is judged: better in at least
+nine tenths of the pairs, and a median gap larger than the distance between the
+parent's quartiles.
 """
 
 import argparse
@@ -117,7 +118,6 @@ def parse_args(argv):
     parser.add_argument("--change", default=None, help="git ref of the change (default: working tree)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, help="FIRST-LAST, one pair per seed")
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is judged")
     parser.add_argument("--note", default="", help="what the change does, for the result file")
     parser.add_argument("--workdir", type=Path, required=True, help="where the sides are extracted")
@@ -135,9 +135,10 @@ def main(argv=None):
     extract(trees["parent"], dest)
     spec = json.loads((dest / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     record = {
         "change": args.note, "claim": args.claim, "claim_met": None,
-        "method": (f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0; "
+        "method": (f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0; "
                    "one parent/change pair per seed, each side extracted (git archive) into the "
                    "same fresh directory before each run, the side that runs first alternating "
                    "between pairs (parent first on even-indexed pairs); quartiles by "
@@ -155,7 +156,7 @@ def main(argv=None):
         results, first = [], []
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {side: run_side(trees[side], dest, workload, seed, args.seconds) for side in order}
+            pair = {side: run_side(trees[side], dest, workload, seed, seconds) for side in order}
             results.append(pair)
             first.append(order[0])
             record["workloads"][workload] = workload_summary(seeds[:i + 1], first, results, better)

@@ -1,12 +1,10 @@
 """Shared default tolerances and the Kahler verdict threshold.
 
-The validity tolerance can be overridden through the environment
-variable ``HERMLIE_TOL`` (a decimal value, e.g. ``1e-10``).  All other
-tolerances are fixed module constants.
+Every tolerance is a fixed module constant; a caller that wants another
+validity tolerance passes it as tol= (on the command line, --tol).
 """
 
 import math
-import os
 
 from .exceptions import ValidationError
 
@@ -17,22 +15,13 @@ FLATNESS_TOL = 1e-8
 # Measured: rho <= 3.2e-8 at the hunts' finds, >= 0.43 at rigid-s points, >= 0.1 on battery draws.
 RHO_MAX = 1e-4
 
-TOL_ENV_VAR = "HERMLIE_TOL"
-
 
 def validity_tol(tol: float | None = None) -> float:
-    """tol, or the validity tolerance honouring the HERMLIE_TOL override.
+    """tol, or VALIDITY_TOL when tol is None.
 
     Raises ValidationError unless the result is positive and finite.
     """
-    name = "tolerance"
-    if tol is None:
-        name, raw = TOL_ENV_VAR, os.environ.get(TOL_ENV_VAR, VALIDITY_TOL)
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise ValidationError(f"{name} must be a decimal number, got {raw!r}") from None
-    return positive_finite(name, tol)
+    return positive_finite("tolerance", VALIDITY_TOL if tol is None else tol)
 
 
 def positive_finite(name: str, value: float) -> float:

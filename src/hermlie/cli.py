@@ -2,9 +2,7 @@
 
 Subcommands: validate, analyze, search, catalog, verify-theorems.
 Each prints its report to standard output and returns 0 on success,
-1 on validation failure and 2 on usage errors.  The only recognised
-environment variable is HERMLIE_TOL (decimal override of the default
-validity tolerance).
+1 on validation failure and 2 on usage errors.
 
 Every command runs in a fresh process that compiles the modules it
 imports from source, so each subcommand imports only the modules it
@@ -25,7 +23,6 @@ import re
 import sys
 from pathlib import Path
 
-from ._config import TOL_ENV_VAR
 from .exceptions import HermlieError, ValidationError
 
 
@@ -34,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hermlie",
         description=(
             "Left-invariant Hermitian structures: validation, flatness "
-            "analysis, flat-structure search and rigidity checks. "
-            f"Set {TOL_ENV_VAR} to override the default validity tolerance."
+            "analysis, flat-structure search and rigidity checks."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

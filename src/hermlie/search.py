@@ -158,9 +158,13 @@ class MultistartSummary:
 @functools.lru_cache(maxsize=8)
 def _index_table(n: int):
     """(j, i, k) of the independent entries X^j_{ik}, i < k, of an antisymmetric X,
-    in point order: j-major, then (i, k) row-major.  The arrays are read-only."""
-    i, k = np.triu_indices(n, 1)
-    return tuple(map(frozen, (np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(k, n))))
+    in point order: j-major, then (i, k) row-major.  The arrays are read-only.
+    Raises ValidationError naming n when the table does not fit in memory."""
+    try:
+        i, k = np.triu_indices(n, 1)
+        return tuple(map(frozen, (np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(k, n))))
+    except MemoryError as exc:
+        raise ValidationError(f"n={n} is too large: its unknowns do not fit in memory") from exc
 
 
 def unknown_count(problem: SearchProblem) -> int:
@@ -226,7 +230,7 @@ class _QuadraticModel:
     rows of its class are real multiples of it, and classes that vanish for
     every x are not stored.  weights[i] is the root of the sum of the squared
     factors over the class, so ||r||^2, J^T J and J^T r are those of the full
-    layout.  classes is the (rep, factor) class map of the layout.  The slice row
+    layout.  The slice row
     w (|T|^2 - c) has B = w M^T M and const w c; const is 0 on the other rows.  Entry k
     is B[i, a, cols[k]] = vals[k] with flat[k] = i * d + a, so one bincount over
     flat gives B x.  Zeros of B are not stored either.  A small model also keeps
@@ -239,7 +243,6 @@ class _QuadraticModel:
     d: int
     rows: np.ndarray
     weights: np.ndarray
-    classes: tuple
     flat: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -319,7 +322,7 @@ def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel
                        dense=dense, const=np.append(plain.const, _SLICE_WEIGHT * _SLICE))
     (row, left, right, vals), M = _representative_entries(n, s, mode)
     m, d = 14 * n**4, M.shape[1]
-    rep, factor = classes = _class_map(n)
+    rep, factor = _class_map(n)
     live = np.flatnonzero(np.bincount(row, minlength=m))
     compact = np.zeros(m, np.intp)
     compact[live] = np.arange(len(live))
@@ -334,8 +337,7 @@ def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel
         dense = np.zeros((d, len(live) * d))
         dense[cols, flat] = 2.0 * vals
         dense.flags.writeable = False
-    return _QuadraticModel(m, d, live, weights, classes, flat, cols, vals, M, dense,
-                           np.zeros(len(live)))
+    return _QuadraticModel(m, d, live, weights, flat, cols, vals, M, dense, np.zeros(len(live)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -512,14 +514,14 @@ def jacobian(x, problem: SearchProblem) -> np.ndarray:
     J = _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
     model = _polynomial_model(problem)
     live = len(model.rows)
-    return np.concatenate([_expand(model, J[:live]), J[live:]])
+    return np.concatenate([_expand(model, problem.n, J[:live]), J[live:]])
 
 
-def _expand(model: _QuadraticModel, values: np.ndarray) -> np.ndarray:
-    """values (rows, ...) of the model rows over the full row layout, (m, ...): each
-    row is its factor over its class's weight times the value of its class's model
-    row, and the rows of classes not in the model are zero."""
-    rep, factor = model.classes
+def _expand(model: _QuadraticModel, n: int, values: np.ndarray) -> np.ndarray:
+    """values (rows, ...) of the model rows of dimension n over the full row layout,
+    (m, ...): each row is its factor over its class's weight (see _class_map) times
+    the value of its class's model row, and the rows of classes not in the model are zero."""
+    rep, factor = _class_map(n)
     at = np.full(model.m, -1)  # model row of each representative row
     at[model.rows] = np.arange(len(model.rows))
     member = np.flatnonzero((factor != 0) & (at[rep] >= 0))

@@ -59,12 +59,3 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     out.flags.writeable = False
     return out
 
-
-def transform_frame(X: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Coefficient tensor after the unitary frame change e'_a = sum_i V[i,a] e_i.
-
-    X'[c,a,b] = sum conj(V[u,c]) V[i,a] V[j,b] X[u,i,j]; valid for any
-    tensor with one conjugate-contracted upper slot and two plain lower
-    slots (C, D, T and connection coefficients all transform this way).
-    """
-    return np.einsum("uij,uc,ia,jb->cab", X, np.conj(V), V, V, optimize=True)

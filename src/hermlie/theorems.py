@@ -4,8 +4,8 @@ Operations here replay, numerically, the mechanisms that force a flat
 structure (at parameter s outside {0, 2}) to be Kahler: identity
 families satisfied by the torsion of flat structures, the surface
 (n = 2) obstruction chain, the parallel-frame reduction in general
-dimension, and the kernel-peeling descent of the torsion operators,
-which works in the frame of right singular vectors of their stack.
+dimension, and the descent's verdict on its torsion: zero (Kahler) or
+not, up to a tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     validate_structure,
 )
 from .exceptions import HypothesisError, ValidationError
-from .tensors import antisymmetrize_lower, frobenius, max_abs, transform_frame
+from .tensors import antisymmetrize_lower, frobenius, max_abs
 
 _SPECIAL_RADIUS = 1e-9  # neighbourhood radius around excluded parameter values
 _QUADRATIC_TOL = 1e-12
@@ -235,79 +235,30 @@ def parallel_frame_reduction(T: TorsionData, s: float):
     return U, validate_structure(U)
 
 
-def _kernel_frame(Tm: np.ndarray):
-    """The operator stack's right singular vectors as a frame, and its smallest singular value.
-
-    The frame's columns are conj(Vh).T, so it is unitary and its last
-    column, the smallest right singular vector, spans the stack's kernel
-    when it has one.  For T = 0 the frame is the identity, with value 0.
-    """
-    n = Tm.shape[0]
-    stack = Tm.transpose(1, 0, 2).reshape(n * n, n)
-    if not stack.any():
-        return np.eye(n, dtype=complex), 0.0
-    _, sing, Vh = np.linalg.svd(stack)
-    return np.conj(Vh).T, float(sing[-1])
-
-
-@dataclass(frozen=True)
-class DescentStep:
-    dim: int
-    kernel_singular_value: float
-    peel_residual: float
-
-
 @dataclass(frozen=True)
 class DescentResult:
     residual_norm: float
     skipped: bool
     status: str
-    steps: tuple
 
 
 def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> DescentResult:
-    """Iterated kernel-splitting of the torsion in the parallel-frame ansatz.
+    """The parallel-frame verdict on the torsion, whose rigidity prediction is T = 0:
+    "completed" with residual 0.0 when |T| <= tol, else "stuck" with residual |T|.
 
-    Precondition: the induced structure (C, D) = (2(s-1)T, -sT) must be
-    Jacobi-valid to tolerance, else HypothesisError.  Its flatness is
-    not checked: its connection coefficients D + sT cancel, so its
-    curvature is rounding, far below the tolerance wherever Jacobi
-    holds.  For s within 1e-9 of {0, 2} the argument does not apply and
-    the descent is skipped.  Otherwise the torsion is rewritten in the
-    frame of right singular vectors of its operator stack, whose last
-    column is a common-kernel direction of the operators; the entries
-    forced to vanish along that direction are measured, the last
-    coordinate is dropped, and the process repeats.  The returned
-    residual is the torsion norm left when the peeling terminates
-    (zero, if the rigidity prediction holds).
+    Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is Jacobi-valid
+    to tol, else HypothesisError; its connection coefficients D + sT cancel, so
+    it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
+    apply: the status is "skipped", with residual |T|.
     """
     jacobi = parallel_frame_reduction(T, s)[1].max_abs
     if jacobi > tol:
         raise HypothesisError(
             f"induced parallel-frame structure is not Jacobi-valid: jacobi {jacobi:.3e}"
         )
+    norm = frobenius(T.T)
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return DescentResult(
-            residual_norm=frobenius(T.T), skipped=True, status="skipped", steps=()
-        )
-
-    Tm = np.asarray(T.T, dtype=complex).copy()
-    steps = []
-    while Tm.shape[0] > 1:
-        norm = frobenius(Tm)
-        if norm <= tol:
-            return DescentResult(0.0, False, "completed", tuple(steps))
-        V, smallest = _kernel_frame(Tm)
-        if smallest > 1e-8 * norm:
-            return DescentResult(norm, False, "stuck", tuple(steps))
-        Tm = transform_frame(Tm, V)
-        m = Tm.shape[0]
-        # kernel direction as a lower index, plus the forced upper-index slice
-        slices = (Tm[:, m - 1], Tm[:, :, m - 1], Tm[m - 1])
-        peel = float(np.sqrt(sum(np.sum(np.abs(X) ** 2) for X in slices)))
-        steps.append(DescentStep(dim=m, kernel_singular_value=smallest, peel_residual=peel))
-        if peel > max(tol, 1e-9 * max(1.0, norm)):
-            return DescentResult(norm, False, "stuck", tuple(steps))
-        Tm = np.ascontiguousarray(Tm[: m - 1, : m - 1, : m - 1])
-
-    return DescentResult(frobenius(Tm), False, "completed", tuple(steps))
+        return DescentResult(residual_norm=norm, skipped=True, status="skipped")
+    if norm <= tol:
+        return DescentResult(0.0, False, "completed")
+    return DescentResult(norm, False, "stuck")

@@ -11,7 +11,7 @@ from hermlie._config import validity_tol
 from hermlie import core
 from hermlie.core import ResidualReport, _curvature_tensor, jacobi_residual_tensors
 from hermlie.exceptions import DimensionMismatchError
-from hermlie.tensors import antisymmetrize_lower, frozen, max_abs, transform_frame
+from hermlie.tensors import antisymmetrize_lower, frozen, max_abs
 
 
 @pytest.fixture
@@ -41,6 +41,16 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))
+
+
+def transform_frame(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Coefficient tensor after the unitary frame change e'_a = sum_i V[i,a] e_i.
+
+    X'[c,a,b] = sum conj(V[u,c]) V[i,a] V[j,b] X[u,i,j]; valid for any
+    tensor with one conjugate-contracted upper slot and two plain lower
+    slots (C, D, T and connection coefficients all transform this way).
+    """
+    return np.einsum("uij,uc,ia,jb->cab", X, np.conj(V), V, V, optimize=True)
 
 
 def unitary_change(U: hl.UnitaryStructure, V: np.ndarray) -> hl.UnitaryStructure:
@@ -244,12 +254,12 @@ def full_row_jacobian(x, problem) -> np.ndarray:
             + _bilinear_rows(basis, point, ("Z", ""), n)).T
 
 
-def full_form(model) -> np.ndarray:
-    """B of the model's class rows over the full row layout, (m, d, d), through
-    search._expand; a hunt model's slice row is left off."""
+def full_form(model, n: int) -> np.ndarray:
+    """B of the model's class rows at dimension n over the full row layout, (m, d, d),
+    through search._expand; a hunt model's slice row is left off."""
     B = np.zeros((len(model.const) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    return S._expand(model, B.reshape(-1, model.d, model.d)[: len(model.rows)])
+    return S._expand(model, n, B.reshape(-1, model.d, model.d)[: len(model.rows)])
 
 
 def residual_vector(x, problem) -> np.ndarray:

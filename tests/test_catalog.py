@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie.tensors import transform_frame
 
-from conftest import levi_civita, random_unitary, validate_real
+from conftest import levi_civita, random_unitary, transform_frame, validate_real
 
 SQ2 = np.sqrt(2.0)
 

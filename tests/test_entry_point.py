@@ -32,8 +32,7 @@ CASES = [
 
 def child_env():
     """The test's environment with src on the path; stdout is block-buffered, as on a pipe."""
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("HERMLIE_TOL", "PYTHONUNBUFFERED")}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return env
 

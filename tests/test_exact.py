@@ -145,7 +145,7 @@ def surface_model_rows():
 def test_search_model_matches_the_exact_polynomials(s):
     # B[r, a, b] is the coefficient of x_a x_b in row r, halved off the diagonal
     model = search._quadratic_model(2, float(s), search.PARALLEL_FRAME, False)
-    B = full_form(model)
+    B = full_form(model, 2)
     exact = np.zeros_like(B)
     for r, poly in surface_model_rows().items():
         for powers, coeff in sp.Poly(sp.expand(poly.subs(S, s)), *X).as_dict().items():

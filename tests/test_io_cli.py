@@ -292,48 +292,47 @@ class TestCli:
         assert lines[-1] == "some checks FAILED"
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["search", "--n", "0", "--s", "1"], {}),
-            (["search", "--n", "2", "--s", "1", "--restarts", "0"], {}),
-            (["search", "--n", "2", "--s", "nan"], {}),
-            (["search", "--n", "1", "--s", "1.3", "--mode", "parallel_frame"], {}),
-            (["search", "--n", "2", "--s", "1", "--seed", "-5"], {}),
-            (["search", "--n", "2", "--s", "1e200", "--restarts", "2"], {}),
-            (["catalog", "bdf4", "--q", "abc"], {}),
-            (["catalog", "bdf-general", "--q", "x"], {}),
-            (["catalog", "samelson", "--c", "nan"], {}),
-            (["catalog", "complex-group", "--c", "nan"], {}),
-            (["catalog", "complex-group", "--c", "1e308"], {}),
-            (["catalog", "perturb", "--base", "{file}", "--eps", "nan"], {}),
-            (["catalog", "perturb", "--base", "{file}", "--eps", "1e308"], {}),
-            (["catalog", "bdf4", "--q", "1e308"], {}),
-            (["validate", "{file}"], {"HERMLIE_TOL": "abc"}),
-            (["validate", "{file}", "--tol", "nan"], {}),
-            (["analyze", "{file}", "--s-grid", "nan,1"], {}),
-            (["analyze", "{file}", "--s-grid", "1e308"], {}),
-            (["catalog", "perturb", "--base", "{file}", "--seed", "-1"], {}),
-            (["catalog", "complex-group", "--n", "1"], {}),
-            (["catalog", "abelian", "--n", "100000"], {}),
-            (["catalog", "complex-group", "--n", "100000"], {}),
-            (["catalog", "bdf-general", "--h-pairs", "-1", "--c-pairs", "-1"], {}),
-            (["catalog", "bdf-general", "--p", "-1"], {}),
+            ["search", "--n", "0", "--s", "1"],
+            ["search", "--n", "2", "--s", "1", "--restarts", "0"],
+            ["search", "--n", "2", "--s", "nan"],
+            ["search", "--n", "1", "--s", "1.3", "--mode", "parallel_frame"],
+            ["search", "--n", "2", "--s", "1", "--seed", "-5"],
+            ["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
+            ["search", "--n", "1000000", "--s", "1", "--restarts", "1"],  # 1 TB index table
+            ["catalog", "bdf4", "--q", "abc"],
+            ["catalog", "bdf-general", "--q", "x"],
+            ["catalog", "samelson", "--c", "nan"],
+            ["catalog", "complex-group", "--c", "nan"],
+            ["catalog", "complex-group", "--c", "1e308"],
+            ["catalog", "perturb", "--base", "{file}", "--eps", "nan"],
+            ["catalog", "perturb", "--base", "{file}", "--eps", "1e308"],
+            ["catalog", "bdf4", "--q", "1e308"],
+            ["validate", "{file}", "--tol", "nan"],
+            ["analyze", "{file}", "--s-grid", "nan,1"],
+            ["analyze", "{file}", "--s-grid", "1e308"],
+            ["catalog", "perturb", "--base", "{file}", "--seed", "-1"],
+            ["catalog", "complex-group", "--n", "1"],
+            ["catalog", "abelian", "--n", "100000"],
+            ["catalog", "complex-group", "--n", "100000"],
+            ["catalog", "bdf-general", "--h-pairs", "-1", "--c-pairs", "-1"],
+            ["catalog", "bdf-general", "--p", "-1"],
         ],
         ids=[
             "search-n0", "search-restarts0", "search-s-nan", "search-n1-parallel",
-            "search-seed-negative", "search-s-huge", "bdf4-q-abc", "bdf-general-q-x",
+            "search-seed-negative", "search-s-huge", "search-n-huge", "bdf4-q-abc",
+            "bdf-general-q-x",
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
             "perturb-eps-huge", "bdf4-q-huge",
-            "env-tol-abc", "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
+            "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
             "perturb-seed-negative", "complex-group-n1", "abelian-n-huge", "complex-group-n-huge",
             "bdf-general-pairs-negative", "bdf-general-p-negative",
         ],
     )
-    def test_bad_input_is_an_error(self, argv, env, tmp_path, capsys, monkeypatch):
+    def test_bad_input_is_an_error(self, argv, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_bytes(structio.emit_structure(hl.samelson_su2_r(1.0)))
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # no NumPy overflow warning either
             code = main([arg.replace("{file}", str(path)) for arg in argv])
@@ -413,15 +412,22 @@ class TestCli:
         assert U.n == 3
         assert hl.chern_torsion(U).norm <= 1e-12
 
-    def test_tolerance_env_override(self, tmp_path, capsys, monkeypatch):
-        # the quadratic residual is 0.29 (|C|^2 + |D|^2): between the default 1e-9 and the
-        # override
+    def test_tolerance_env_var_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # HERMLIE_TOL is not read: at 0.5 it would pass the noisy file, whose quadratic
+        # residual is 0.29 (|C|^2 + |D|^2)
         noisy = tmp_path / "noisy.json"
         U = hl.perturb(hl.abelian(2), 1e-3, 3)
         noisy.write_bytes(structio.emit_structure(U))
-        assert main(["validate", str(noisy)]) == 1
+        commands = (["validate", str(noisy)], ["analyze", str(noisy), "--s-grid", "0,1.5,2"],
+                    ["catalog", "bdf4", "--q", "1.25"])
+
+        def outputs():
+            return [(main(argv), capsys.readouterr().out) for argv in commands]
+
+        plain = outputs()
         monkeypatch.setenv("HERMLIE_TOL", "0.5")
-        assert main(["validate", str(noisy)]) == 0
+        assert outputs() == plain
+        assert plain[0][0] == 1 and "valid: false" in plain[0][1].splitlines()
 
     def test_shrunken_perturbed_samelson_stays_invalid(self, tmp_path, capsys):
         base, noisy = tmp_path / "s.json", tmp_path / "noisy.json"

@@ -13,11 +13,12 @@ from hermlie import core
 from hermlie import search as S
 from hermlie._config import RHO_MAX
 from hermlie.cli import main
-from hermlie.tensors import frobenius, transform_frame
+from hermlie.tensors import frobenius
 
 from conftest import (
     full_form, full_row_jacobian, point_from_structure, point_from_torsion, quadratic_part,
-    random_structure, random_unitary, residual_vector, row_by_row_model, unitary_change,
+    random_structure, random_unitary, residual_vector, row_by_row_model, transform_frame,
+    unitary_change,
 )
 
 
@@ -208,7 +209,7 @@ class TestQuadraticModel:
         r0, L, B = polarization_model(problem)
         assert np.abs(r0).max() == 0.0 and np.abs(L).max() == 0.0  # homogeneous quadratics
         model = S._polynomial_model(problem)
-        assert np.abs(full_form(model) - B).max() <= 1e-14 * np.abs(B).max()
+        assert np.abs(full_form(model, problem.n) - B).max() <= 1e-14 * np.abs(B).max()
 
     @pytest.mark.parametrize("n, s, mode", ROW_BY_ROW_CASES)
     def test_equals_the_row_by_row_build_bitwise(self, n, s, mode):
@@ -295,7 +296,6 @@ class TestClassMap:
         assert np.array_equal(rep[rep], rep) and set(np.unique(factor)) <= {-1.0, 0.0, 1.0}
         for s in (0.0, 0.37, 1.0, 1.3, 2.0, 3.0, -2.5):
             model = S._quadratic_model(n, s, mode, False)
-            assert model.classes[0] is rep and model.classes[1] is factor
             assert (rep[model.rows] == model.rows).all() and (factor[model.rows] == 1).all()
             members = np.bincount(rep, factor * factor, model.m)[model.rows]
             assert np.array_equal(model.weights, np.sqrt(members))
@@ -382,6 +382,11 @@ class TestCodec:
         assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
         with pytest.raises(ValueError):
             first[0][0] = 1
+
+    def test_index_table_too_large_is_named(self):
+        # the first allocation, n x n booleans, is about 1 TB: NumPy refuses it untouched
+        with pytest.raises(hl.exceptions.ValidationError, match=r"n=1000000 is too large"):
+            S.random_start(S.SearchProblem(n=10**6, s=1.0), 0)
 
 
 class TestLmMinimize:

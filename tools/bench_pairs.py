@@ -21,7 +21,11 @@ better (ties count for neither) and the change of the median.  It is rewritten
 after every pair, so an interrupted session keeps the pairs it finished.
 --claim names a workload and metric whose gain is judged: better in at least
 nine tenths of the pairs, and a median gap larger than the distance between the
-parent's quartiles.
+parent's quartiles.  Every metric is also judged for regression against its
+bound in BENCHMARK.json, a share of the parent's median: "unresolved" when the
+parent's quartile spread is wider than the bound and not every change run reads
+better than every parent run, else "beyond_bound" when the change's median is
+worse than the parent's by more than the bound, else "within_bound".
 """
 
 import argparse
@@ -83,15 +87,16 @@ def summarize(runs):
             "runs": [round(r, 4) for r in runs]}
 
 
-def workload_summary(seeds, first, results, better):
-    """The BENCH entry of one workload from its per-pair perfbench results."""
+def workload_summary(seeds, first, results, metrics):
+    """The BENCH entry of one workload from its per-pair perfbench results; metrics maps
+    each end-to-end metric to its BENCHMARK.json entry."""
     entry = {"seeds": seeds, "pairs": len(seeds), "first_side": first,
              "failed_ops": {side: sum(r[side]["failed"] for r in results) for side in SIDES},
              "attempted_ops": {side: sum(r[side]["attempted"] for r in results) for side in SIDES},
              "correct": all(r[side]["correct"] for r in results for side in SIDES)}
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         runs = {side: [r[side]["metrics"][metric]["value"] for r in results] for side in SIDES}
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (p - c) > 0 for p, c in zip(runs["parent"], runs["change"]))
         parent, change = summarize(runs["parent"]), summarize(runs["change"])
         entry[metric] = {
@@ -99,6 +104,7 @@ def workload_summary(seeds, first, results, better):
             "median_change": f"{100 * (change['median'] / parent['median'] - 1):+.1f} %"
             if parent["median"] else "n/a",
         }
+        entry[metric]["regression"] = regression(entry[metric], spec["better"], spec["bound"])
     return entry
 
 
@@ -110,6 +116,20 @@ def claim_met(entry, metric, direction):
     if direction == "higher":
         gap = -gap
     return wins >= 0.9 * pairs and gap > stats["parent"]["q3"] - stats["parent"]["q1"]
+
+
+def regression(stats, direction, bound):
+    """"unresolved", "beyond_bound" or "within_bound": the median move in the worse
+    direction and the parent's quartile spread, as shares of the parent's median,
+    against bound (see the module docstring)."""
+    parent, change = stats["parent"], stats["change"]
+    sign = 1 if direction == "lower" else -1
+    scale = abs(parent["median"]) or 1.0
+    all_better = all(sign * (p - c) > 0 for p in parent["runs"] for c in change["runs"])
+    if (parent["q3"] - parent["q1"]) / scale > bound and not all_better:
+        return "unresolved"
+    worse = sign * (change["median"] - parent["median"]) / scale
+    return "beyond_bound" if worse > bound else "within_bound"
 
 
 def parse_args(argv):
@@ -134,7 +154,7 @@ def main(argv=None):
     dest = args.workdir.resolve() / "tree"
     extract(trees["parent"], dest)
     spec = json.loads((dest / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     record = {
         "change": args.note, "claim": args.claim, "claim_met": None,
@@ -143,8 +163,9 @@ def main(argv=None):
                    "same fresh directory before each run, the side that runs first alternating "
                    "between pairs (parent first on even-indexed pairs); quartiles by "
                    "statistics.quantiles(method='inclusive'); change_better_in counts pairs "
-                   "where the change reads better (ties count for neither). Made with "
-                   "tools/bench_pairs.py."),
+                   "where the change reads better (ties count for neither); regression judges "
+                   "each metric against its BENCHMARK.json bound as a share of the parent's "
+                   "median. Made with tools/bench_pairs.py."),
         "trees": {"parent": args.parent, "change": args.change or "working tree", **{
             f"{side}_tree": tree for side, tree in trees.items()}},
         "machine": (f"{os.cpu_count()} CPUs, {platform.system()}, Python "
@@ -159,7 +180,8 @@ def main(argv=None):
             pair = {side: run_side(trees[side], dest, workload, seed, seconds) for side in order}
             results.append(pair)
             first.append(order[0])
-            record["workloads"][workload] = workload_summary(seeds[:i + 1], first, results, better)
+            record["workloads"][workload] = workload_summary(seeds[:i + 1], first, results,
+                                                             metrics)
             wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: wall_s parent {wall['parent']:.3f} "
                   f"change {wall['change']:.3f}", flush=True)
@@ -167,8 +189,11 @@ def main(argv=None):
                 claimed, _, metric = args.claim.partition(":")
                 if claimed in record["workloads"]:
                     record["claim_met"] = claim_met(record["workloads"][claimed], metric,
-                                                    better[metric])
+                                                    metrics[metric]["better"])
             out.write_text(json.dumps(record, indent=1) + "\n")
+        entry = record["workloads"][workload]
+        print(workload, ", ".join(f"{metric} {entry[metric]['regression']}" for metric in metrics),
+              flush=True)
     shutil.rmtree(dest)
     return 0
 

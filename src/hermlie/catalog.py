@@ -179,7 +179,10 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
     if d == 0 or d % 2 != 0:
         raise ValidationError(f"total dimension {d} is not a positive even number")
 
-    f = np.zeros((d, d, d))
+    try:
+        f = np.zeros((d, d, d))
+    except MemoryError as exc:
+        raise ValidationError(f"total dimension {d} is too large to fit in memory") from exc
     plane0 = h + c
     for a in range(h):
         for i in range(p):

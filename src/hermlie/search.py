@@ -21,9 +21,9 @@ kept.  The index symmetries of the identities (R[a, b] = -R[b, a], its
 conjugate, the antisymmetries of the Jacobi families) make most rows +-1
 times another row for every x and s, and some rows vanish identically
 (_class_map).  The model keeps one row per class, weighted so that the
-residual norm and the normal equations are those of every row: 40 of 224 rows at n = 2 full mode, 249 of 1134 at
-n = 3.  jacobian() scatters them back into the documented layout.  The
-Jacobian is J(x) = 2 B x and the residual is J(x) x / 2 - c.
+residual norm and the normal equations are those of every row: 40 of 224
+rows at n = 2 full mode, 249 of 1134 at n = 3.  The search forms no other
+residual: J(x) = 2 B x (jacobian) and r = J(x) x / 2 - c.
 
 Levenberg-Marquardt runs with the fixed damping schedule (reject
 doubles the damping, accept halves it) and evaluates the model once
@@ -225,24 +225,19 @@ class _QuadraticModel:
     representative row per class of residual rows (see _class_map), then a hunt's slice
     row, and the linear torsion map.
 
-    Row i < len(rows) is weights[i] times row rows[i] of the m-row residual layout
-    (see jacobian), whose value there is x^T B[i] x / weights[i]; the other
-    rows of its class are real multiples of it, and classes that vanish for
-    every x are not stored.  weights[i] is the root of the sum of the squared
-    factors over the class, so ||r||^2, J^T J and J^T r are those of the full
-    layout.  The slice row
-    w (|T|^2 - c) has B = w M^T M and const w c; const is 0 on the other rows.  Entry k
-    is B[i, a, cols[k]] = vals[k] with flat[k] = i * d + a, so one bincount over
-    flat gives B x.  Zeros of B are not stored either.  A small model also keeps
-    2 B densely as the (d, len(const) * d) matrix dense, so x @ dense holds the
-    Jacobian rows 2 B x at every point of a stack x; dense is None otherwise.
+    Row i < len(rows) stands for the class of residual row rows[i], times the root
+    of the sum of the squared factors over the class, so ||r||^2, J^T J and J^T r
+    are those of all 14 n^4 residual rows; classes that vanish for every x are not
+    stored.  The slice row w (|T|^2 - c) has B = w M^T M and const w c; const is 0
+    on the other rows.  Entry k is B[i, a, cols[k]] = vals[k] with flat[k] = i * d + a,
+    so one bincount over flat gives B x.  Zeros of B are not stored either.  A small
+    model also keeps 2 B densely as the (d, len(const) * d) matrix dense, so x @ dense
+    holds the Jacobian rows 2 B x at every point of a stack x; dense is None otherwise.
     torsion is the real matrix M with (T entries as interleaved re/im) = M @ x.
     """
 
-    m: int
     d: int
     rows: np.ndarray
-    weights: np.ndarray
     flat: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -310,8 +305,8 @@ def _class_map(n: int):
 def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel:
     """The model of _representative_entries, each row weighted by the root of the
     sum of the squared factors of its class; with hunt, that model's arrays
-    followed by the slice row.  Raises ValidationError when an entry of B
-    overflows."""
+    followed by the slice row.  Raises ValidationError naming n when the model
+    does not fit in memory, and one naming s when an entry of B overflows."""
     if hunt:
         plain = _quadratic_model(n, s, mode, False)
         B = _SLICE_WEIGHT * (plain.torsion.T @ plain.torsion)
@@ -320,15 +315,14 @@ def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel
         return replace(plain, flat=np.append(plain.flat, len(plain.rows) * plain.d + a),
                        cols=np.append(plain.cols, b), vals=np.append(plain.vals, B[a, b]),
                        dense=dense, const=np.append(plain.const, _SLICE_WEIGHT * _SLICE))
-    (row, left, right, vals), M = _representative_entries(n, s, mode)
-    m, d = 14 * n**4, M.shape[1]
+    try:
+        (row, left, right, vals), M = _representative_entries(n, s, mode)
+    except MemoryError as exc:  # the first allocation, the d x d basis, is 743 TiB at n = 150
+        raise ValidationError(f"n={n} is too large: its model does not fit in memory") from exc
     rep, factor = _class_map(n)
-    live = np.flatnonzero(np.bincount(row, minlength=m))
-    compact = np.zeros(m, np.intp)
-    compact[live] = np.arange(len(live))
-    weights = np.sqrt(np.bincount(rep, factor * factor, m))[live]
-    row = compact[row]
-    vals *= weights[row]  # after the sums, so each representative's sums are the kernels'
+    vals *= np.sqrt(np.bincount(rep, factor * factor))[row]  # after the sums, the kernels' own
+    live, row = np.unique(row, return_inverse=True)
+    d = M.shape[1]
     if not np.isfinite(vals).all():
         raise ValidationError(f"the search model overflows at s={s!r}")
     flat, cols = row * d + left, right
@@ -337,7 +331,7 @@ def _quadratic_model(n: int, s: float, mode: str, hunt: bool) -> _QuadraticModel
         dense = np.zeros((d, len(live) * d))
         dense[cols, flat] = 2.0 * vals
         dense.flags.writeable = False
-    return _QuadraticModel(m, d, live, weights, flat, cols, vals, M, dense, np.zeros(len(live)))
+    return _QuadraticModel(d, live, flat, cols, vals, M, dense, np.zeros(len(live)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -501,35 +495,8 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def jacobian(x, problem: SearchProblem) -> np.ndarray:
-    """Exact derivative of the residual at x, in its full row layout.
-
-    Layout: re/im of the three Jacobi families (all index tuples), then
-    re then im of each n x n curvature block R[a, b] at parameter s, a-major,
-    then the torsion slice row w (|T|^2 - c) when hunting.  Every entry is
-    x^T B x - c, so its derivative is 2 B x, from the cached model: each row
-    of the layout is its factor over its class's weight times the model row
-    of its class (see _QuadraticModel), the rows of classes that vanish for
-    every x are zero, and the slice row is the model's last.
-    """
-    J = _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
-    model = _polynomial_model(problem)
-    live = len(model.rows)
-    return np.concatenate([_expand(model, problem.n, J[:live]), J[live:]])
-
-
-def _expand(model: _QuadraticModel, n: int, values: np.ndarray) -> np.ndarray:
-    """values (rows, ...) of the model rows of dimension n over the full row layout,
-    (m, ...): each row is its factor over its class's weight (see _class_map) times
-    the value of its class's model row, and the rows of classes not in the model are zero."""
-    rep, factor = _class_map(n)
-    at = np.full(model.m, -1)  # model row of each representative row
-    at[model.rows] = np.arange(len(model.rows))
-    member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
-    k = at[rep[member]]
-    full = np.zeros((model.m,) + values.shape[1:])
-    scale = factor[member] / model.weights[k]
-    full[member] = scale.reshape((-1,) + (1,) * (values.ndim - 1)) * values[k]
-    return full
+    """_evaluate's J at the point x: 2 B x over the model rows, then a hunt's slice row."""
+    return _evaluate(np.asarray(x, dtype=float)[None], problem)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Structure files are schema-versioned JSON.  Top level:
 Indices are 1-based.  C stores only entries with i < k (the parser
 completes the antisymmetric partner); D is stored in full.  Missing
 entries default to zero, unknown fields are rejected, and floats are
-emitted with 17 significant digits so parse(emit(U)) is exact and
-emit(parse(emit(U))) is byte-identical.
+emitted as the shortest decimal that reads back as the same double
+(json.dumps), so parse(emit(U)) is exact and emit(parse(emit(U))) is
+byte-identical.  The parser accepts a metadata provenance; the emitter
+writes only a name.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ SCHEMA_VERSION = 1
 _ENTRY_FIELDS = {"j", "i", "k", "re", "im"}
 _TOP_FIELDS = {"schema_version", "n", "C", "D", "metadata"}
 _META_FIELDS = {"name", "provenance"}
-
-
-def _fmt(x: float) -> float:
-    # canonical decimal at 17 significant digits; exact round trip
-    return float(f"{float(x):.17g}")
 
 
 def _is_int(value) -> bool:
@@ -124,23 +121,16 @@ def _entries(X: np.ndarray, i_below_k: bool = False) -> list:
     nonzero = X != 0
     if i_below_k:
         nonzero &= np.triu(np.ones(X.shape[1:], dtype=bool), 1)
-    return [{"j": j + 1, "i": i + 1, "k": k + 1, "re": _fmt(X[j, i, k].real),
-             "im": _fmt(X[j, i, k].imag)} for j, i, k in np.argwhere(nonzero).tolist()]
+    return [{"j": j + 1, "i": i + 1, "k": k + 1, "re": float(X[j, i, k].real),
+             "im": float(X[j, i, k].imag)} for j, i, k in np.argwhere(nonzero).tolist()]
 
 
-def emit_structure(
-    U: UnitaryStructure, name: str | None = None, provenance: str | None = None
-) -> bytes:
-    """Canonical bytes: sorted keys, sorted index tuples, 17 significant digits."""
+def emit_structure(U: UnitaryStructure, name: str | None = None) -> bytes:
+    """Canonical bytes: sorted keys, sorted index tuples, shortest round-trip floats."""
     doc = {"schema_version": SCHEMA_VERSION, "n": U.n,
            "C": _entries(U.C, i_below_k=True), "D": _entries(U.D)}
-    meta = {}
     if name is not None:
-        meta["name"] = name
-    if provenance is not None:
-        meta["provenance"] = provenance
-    if meta:
-        doc["metadata"] = meta
+        doc["metadata"] = {"name": name}
     text = json.dumps(doc, sort_keys=True, indent=2)
     return (text + "\n").encode("utf-8")
 
@@ -166,7 +156,7 @@ def emit_report(report, fmt: str = "json") -> bytes:
         columns = tuple(rows[0]) if rows else ()
         table = [[row[c] for c in columns] for row in rows]
     if fmt == "json":
-        rows = _jsonable([dict(zip(columns, values)) for values in table])
+        rows = [dict(zip(columns, values)) for values in table]
         return (json.dumps(rows, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if fmt == "csv":
         buf = io.StringIO()
@@ -183,15 +173,3 @@ def _csv_cell(value):
     if isinstance(value, float):
         return f"{value:.17g}"
     return value
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj

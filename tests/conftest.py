@@ -132,7 +132,7 @@ def quadratic_part(x: np.ndarray, problem) -> np.ndarray:
     """All polynomial residual entries at the point x (Jacobi then curvature).
 
     Written from the definition, not from the search model, so it is an
-    oracle for search.jacobian and the model it evaluates.
+    oracle for the model and its Jacobian (full_rows).
     """
     U = S.structure_from_point(problem, x)
     parts = []
@@ -254,16 +254,46 @@ def full_row_jacobian(x, problem) -> np.ndarray:
             + _bilinear_rows(basis, point, ("Z", ""), n)).T
 
 
+def class_weights(model, n: int) -> np.ndarray:
+    """The weight of each class row of the model: the root of the sum of the squared
+    factors over its class (search._class_map)."""
+    rep, factor = S._class_map(n)
+    return np.sqrt(np.bincount(rep, factor * factor, 14 * n**4))[model.rows]
+
+
+def expand(model, n: int, values: np.ndarray) -> np.ndarray:
+    """values (rows, ...) of the model's class rows at dimension n over the full row layout,
+    (14 n^4, ...): each row is its factor over its class's weight times the value of its
+    class's model row, and the rows of classes not in the model are zero."""
+    rep, factor = S._class_map(n)
+    at = np.full(len(rep), -1)  # model row of each representative row
+    at[model.rows] = np.arange(len(model.rows))
+    member = np.flatnonzero((factor != 0) & (at[rep] >= 0))
+    k = at[rep[member]]
+    full = np.zeros((len(rep),) + values.shape[1:])
+    scale = factor[member] / class_weights(model, n)[k]
+    full[member] = scale.reshape((-1,) + (1,) * (values.ndim - 1)) * values[k]
+    return full
+
+
+def full_rows(x, problem) -> np.ndarray:
+    """search.jacobian at x scattered over the full row layout (expand), then a hunt's
+    slice row: 2 B x of every residual row, in the layout of residual_vector."""
+    J = S.jacobian(x, problem)
+    model = S._polynomial_model(problem)
+    return np.concatenate([expand(model, problem.n, J[: len(model.rows)]), J[len(model.rows) :]])
+
+
 def full_form(model, n: int) -> np.ndarray:
-    """B of the model's class rows at dimension n over the full row layout, (m, d, d),
-    through search._expand; a hunt model's slice row is left off."""
+    """B of the model's class rows at dimension n over the full row layout, (14 n^4, d, d),
+    through expand; a hunt model's slice row is left off."""
     B = np.zeros((len(model.const) * model.d, model.d))
     B[model.flat, model.cols] = model.vals
-    return S._expand(model, n, B.reshape(-1, model.d, model.d)[: len(model.rows)])
+    return expand(model, n, B.reshape(-1, model.d, model.d)[: len(model.rows)])
 
 
 def residual_vector(x, problem) -> np.ndarray:
-    """Residual entries at the point x in the layout of search.jacobian.
+    """Residual entries at the point x in the full row layout.
 
     Layout: re/im of the three Jacobi families (all index tuples), then
     re/im of the curvature R[a, b, x, y] at parameter s in index order

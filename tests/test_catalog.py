@@ -29,6 +29,13 @@ def test_too_large_n_is_named():
             build(100000)
 
 
+def test_too_large_bdf_dimension_is_named():
+    # the bracket table of dimension 40002 takes 466 TiB: NumPy refuses it untouched
+    spec = hl.BdfSpec(p=20000, h_dim=1, c_dim=1, q=np.ones(20000))
+    with pytest.raises(hl.exceptions.ValidationError, match="^total dimension 40002 is too large"):
+        hl.bdf_general(spec)
+
+
 class TestComplexGroup:
     def test_zero_is_abelian(self):
         U = hl.complex_group(np.zeros((2, 2, 2)))

@@ -125,7 +125,7 @@ def parallel_frame_curvature(T, s):
 def surface_model_rows():
     """(residual row, real quadratic in X and S) of every row of the search residual at n = 2
     in parallel-frame mode: re and im of the three Jacobi families, then of each curvature
-    block R[a, b], in the layout of hermlie.search.jacobian."""
+    block R[a, b], in the full row layout of conftest.full_form."""
     T = surface_torsion(X)
     rows = {}
     for (i, j, k, l), families in parallel_frame_jacobi(T, S).items():
@@ -151,7 +151,7 @@ def test_search_model_matches_the_exact_polynomials(s):
         for powers, coeff in sp.Poly(sp.expand(poly.subs(S, s)), *X).as_dict().items():
             a, b = [i for i, p in enumerate(powers) for _ in range(p)]
             exact[r, a, b] = exact[r, b, a] = float(coeff) / (1 if a == b else 2)
-    assert len(surface_model_rows()) == model.m == 224
+    assert len(surface_model_rows()) == len(B) == 14 * 2**4 == 224
     assert np.abs(exact).max() > 0.1
     assert np.abs(B - exact).max() <= 1e-14 * np.abs(exact).max()
 

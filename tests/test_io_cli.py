@@ -139,6 +139,13 @@ class TestEmit:
         U = hl.samelson_su2_r(1.0)
         assert structio.emit_structure(U) == structio.emit_structure(U)
 
+    def test_provenance_is_parsed_and_not_emitted(self):
+        payload = structio.emit_structure(hl.samelson_su2_r(1.0), name="samelson")
+        doc = json.loads(payload)
+        doc["metadata"]["provenance"] = "written by hand"
+        back = structio.parse_structure(json.dumps(doc))
+        assert structio.emit_structure(back, name="samelson") == payload
+
 
 class TestReports:
     def test_analyze_csv_bdf(self):
@@ -380,6 +387,8 @@ class TestCli:
             # NumPy refuses 14 PiB before touching memory
             (["catalog", "abelian", "--n", "100000"], "n=100000 is too large"),
             (["catalog", "complex-group", "--n", "100000"], "error: n=100000 is too large"),
+            (["catalog", "bdf-general", "--p", "20000", "--q", ",".join(["1"] * 20000)],
+             "error: total dimension 40002 is too large"),  # 466 TiB
             (["catalog", "bdf-general", "--h-pairs", "-1", "--c-pairs", "-1"],
              "h_internal_pairs, c_internal_pairs must be nonnegative"),
             (["catalog", "bdf-general", "--p", "-1"], "error: p must be nonnegative"),
@@ -388,6 +397,7 @@ class TestCli:
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
              "perturb-eps-huge", "analyze-s", "search-s-huge", "perturb-seed-negative",
              "complex-group-n1", "bool-index", "abelian-n-huge", "complex-group-n-huge",
+             "bdf-general-p-huge",
              "bdf-general-pairs-negative", "bdf-general-p-negative", "bdf-general-q-count"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):

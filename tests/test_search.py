@@ -16,9 +16,9 @@ from hermlie.cli import main
 from hermlie.tensors import frobenius
 
 from conftest import (
-    full_form, full_row_jacobian, point_from_structure, point_from_torsion, quadratic_part,
-    random_structure, random_unitary, residual_vector, row_by_row_model, transform_frame,
-    unitary_change,
+    class_weights, full_form, full_row_jacobian, full_rows, point_from_structure,
+    point_from_torsion, quadratic_part, random_structure, random_unitary, residual_vector,
+    row_by_row_model, transform_frame, unitary_change,
 )
 
 
@@ -96,6 +96,19 @@ class TestResidualVector:
                 assert abs(got - want) <= 1e-14 * abs(want)
 
 
+MODEL_PROBLEMS = [
+    S.SearchProblem(n=2, s=0.7),
+    S.SearchProblem(n=3, s=1.0),
+    S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
+    S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
+    S.SearchProblem(n=2, s=2.0, hunt=True),
+]
+MODEL_IDS = ["full-2", "full-3", "par-2", "par-3", "hunt"]
+# the model tests that need no dense oracle also run at n = 4 full mode
+ALL_MODEL_PROBLEMS = MODEL_PROBLEMS + [S.SearchProblem(n=4, s=1.3)]
+ALL_MODEL_IDS = MODEL_IDS + ["full-4"]
+
+
 class TestJacobian:
     def test_zero_point_linear_term_only(self):
         # all residuals are homogeneous quadratics: J(0) = 0
@@ -103,22 +116,34 @@ class TestJacobian:
         J = S.jacobian(np.zeros(S.unknown_count(prob)), prob)
         assert np.abs(J).max() <= 1e-14
 
-    @pytest.mark.parametrize(
-        "problem",
-        [
-            S.SearchProblem(n=2, s=0.7),
-            S.SearchProblem(n=3, s=1.0),
-            S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
-            S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
-            S.SearchProblem(n=2, s=2.0, hunt=True),
-        ],
-        ids=["full-2", "full-3", "par-2", "par-3", "hunt"],
-    )
+    @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
+    def test_is_the_jacobian_of_the_model_rows(self, problem):
+        # bitwise _evaluate's J, and J x / 2 - const is bitwise its r
+        model = S._polynomial_model(problem)
+        for x in np.random.default_rng(23).standard_normal((3, model.d)):
+            J, r, _ = S._evaluate(x[None], problem)
+            got = S.jacobian(x, problem)
+            assert got.shape == (len(model.const), model.d)
+            assert got.tobytes() == J[0].tobytes()
+            assert (0.5 * (got @ x) - model.const).tobytes() == r[0].tobytes()
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
+    def test_matches_finite_differences_of_the_model_residual(self, problem):
+        d, h = S.unknown_count(problem), 1e-6
+        x = np.random.default_rng(29).standard_normal(d)
+        steps = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
+        r = S._evaluate(steps, problem)[1]
+        FD = (r[:d] - r[d:]).T / (2 * h)
+        J = S.jacobian(x, problem)
+        assert np.abs(J - FD).max() / max(1.0, np.abs(J).max()) <= 1e-6
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS, ids=MODEL_IDS)
     def test_matches_finite_differences(self, problem):
+        # over the full row layout: the model rows scattered by the class map (full_rows)
         rng = np.random.default_rng(hash(problem.mode) % 2**32)
         for trial in range(4):
             x = rng.standard_normal(S.unknown_count(problem))
-            J = S.jacobian(x, problem)
+            J = full_rows(x, problem)
             FD = fd_jacobian(x, problem)
             scale = max(1.0, np.abs(J).max())
             assert np.abs(J - FD).max() / scale <= 1e-6
@@ -156,18 +181,6 @@ def model_form(model):
     return B.reshape(-1, model.d, model.d)
 
 
-MODEL_PROBLEMS = [
-    S.SearchProblem(n=2, s=0.7),
-    S.SearchProblem(n=3, s=1.0),
-    S.SearchProblem(n=2, s=0.5, mode=S.PARALLEL_FRAME),
-    S.SearchProblem(n=3, s=1.5, mode=S.PARALLEL_FRAME),
-    S.SearchProblem(n=2, s=2.0, hunt=True),
-]
-MODEL_IDS = ["full-2", "full-3", "par-2", "par-3", "hunt"]
-# the model tests that need no dense oracle also run at n = 4 full mode
-ALL_MODEL_PROBLEMS = MODEL_PROBLEMS + [S.SearchProblem(n=4, s=1.3)]
-ALL_MODEL_IDS = MODEL_IDS + ["full-4"]
-
 SQ2 = np.sqrt(2.0)
 # (n, s, mode) of the bitwise comparison with the row-by-row build, covering both modes,
 # n = 1..4 and the endpoints, rigid values and the roots (6 +- 2 sqrt 2) / 7; n = 4 full
@@ -195,11 +208,11 @@ def assert_same_model(n, s, mode):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
     model = S._quadratic_model(n, s, mode, False)
-    assert (model.m, model.d) == (m, d) and model.torsion.tobytes() == M.tobytes()
+    assert (m, model.d) == (14 * n**4, d) and model.torsion.tobytes() == M.tobytes()
     assert np.array_equal(model.rows, np.unique(row))
     assert (factor[live] != 0).all() and np.isin(rep[live], model.rows).all()
     at = np.searchsorted(model.rows, row)
-    assert model.vals.tobytes() == (vals * model.weights[at]).tobytes()
+    assert model.vals.tobytes() == (vals * class_weights(model, n)[at]).tobytes()
     assert np.array_equal(model.flat, at * d + left) and np.array_equal(model.cols, right)
 
 
@@ -229,11 +242,11 @@ class TestQuadraticModel:
     @pytest.mark.parametrize("problem", ALL_MODEL_PROBLEMS, ids=ALL_MODEL_IDS)
     def test_half_jacobian_times_point_is_residual(self, problem):
         rng = np.random.default_rng(17)
-        m = S._polynomial_model(problem).m
+        m = 14 * problem.n**4
         for trial in range(3):
             x = rng.standard_normal(S.unknown_count(problem))
             r = residual_vector(x, problem)[:m]
-            model_r = 0.5 * S.jacobian(x, problem)[:m] @ x
+            model_r = 0.5 * full_rows(x, problem)[:m] @ x
             assert np.abs(model_r - r).max() <= 1e-13 * max(1.0, np.abs(r).max())
 
     def test_torsion_map_matches_chern_torsion(self):
@@ -250,7 +263,7 @@ class TestQuadraticModel:
         model = S._polynomial_model(problem)
         assert np.array_equal(np.unique(model.flat // model.d), np.arange(len(model.const)))
         assert len(model.const) == len(model.rows) + problem.hunt
-        assert len(model.rows) < model.m
+        assert len(model.rows) < 14 * problem.n**4
 
     def test_stored_size_is_bounded(self):
         # the dense (m, d, d) form at n = 3 full mode takes 47 MB
@@ -268,7 +281,7 @@ class TestQuadraticModel:
             assert S._polynomial_model(c) is not S._polynomial_model(a)
         # the hunt model is the plain model, bitwise, followed by the slice row B = w M^T M
         plain, hunt = S._polynomial_model(a), S._polynomial_model(hunt)
-        for name in ("rows", "weights", "torsion", "flat", "cols", "vals", "dense"):
+        for name in ("rows", "torsion", "flat", "cols", "vals", "dense"):
             got, want = getattr(hunt, name), getattr(plain, name)
             assert got[..., : want.shape[-1]].tobytes() == want.tobytes()
         assert hunt.const.tobytes() == np.append(plain.const, S._SLICE_WEIGHT * S._SLICE).tobytes()
@@ -297,8 +310,9 @@ class TestClassMap:
         for s in (0.0, 0.37, 1.0, 1.3, 2.0, 3.0, -2.5):
             model = S._quadratic_model(n, s, mode, False)
             assert (rep[model.rows] == model.rows).all() and (factor[model.rows] == 1).all()
-            members = np.bincount(rep, factor * factor, model.m)[model.rows]
-            assert np.array_equal(model.weights, np.sqrt(members))
+            # each weight is the root of its class's size, the factors being +-1
+            members = np.bincount(rep[factor != 0], minlength=14 * n**4)[model.rows]
+            assert np.array_equal(class_weights(model, n), np.sqrt(members))
         assert len(S._quadratic_model(n, 1.3, mode, False).rows) == REPRESENTATIVE_ROWS[n, mode]
 
     @pytest.mark.parametrize("n, mode", [c for c in CLASS_CASES if c != (4, S.FULL)])
@@ -387,6 +401,11 @@ class TestCodec:
         # the first allocation, n x n booleans, is about 1 TB: NumPy refuses it untouched
         with pytest.raises(hl.exceptions.ValidationError, match=r"n=1000000 is too large"):
             S.random_start(S.SearchProblem(n=10**6, s=1.0), 0)
+
+    def test_model_too_large_is_named(self):
+        # the first allocation, the d x d basis of the unknowns, is 743 TiB: NumPy refuses it
+        with pytest.raises(hl.exceptions.ValidationError, match=r"^n=150 is too large"):
+            S._quadratic_model(150, 1.0, S.FULL, False)
 
 
 class TestLmMinimize:

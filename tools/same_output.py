@@ -1,0 +1,147 @@
+"""Check that a change leaves every output of hermlie byte-identical to its parent's.
+
+    python3 tools/same_output.py --parent REF [--change REF] [--seeds 11,12] --workdir DIR
+
+Run it from inside the repository.  --change defaults to the working tree:
+every file that git tracks or does not ignore, staged or not.  Each side is
+extracted with `git archive` into the same fresh DIR/tree (tools/bench_pairs.py's
+tree_of and extract), where it runs
+
+  - every command of every perfbench workload at each seed, in order, as
+    perfbench runs them: `python -m hermlie.cli ARGS` from the root of the
+    tree, PYTHONPATH=src, single-threaded BLAS.  The exit code, stdout and
+    stderr of each command are kept, and so is every file that a workload's
+    commands leave under .perfbench/work;
+  - `hermlie verify-theorems --suite all`;
+  - `pytest -q -s tests/test_acceptance.py`, of whose output only the verdict
+    lines are kept.  pytest prints each verdict right after the progress dot
+    of the test before it, so a verdict is found anywhere in a line, not only
+    at its start: this is `grep -oE '(PASS|FAIL)  criterion .*'`.
+
+It prints the md5 of the verify-theorems stdout and of the verdict lines of
+each side, then every output that differs with a unified diff of its lines,
+and exits 1 if any output differs, else 0.
+"""
+
+import argparse
+import difflib
+import hashlib
+import importlib.util
+import itertools
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from bench_pairs import extract, tree_of
+
+VERDICT = re.compile(r"(?:PASS|FAIL)  criterion .*")
+DIFF_LINES = 40  # lines of the unified diff shown per differing output
+
+
+def verdict_lines(text):
+    """The acceptance verdict lines of pytest's output, wherever they start in a line."""
+    return VERDICT.findall(text)
+
+
+def differences(parent, change):
+    """One heading and the first DIFF_LINES lines of a unified diff for every output
+    (name -> bytes) that differs between the sides or exists on one side only."""
+    lines = []
+    for name in [*parent, *(name for name in change if name not in parent)]:
+        old, new = parent.get(name), change.get(name)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"only in {'change' if old is None else 'parent'}: {name}")
+            continue
+        lines.append(f"differs: {name}")
+        diff = difflib.unified_diff(old.decode(errors="replace").splitlines(),
+                                    new.decode(errors="replace").splitlines(),
+                                    "parent", "change", lineterm="", n=1)
+        lines += itertools.islice(diff, DIFF_LINES)
+    return lines
+
+
+def md5(data):
+    return hashlib.md5(data).hexdigest()
+
+
+def load_perfbench(tree_dir):
+    path = tree_dir / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def run_in(tree_dir, env, argv):
+    proc = subprocess.run([sys.executable, *argv], cwd=tree_dir, env=env, capture_output=True,
+                          stdin=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def outputs(tree, tree_dir, seeds):
+    """name -> bytes of every output of one side, extracted into tree_dir."""
+    extract(tree, tree_dir)
+    run = load_perfbench(tree_dir)
+    env = {**os.environ, **dict.fromkeys(run.BLAS_ENV, "1"), "PYTHONPATH": str(tree_dir / "src")}
+    work = tree_dir / ".perfbench" / "work"
+    found = {}
+
+    def command(name, argv):
+        code, out, err = run_in(tree_dir, env, argv)
+        found.update({f"{name}: exit": str(code).encode(), f"{name}: stdout": out,
+                      f"{name}: stderr": err})
+
+    for workload, seed in itertools.product(sorted(run.WORKLOADS), seeds):
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir(parents=True)
+        for i, cmd in enumerate(run.workload_commands(workload, seed)):
+            command(f"{workload} seed {seed} #{i:02d} {' '.join(cmd.args)[:70]}",
+                    ["-m", "hermlie.cli", *cmd.args])
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            name = f"{workload} seed {seed} file {path.relative_to(tree_dir)}"
+            found[name] = path.read_bytes()
+    verify = ["verify-theorems", "--suite", "all"]
+    command(" ".join(verify), ["-m", "hermlie.cli", *verify])
+    code, out, _ = run_in(tree_dir, env, ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                                          "tests/test_acceptance.py"])
+    found["acceptance: exit"] = str(code).encode()
+    found["acceptance: verdict lines"] = "".join(
+        f"{line}\n" for line in verdict_lines(out.decode(errors="replace"))).encode()
+    return found
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref of the parent")
+    parser.add_argument("--change", default=None,
+                        help="git ref of the change (default: working tree)")
+    parser.add_argument("--seeds", default="11,12", help="comma-separated workload seeds")
+    parser.add_argument("--workdir", type=Path, required=True, help="where the sides are extracted")
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    trees = {"parent": tree_of(args.parent), "change": tree_of(args.change)}
+    tree_dir = args.workdir.resolve() / "tree"
+    found = {}
+    for side, tree in trees.items():
+        found[side] = outputs(tree, tree_dir, seeds)
+        verdicts = found[side]["acceptance: verdict lines"]
+        print(f"{side}: {len(found[side])} outputs; verify-theorems stdout md5 "
+              f"{md5(found[side]['verify-theorems --suite all: stdout'])}; "
+              f"{len(verdicts.splitlines())} verdict lines, md5 {md5(verdicts)}", flush=True)
+    shutil.rmtree(tree_dir)
+    lines = differences(found["parent"], found["change"])
+    print("\n".join(lines) if lines else f"identical: all {len(found['parent'])} outputs")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

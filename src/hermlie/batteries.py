@@ -100,7 +100,7 @@ def parallel() -> tuple:
         Check("samelson torsion regenerates a valid flat structure at s=2",
               regenerated <= RESIDUAL_TOL, regenerated),
         Check("descent skips the out-of-scope parameter s=2",
-              theorems.torsion_descent(tor, 2.0).skipped),
+              theorems.torsion_descent(tor, 2.0).status == "skipped"),
     )
 
 

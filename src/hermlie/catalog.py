@@ -84,27 +84,16 @@ def samelson_su2_r(c: float) -> UnitaryStructure:
 
 
 def bdf_flat_kahler_4d(q: float) -> RealPresentation:
-    """The 4-dimensional flat Kahler algebra with rotation weight q.
+    """The 4-dimensional flat Kahler algebra with rotation weight q: the
+    (p, h_dim, c_dim) = (1, 1, 1) case of bdf_general.
 
     Orthonormal basis (X, Y, Z, W): [X, Y] = q Z, [X, Z] = -q Y, W
     central, J X = W and J Y = Z.  The J signs are the ones that pass
     integrability (J X = W rather than J W = X matters).
     """
-    from .realform import RealPresentation
     if q == 0:
         raise DegenerateParameterError("q = 0 is the abelian case; use abelian(2)")
-    f = np.zeros((4, 4, 4))
-    X, Y, Z, W = 0, 1, 2, 3
-    f[Z, X, Y] = q
-    f[Z, Y, X] = -q
-    f[Y, X, Z] = -q
-    f[Y, Z, X] = q
-    J = np.zeros((4, 4))
-    J[W, X] = 1.0
-    J[X, W] = -1.0
-    J[Z, Y] = 1.0
-    J[Y, Z] = -1.0
-    return RealPresentation(dim=4, f=f, G=np.eye(4), J=J)
+    return bdf_general(BdfSpec(p=1, h_dim=1, c_dim=1, q=[q]))
 
 
 @dataclass(frozen=True)
@@ -137,6 +126,8 @@ class BdfSpec:
         if q.ndim < 2 and q.size == self.h_dim * self.p:
             q = q.reshape(self.h_dim, self.p)  # the weights given flat, row by row
         q = np.atleast_2d(q)
+        if not np.isfinite(q).all():
+            raise ValidationError("q must be finite")
         if self.h_dim == 0 and self.p > 0:
             raise ValidationError("rotating planes need a nonzero h to act")
         if self.h_dim > 0:
@@ -171,7 +162,9 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
     [X, F_{2i-1}] = q_i(X) F_{2i}, [X, F_{2i}] = -q_i(X) F_{2i-1} for X
     in h; everything else commutes; the metric is orthonormal and J
     follows the spec pairing with J F_{2i-1} = F_{2i} on the planes.
-    Every output is Kahler (zero torsion) and flat at all parameters.
+    Every output is Kahler (zero torsion) and flat at all parameters.  The
+    basis is h, the centre's internal pairs, the planes, the rest of the centre:
+    J-pair blocks in the adapted frame's order, and bdf_flat_kahler_4d's order.
     """
     from .realform import RealPresentation
     h, c, p = spec.h_dim, spec.c_dim, spec.p
@@ -183,7 +176,8 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
         f = np.zeros((d, d, d))
     except MemoryError as exc:
         raise ValidationError(f"total dimension {d} is too large to fit in memory") from exc
-    plane0 = h + c
+    hp, cp = 2 * spec.h_internal_pairs, 2 * spec.c_internal_pairs
+    plane0, rest = h + cp, h + cp + 2 * p  # where the planes and the rest of the centre start
     for a in range(h):
         for i in range(p):
             w = spec.q[a, i]
@@ -194,9 +188,8 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
 
     # J a = b over the pairs (a, b): those inside h, those inside the centre, the leftovers
     # of h with the leftovers of the centre in order, and the two directions of each plane
-    hp, cp = 2 * spec.h_internal_pairs, 2 * spec.c_internal_pairs
-    a = np.r_[0:hp:2, h:h + cp:2, hp:h, plane0:d:2]
-    b = np.r_[1:hp:2, h + 1:h + cp:2, h + cp:plane0, plane0 + 1:d:2]
+    a = np.r_[0:hp:2, h:plane0:2, hp:h, plane0:rest:2]
+    b = np.r_[1:hp:2, h + 1:plane0:2, rest:d, plane0 + 1:rest:2]
     J = np.zeros((d, d))
     J[b, a], J[a, b] = 1.0, -1.0
 

@@ -109,16 +109,14 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residuals of an identity family, keyed by index tuple or by sub-family.
+    """The largest Jacobi residual modulus of a structure.
 
     When the producing operation was given a tolerance it is recorded
     here with the threshold it sets, and ``valid`` holds the
     max_abs <= threshold judgment, made where neither side underflows.
     """
 
-    name: str
     max_abs: float
-    per_identity: dict
     tol: float | None = None
     threshold: float | None = None
     valid: bool | None = None
@@ -266,29 +264,27 @@ def validate_structure(U: UnitaryStructure, tol: float | None = None) -> Residua
                        + C^j_{ri} conj(D^k_{rl}) - D^l_{ri} conj(D^k_{jr})
                        + D^l_{rk} conj(D^i_{jr}) )
 
-    per_identity maps ("ccc",), ("cdd",) and ("cdbar",) to the largest
-    residual modulus of each family.  The structure is declared valid
-    iff max_abs <= tol * (|C|^2 + |D|^2), Frobenius norms (tol defaults to
-    the package validity tolerance).  The residuals are quadratic in (C, D),
-    so the verdict does not depend on scale: it is made on the structure times
-    the power of two 2^-k that brings its largest entry into [1/2, 1), which is
-    exact, and the residuals and the threshold are reported times 4^k.  They
-    can underflow to 0 where the verdict cannot.  The abelian structure (all
-    zero) is valid.  No separate integrability check exists here: C carries no
-    (0,1) part by construction.  Raises ValidationError when a reported
-    residual or the threshold overflows.
+    max_abs is the largest residual modulus of the three families, and the
+    structure is valid iff max_abs <= tol * (|C|^2 + |D|^2), Frobenius norms
+    (tol defaults to the package validity tolerance).  The residuals are
+    quadratic in (C, D), so the verdict does not depend on scale: it is made
+    on the structure times the power of two 2^-k that brings its largest entry
+    into [1/2, 1), which is exact, and the residual and the threshold are
+    reported times 4^k.  They can underflow to 0 where the verdict cannot.
+    The abelian structure (all zero) is valid.  No separate integrability
+    check exists here: C carries no (0,1) part by construction.  Raises
+    ValidationError when the reported residual or the threshold overflows.
     """
     k, C, D = _unit_scaled(U)
-    worst = [max_abs(arr) for arr in jacobi_residual_tensors(C, D)]
+    worst = max(max_abs(arr) for arr in jacobi_residual_tensors(C, D))
     tol = validity_tol(tol)
     bound = tol * (np.square(frobenius(C)) + np.square(frobenius(D)))
     with np.errstate(over="ignore"):
-        *per, threshold = (float(np.ldexp(v, 2 * k)) for v in (*worst, bound))
-    if not all(map(math.isfinite, (*per, threshold))):
+        residual, threshold = (float(np.ldexp(v, 2 * k)) for v in (worst, bound))
+    if not all(map(math.isfinite, (residual, threshold))):
         raise ValidationError("the Jacobi residuals of the structure overflow")
-    return ResidualReport(name="jacobi", max_abs=max(per),
-                          per_identity={(fam,): v for fam, v in zip(("ccc", "cdd", "cdbar"), per)},
-                          tol=tol, threshold=threshold, valid=bool(max(worst) <= bound))
+    return ResidualReport(max_abs=residual, tol=tol, threshold=threshold,
+                          valid=bool(worst <= bound))
 
 
 def _unit_scaled(U: UnitaryStructure):

@@ -135,9 +135,8 @@ class SearchResult:
     classification: str
     iterations: int
     seed_used: int
-    residual_norm: float
     stop_reason: str
-    residual_history: tuple = ()  # norm after each accepted step, start included
+    residual_history: tuple = ()  # norm at the start, then after each accepted step
 
 
 @dataclass(frozen=True)
@@ -521,48 +520,53 @@ def lm_minimize(problem: SearchProblem, start, seed_used: int = -1) -> SearchRes
     non-finite normal equations fall back to a small gradient step.
     Raises ValidationError when the residuals at the end point overflow.
     """
-    return _lm_batch(problem, np.asarray(start, dtype=float)[None], [seed_used])[0]
+    return _lm_batch(problem, [start], [seed_used])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
-    """lm_minimize from every row of the (k, d) stack starts, one result per row.
+def _lm_batch(problem: SearchProblem, starts, seeds) -> list:
+    """lm_minimize from the iterable starts, one per seed of seeds, one result per seed.
 
     A block of `width` restarts runs in lockstep, with one _evaluate and one batched
     solve per iteration; width is _BLOCK_BYTES over four float arrays of J's size
     (J, its candidate and temporaries).  A restart that stops leaves the block and
-    the next start takes its place.  Each restart keeps its own damping, iteration
+    the next start is drawn to take its place, so starts are drawn after the model
+    is built, a block at a time.  Each restart keeps its own damping, iteration
     count, history and stop reason, and its products do not depend on the block
     (_evaluate), so its result is bitwise the same under any schedule.
     Each restart's model residual r at its end point is kept for _classify.
     """
     model = _polynomial_model(problem)
     width = max(1, _BLOCK_BYTES // max(1, 32 * len(model.const) * model.d))
-    starts, admitted = np.asarray(starts, dtype=float), 0
-    ends, stops, history = np.empty_like(starts), [None] * len(starts), [None] * len(starts)
-    residuals = np.empty((len(starts), len(model.const)))
-    state = None  # live (the restart of each row), x, J, r, norm, mu, iterations
-    ended = {}  # row -> step_floor or stagnation, from the last accepted step
+    try:  # the end points of 10^15 restarts at n = 2 take 142 PiB; 10^19 overflows len
+        total = len(seeds)
+        ends, residuals = np.empty((total, model.d)), np.empty((total, len(model.const)))
+        stops, history = [None] * total, [None] * total
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValidationError(f"restarts={problem.restarts} is too large to fit in memory") from exc
+    starts, admitted = iter(starts), 0
+    state = None  # live (the restart of each row), x, J, r, norm, mu, iterations, stop
     while True:
         room = width - (0 if state is None else len(state[0]))
-        if room > 0 and admitted < len(starts):
-            new = np.arange(admitted, min(len(starts), admitted + room))
-            admitted += len(new)
-            fresh = (new, starts[new], *_evaluate(starts[new], problem),
-                     np.full(len(new), _INITIAL_DAMPING), np.zeros(len(new), dtype=int))
+        if room > 0 and admitted < total:
+            added = np.arange(admitted, min(total, admitted + room))
+            admitted += len(added)
+            x = np.array([next(starts) for _ in added], dtype=float)
+            fresh = (added, x, *_evaluate(x, problem), np.full(len(added), _INITIAL_DAMPING),
+                     np.zeros(len(added), dtype=int), np.full(len(added), "", dtype=object))
             state = fresh if state is None else tuple(map(np.concatenate, zip(state, fresh)))
-            history[new[0] : admitted] = ([v] for v in fresh[4].tolist())
-        live, x, J, r, norm, mu, iterations = state
-        done = (norm <= problem.tol) | (mu >= _DAMPING_CEILING) | (iterations >= problem.max_iters)
-        done[list(ended)] = True
-        for row in done.nonzero()[0]:
-            i, reason = live[row], ended.get(row) or (
-                "tol" if norm[row] <= problem.tol
-                else "damping_ceiling" if mu[row] >= _DAMPING_CEILING else "max_iters")
-            ends[i], residuals[i] = x[row], r[row]
-            stops[i] = (int(iterations[row]), float(norm[row]), reason)
-        ended = {}
+            history[added[0] : admitted] = ([v] for v in fresh[4].tolist())
+        live, x, J, r, norm, mu, iterations, stop = state
+        # a stop from the last accepted step (step_floor, stagnation) comes first
+        for reason, hit in (("tol", norm <= problem.tol),
+                            ("damping_ceiling", mu >= _DAMPING_CEILING),
+                            ("max_iters", iterations >= problem.max_iters)):
+            stop[hit & (stop == "")] = reason
+        done = stop != ""
         if done.any():
+            for row in done.nonzero()[0]:
+                ends[live[row]], residuals[live[row]] = x[row], r[row]
+                stops[live[row]] = (int(iterations[row]), stop[row])
             state = tuple(a[~done] for a in state)
             continue
         if not len(live):
@@ -572,25 +576,22 @@ def _lm_batch(problem: SearchProblem, starts: np.ndarray, seeds) -> list:
         cand = x + step
         cand_J, cand_r, cand_norm = _evaluate(cand, problem)
         accept = cand_norm <= norm
-        if accept.all():  # take the candidates over instead of copying them
-            state = live, cand, cand_J, cand_r, cand_norm, mu, iterations
-        else:
-            for old, new in zip(state[1:5], (cand, cand_J, cand_r, cand_norm)):
-                np.copyto(old, new, where=accept.reshape((-1,) + (1,) * (old.ndim - 1)))
-        del cand_J  # only J and the next candidate's J are held per restart
-        live, x, J, r, norm, mu, iterations = state
+        for new, old in zip((cand, cand_J, cand_r, cand_norm), (x, J, r, norm)):
+            new[~accept] = old[~accept]  # a rejected restart keeps its point, J, r and norm
+        state = live, cand, cand_J, cand_r, cand_norm, mu, iterations, stop
+        del J, cand_J  # only J and the next candidate's J are held per restart
         mu *= np.where(accept, 0.5, 2.0)
-        floor = _norms(step) <= _STEP_FLOOR * (1.0 + _norms(x))
+        floor = _norms(step) <= _STEP_FLOOR * (1.0 + _norms(cand))
         take = accept.nonzero()[0]
-        for row, value in zip(take.tolist(), norm[take].tolist()):
+        for row, value in zip(take.tolist(), cand_norm[take].tolist()):
             h = history[live[row]]
             h.append(value)
             if floor[row]:
-                ended[row] = "step_floor"
+                stop[row] = "step_floor"
             elif value > problem.tol and len(h) > _STAGNATION_STEPS:
                 before = h[-1 - _STAGNATION_STEPS]
                 if before - value <= _STAGNATION_DECREASE * before:
-                    ended[row] = "stagnation"
+                    stop[row] = "stagnation"
 
 
 def _lm_step(J: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -623,8 +624,8 @@ def _lm_step(J: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds,
               histories) -> list:
     """The results of the restarts that ended at the points x (k, d) with model
-    residuals r (k, rows), with their (iterations, residual norm, stop reason), seeds
-    and residual histories.
+    residuals r (k, rows), with their (iterations, stop reason), seeds and residual
+    histories.
 
     The Jacobi norm is that of the Jacobi rows of r (full-layout rows below 6 n^4, a
     prefix of the sorted model.rows), the flatness norm that of the other class rows,
@@ -637,7 +638,7 @@ def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds
     checks = np.stack([_norms(r[:, :split]), _norms(r[:, split : len(model.rows)]),
                        _norms(_gemm(x, model.torsion.T))], axis=1)
     results = []
-    for point, (jac, flat, torsion), (iterations, norm, reason), seed, history in zip(
+    for point, (jac, flat, torsion), (iterations, reason), seed, history in zip(
             x, checks.tolist(), stops, seeds, histories):
         if not all(map(math.isfinite, (jac, flat, torsion))):
             raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
@@ -650,7 +651,7 @@ def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds
         results.append(SearchResult(
             best_point=structure_from_point(problem, point), final_jacobi=jac,
             final_flatness=flat, torsion_norm=torsion, rho=rho, classification=cls,
-            iterations=iterations, seed_used=seed, residual_norm=norm, stop_reason=reason,
+            iterations=iterations, seed_used=seed, stop_reason=reason,
             residual_history=tuple(history),
         ))
     return results
@@ -664,17 +665,17 @@ def random_start(problem: SearchProblem, seed: int) -> np.ndarray:
 def multistart_search(problem: SearchProblem) -> MultistartSummary:
     """Run lm_minimize from `restarts` seeded random starts, in lockstep blocks.
 
-    Restart k draws its start from seed problem.seed + k.  The restarts
-    run in lockstep blocks (see _lm_batch) whose size is the budget
-    _BLOCK_BYTES over the working set of one restart: 30 at n = 2 full
-    mode, 12 at n = 3 parallel-frame mode and one at n = 3 full mode and
-    n = 4.  Each restart's result is bitwise the one of lm_minimize from
-    its start, whatever its block.  The summary counts classifications
-    and stop reasons.  Non-convergence is counted, never dropped: absence
-    of non-Kahler solutions is evidence about this search, not a proof,
-    and the bookkeeping keeps that explicit.
+    Restart k draws its start from seed problem.seed + k as it enters a
+    lockstep block (see _lm_batch), whose size is the budget _BLOCK_BYTES
+    over the working set of one restart: 30 at n = 2 full mode, 12 at n = 3
+    parallel-frame mode and one at n = 3 full mode and n = 4.  Each
+    restart's result is bitwise the one of lm_minimize from its start,
+    whatever its block.  The summary counts classifications and stop
+    reasons.  Non-convergence is counted, never dropped: absence of
+    non-Kahler solutions is evidence about this search, not a proof, and
+    the bookkeeping keeps that explicit.
     """
     seeds = range(problem.seed, problem.seed + problem.restarts)
-    results = tuple(_lm_batch(problem, np.stack([random_start(problem, k) for k in seeds]), seeds))
+    results = tuple(_lm_batch(problem, (random_start(problem, k) for k in seeds), seeds))
     return MultistartSummary(problem, results, dict(Counter(r.classification for r in results)),
                              dict(Counter(r.stop_reason for r in results)))

@@ -238,7 +238,6 @@ def parallel_frame_reduction(T: TorsionData, s: float):
 @dataclass(frozen=True)
 class DescentResult:
     residual_norm: float
-    skipped: bool
     status: str
 
 
@@ -258,7 +257,7 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
         )
     norm = frobenius(T.T)
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return DescentResult(residual_norm=norm, skipped=True, status="skipped")
+        return DescentResult(norm, "skipped")
     if norm <= tol:
-        return DescentResult(0.0, False, "completed")
-    return DescentResult(norm, False, "stuck")
+        return DescentResult(0.0, "completed")
+    return DescentResult(norm, "stuck")

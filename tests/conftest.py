@@ -9,7 +9,7 @@ import hermlie as hl
 from hermlie import search as S
 from hermlie._config import validity_tol
 from hermlie import core
-from hermlie.core import ResidualReport, _curvature_tensor, jacobi_residual_tensors
+from hermlie.core import _curvature_tensor, jacobi_residual_tensors
 from hermlie.exceptions import DimensionMismatchError
 from hermlie.tensors import antisymmetrize_lower, frozen, max_abs
 
@@ -353,7 +353,16 @@ def levi_civita(U: hl.UnitaryStructure) -> LeviCivitaReport:
     )
 
 
-def validate_real(P: hl.RealPresentation, tol: float | None = None) -> ResidualReport:
+@dataclass(frozen=True)
+class RealReport:
+    """validate_real's record: the largest residual, the residual of each family, the verdict."""
+
+    max_abs: float
+    per_identity: dict
+    valid: bool
+
+
+def validate_real(P: hl.RealPresentation, tol: float | None = None) -> RealReport:
     """Residuals of every real-side axiom, evaluated on all basis pairs.
 
     Families: lower-index antisymmetry of f, real Jacobi, J^2 + I,
@@ -391,8 +400,7 @@ def validate_real(P: hl.RealPresentation, tol: float | None = None) -> ResidualR
             per[("integrability", a + 1, b + 1)] = float(np.abs(nij[:, a, b]).max())
 
     worst = max(per.values())
-    return ResidualReport(name="real-presentation", max_abs=worst, per_identity=per, tol=tol,
-                          threshold=tol, valid=worst <= tol)
+    return RealReport(max_abs=worst, per_identity=per, valid=worst <= tol)
 
 
 def frame_gram_residual(P: hl.RealPresentation, E: np.ndarray) -> float:

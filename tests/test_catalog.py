@@ -1,9 +1,12 @@
 """Catalog fixtures: values, flags, scaling, and the noise generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import hermlie as hl
+from hermlie.cli import main
 
 from conftest import levi_civita, random_unitary, transform_frame, validate_real
 
@@ -95,6 +98,23 @@ class TestSamelson:
             hl.samelson_su2_r(0.0)
 
 
+def bdf4_presentation(q):
+    """The 4-dimensional flat Kahler algebra, written out: orthonormal (X, Y, Z, W) with
+    [X, Y] = q Z, [X, Z] = -q Y, W central, J X = W and J Y = Z."""
+    f = np.zeros((4, 4, 4))
+    X, Y, Z, W = 0, 1, 2, 3
+    f[Z, X, Y] = q
+    f[Z, Y, X] = -q
+    f[Y, X, Z] = -q
+    f[Y, Z, X] = q
+    J = np.zeros((4, 4))
+    J[W, X] = 1.0
+    J[X, W] = -1.0
+    J[Z, Y] = 1.0
+    J[Y, Z] = -1.0
+    return hl.RealPresentation(dim=4, f=f, G=np.eye(4), J=J)
+
+
 class TestBdf:
     def test_4d_flags(self):
         for q in (1.0, 5.0):
@@ -111,11 +131,25 @@ class TestBdf:
             hl.bdf_flat_kahler_4d(0.0)
 
     def test_general_reproduces_4d(self):
-        spec = hl.BdfSpec(p=1, h_dim=1, c_dim=1, q=[[1.0]])
-        U1 = hl.to_unitary_structure(hl.bdf_general(spec))
-        U2 = hl.to_unitary_structure(hl.bdf_flat_kahler_4d(1.0))
-        assert np.abs(U1.C - U2.C).max() <= 1e-14
-        assert np.abs(U1.D - U2.D).max() <= 1e-14
+        # both are the hand-written presentation, entry for entry
+        for q in (1.0, -3.0, 0.37, 5.0, 1e-6, 2.5e7):
+            want = bdf4_presentation(q)
+            for P in (hl.bdf_flat_kahler_4d(q),
+                      hl.bdf_general(hl.BdfSpec(p=1, h_dim=1, c_dim=1, q=[q]))):
+                assert all(np.array_equal(getattr(P, name), getattr(want, name))
+                           for name in ("f", "G", "J")), q
+
+    def test_frame_follows_the_blocks_of_j_pairs(self, capsys):
+        # h, then the centre pair, then the plane: the plane is the third frame vector
+        argv = ["catalog", "bdf-general", "--p", "1", "--h-dim", "1", "--c-dim", "3",
+                "--c-pairs", "1", "--q", "1.5"]
+        assert main(argv) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == (
+            "23d8cc5b874aaa3eb0c78a3008bdae5b")
+        spec = hl.BdfSpec(p=1, h_dim=1, c_dim=3, c_internal_pairs=1, q=[1.5])
+        U = hl.to_unitary_structure(hl.bdf_general(spec))
+        j, i, k = np.nonzero(U.C)
+        assert [(j, i, k) for j, i, k in zip(j, i, k) if i < k] == [(2, 0, 2)]
 
     def test_general_abelian_case(self):
         spec = hl.BdfSpec(p=0, h_dim=0, c_dim=4, c_internal_pairs=2)

@@ -1,8 +1,11 @@
-"""tools/same_output.py's verdict-line extraction and diffing, on synthetic text (no subprocess)."""
+"""tools/same_output.py's verdict-line extraction and diffing, on synthetic text, and its
+command list (no subprocess)."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from hermlie.cli import _build_parser
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))  # same_output imports bench_pairs as its sibling
@@ -54,3 +57,9 @@ def test_long_diffs_are_cut():
     change = {"a": "".join(f"{i}.0\n" for i in range(100)).encode()}
     lines = same_output.differences(parent, change)
     assert lines[0] == "differs: a" and len(lines) == 1 + same_output.DIFF_LINES
+
+
+def test_every_extra_command_parses():
+    parser = _build_parser()
+    for argv in same_output.EXTRA_COMMANDS:
+        assert parser.parse_args(argv).command == argv[0]

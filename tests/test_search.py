@@ -427,7 +427,7 @@ class TestLmMinimize:
         noisy = hl.perturb(samelson, 1e-3, 12)
         res = S.lm_minimize(prob, point_from_structure(prob, noisy))
         assert res.classification == S.CONVERGED_NONKAHLER
-        assert res.residual_norm <= 1e-10
+        assert res.residual_history[-1] <= 1e-10
         assert res.torsion_norm == pytest.approx(0.5, abs=1e-2)
 
     def test_descent_property(self, samelson):
@@ -439,7 +439,6 @@ class TestLmMinimize:
         assert all(
             b <= a for a, b in zip(res.residual_history, res.residual_history[1:])
         )
-        assert res.residual_norm == res.residual_history[-1]
 
     def test_soundness_revalidation(self):
         prob = S.SearchProblem(n=2, s=0.0, restarts=5, seed=7, tol=1e-10, max_iters=200)
@@ -457,7 +456,7 @@ class TestStopReason:
         prob = S.SearchProblem(n=2, s=2.0, tol=1e-10, max_iters=200)
         res = S.lm_minimize(prob, point_from_structure(prob, hl.perturb(samelson, 1e-3, 12)))
         assert res.stop_reason == "tol"
-        assert res.residual_norm <= prob.tol
+        assert res.residual_history[-1] <= prob.tol
 
     def test_max_iters(self):
         prob = S.SearchProblem(n=2, s=1.5, max_iters=5)
@@ -532,7 +531,7 @@ class TestMultistart:
         b = S.multistart_search(prob)
         assert a.counts == b.counts
         for ra, rb in zip(a.results, b.results):
-            assert ra.residual_norm == rb.residual_norm
+            assert ra.residual_history == rb.residual_history
             assert ra.iterations == rb.iterations
             assert np.array_equal(ra.best_point.C, rb.best_point.C)
 
@@ -688,10 +687,60 @@ class TestLockstep:
             assert norms(alone) == norms(res) and alone.rho == res.rho
 
 
+def count_draws(monkeypatch, limit):
+    """Patch search.random_start to record each seed it draws and to raise past limit draws."""
+    drawn, draw = [], S.random_start
+
+    def counting(problem, seed):
+        drawn.append(seed)
+        if len(drawn) > limit:
+            raise RuntimeError(f"start {len(drawn)} drawn, more than {limit}")
+        return draw(problem, seed)
+
+    monkeypatch.setattr(S, "random_start", counting)
+    return drawn
+
+
+class TestLazyStarts:
+    def test_the_model_is_built_before_any_start(self, monkeypatch):
+        count_draws(monkeypatch, 0)
+        with pytest.raises(hl.exceptions.ValidationError, match=r"^n=150 is too large"):
+            S.multistart_search(S.SearchProblem(n=150, s=1.0))
+
+    def test_a_start_is_drawn_when_its_restart_enters_a_block(self, monkeypatch):
+        problem = S.SearchProblem(n=2, s=1.5, restarts=10, seed=3, max_iters=30)
+        model = S._polynomial_model(problem)
+        monkeypatch.setattr(S, "_BLOCK_BYTES", 4 * 32 * len(model.const) * model.d)  # width 4
+        drawn, seen, step = count_draws(monkeypatch, 10), [], S._lm_step
+
+        def counting_step(J, r, mu):
+            seen.append(len(drawn))
+            return step(J, r, mu)
+
+        monkeypatch.setattr(S, "_lm_step", counting_step)
+        summary = S.multistart_search(problem)
+        assert seen[0] == 4  # the first step has seen the starts of the first block only
+        assert drawn == list(range(3, 13)) and len(summary.results) == 10
+
+    # 30 restarts fill one block at n = 2 full mode; the end points of 10^15 take 142 PiB
+    def test_too_many_restarts_is_named(self, monkeypatch):
+        count_draws(monkeypatch, 30)
+        with pytest.raises(hl.exceptions.ValidationError,
+                           match=r"^restarts=1000000000000000 is too large"):
+            S.multistart_search(S.SearchProblem(n=2, s=1.0, restarts=10**15))
+
+    def test_too_many_restarts_is_one_error_line(self, monkeypatch, capsys):
+        count_draws(monkeypatch, 30)
+        assert main(["search", "--n", "2", "--s", "1", "--restarts", "1000000000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: restarts=1000000000000000 is too large to fit in memory\n"
+
+
 def revalidate(problem, x):
     """_classify of the point x, as at the end of a restart."""
-    return S._classify(problem, x[None], S._evaluate(x[None], problem)[1], [(0, 0.0, "tol")],
-                       [-1], [()])[0]
+    return S._classify(problem, x[None], S._evaluate(x[None], problem)[1], [(0, "tol")], [-1],
+                       [()])[0]
 
 
 def norms(result):

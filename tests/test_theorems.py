@@ -154,7 +154,6 @@ class TestTorsionDescent:
 
     def test_samelson_out_of_scope(self, samelson):
         res = hl.torsion_descent(hl.chern_torsion(samelson), 2.0)
-        assert res.skipped
         assert res.status == "skipped"
 
     def test_near_zero_passes(self):

@@ -12,6 +12,9 @@ tree_of and extract), where it runs
     tree, PYTHONPATH=src, single-threaded BLAS.  The exit code, stdout and
     stderr of each command are kept, and so is every file that a workload's
     commands leave under .perfbench/work;
+  - EXTRA_COMMANDS, the commands that the workloads miss, in order from the
+    root of the tree after the workloads, keeping what they write under
+    EXTRA_DIR as well;
   - `hermlie verify-theorems --suite all`;
   - `pytest -q -s tests/test_acceptance.py`, of whose output only the verdict
     lines are kept.  pytest prints each verdict right after the progress dot
@@ -39,6 +42,24 @@ from bench_pairs import extract, tree_of
 
 VERDICT = re.compile(r"(?:PASS|FAIL)  criterion .*")
 DIFF_LINES = 40  # lines of the unified diff shown per differing output
+EXTRA_DIR = "extra"  # where EXTRA_COMMANDS write, relative to the root of the tree
+BDF_GENERAL = ["catalog", "bdf-general", "--p", "2", "--h-dim", "2", "--c-dim", "2"]
+EXTRA_COMMANDS = (
+    *(["catalog", "bdf4", "--q", q] for q in ("1", "-3", "0.37", "0")),
+    # the two specs of tests/test_catalog.py::test_every_catalog_output_is_valid
+    [*BDF_GENERAL, "--q", "1,0.5,0,2"],
+    [*BDF_GENERAL, "--q", "1,0,0.5,2", "--h-pairs", "1", "--c-pairs", "1"],
+    # a centre pair before a plane in the frame
+    ["catalog", "bdf-general", "--p", "1", "--h-dim", "1", "--c-dim", "3", "--c-pairs", "1",
+     "--q", "1.5", "--emit", f"{EXTRA_DIR}/bdf6.json"],
+    ["analyze", f"{EXTRA_DIR}/bdf6.json", "--s-grid", "-1,0,0.5,1,2,3", "--format", "json"],
+    # blocks of 30 and 12 restarts, refilled as restarts stop
+    ["search", "--n", "2", "--s", "1", "--restarts", "100", "--seed", "5"],
+    ["search", "--n", "3", "--s", "1", "--mode", "parallel_frame", "--restarts", "30", "--seed",
+     "5"],
+    ["search", "--n", "2", "--s", "1.5", "--restarts", "6", "--max-iters", "5"],
+    ["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
+)
 
 
 def verdict_lines(text):
@@ -105,6 +126,11 @@ def outputs(tree, tree_dir, seeds):
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             name = f"{workload} seed {seed} file {path.relative_to(tree_dir)}"
             found[name] = path.read_bytes()
+    (tree_dir / EXTRA_DIR).mkdir()
+    for argv in EXTRA_COMMANDS:
+        command(" ".join(argv), ["-m", "hermlie.cli", *argv])
+    for path in sorted(p for p in (tree_dir / EXTRA_DIR).rglob("*") if p.is_file()):
+        found[f"file {path.relative_to(tree_dir)}"] = path.read_bytes()
     verify = ["verify-theorems", "--suite", "all"]
     command(" ".join(verify), ["-m", "hermlie.cli", *verify])
     code, out, _ = run_in(tree_dir, env, ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",

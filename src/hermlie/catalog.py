@@ -135,11 +135,10 @@ class BdfSpec:
                 raise ValidationError(f"q must be {self.h_dim}x{self.p} "
                                       f"({self.h_dim * self.p} values), got shape {q.shape}")
             if self.p > 0:
-                if np.linalg.matrix_rank(q) < self.h_dim or min(
-                    np.linalg.svd(q, compute_uv=False)
-                ) <= 1e-12:
+                # both rules are relative to the size of q, so no scale of q changes the verdict
+                if np.linalg.matrix_rank(q) < self.h_dim:
                     raise ValidationError("q must be injective on h")
-                if np.any(np.all(np.abs(q) <= 1e-12, axis=0)):
+                if np.any(np.all(np.abs(q) <= 1e-12 * np.abs(q).max(), axis=0)):
                     raise ValidationError(
                         "q has an all-zero column: that plane would be central"
                     )

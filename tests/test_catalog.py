@@ -177,6 +177,30 @@ class TestBdf:
         with pytest.raises(hl.exceptions.ValidationError, match=r"^q must be 1x2 \(2 values\)"):
             hl.BdfSpec(p=2, h_dim=1, c_dim=1, q=[1.0, 2.0, 3.0])
 
+    def test_spec_verdict_is_free_of_the_scale_of_q(self):
+        # (p, h_dim, c_dim, q, accepted); at 2^-40 the 1x1 q is below 1e-12, and at 2^40 the
+        # weight 1e-13 of the second plane is above it, yet neither plane changes its role
+        specs = [(1, 1, 1, [[1.0]], True), (2, 1, 1, [[1.0, 2.0]], True),
+                 (2, 2, 2, [[1.0, 0.5], [0.0, 2.0]], True), (1, 2, 2, [[1.0], [2.0]], False),
+                 (2, 2, 2, [[1.0, 2.0], [2.0, 4.0]], False), (2, 1, 1, [[1.0, 0.0]], False),
+                 (2, 1, 1, [[1.0, 1e-13]], False), (1, 1, 2, [[1.0]], False)]
+
+        def accepted(p, h_dim, c_dim, q):
+            try:
+                hl.BdfSpec(p=p, h_dim=h_dim, c_dim=c_dim, q=q)
+            except hl.exceptions.ValidationError:
+                return False
+            return True
+
+        for k in (-40, 0, 40):
+            got = [accepted(p, h, c, np.ldexp(q, k)) for p, h, c, q, _ in specs]
+            assert got == [want for *_, want in specs], k
+
+    def test_tiny_q_emits_a_structure(self, capsys):
+        assert main(["catalog", "bdf4", "--q", "1e-13"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and '"name": "bdf4(q=1e-13)"' in out
+
     def test_negative_counts_are_named(self):
         with pytest.raises(hl.exceptions.ValidationError,
                            match="^h_internal_pairs, c_internal_pairs must be nonnegative$"):

@@ -1,6 +1,7 @@
-"""The process entry point: `python -m hermlie.cli` ends with os._exit once its output is
-flushed, and must say and write exactly what an in-process main() says and writes."""
+"""The process entry point: `python -m hermlie.cli` loads no OpenSSL and ends with os._exit once
+its output is flushed, and must say and write exactly what an in-process main() says and writes."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -25,6 +26,10 @@ CASES = [
     ("search-hunt", ["search", "--n", "2", "--s", "1.5", "--restarts", "2", "--seed", "3",
                      "--hunt"], 0),
     ("verify-surface", ["verify-theorems", "--suite", "surface"], 0),
+    # the two below import numpy.random, so their child runs without OpenSSL
+    ("catalog-perturb", ["catalog", "perturb", "--base", "../../sam.json", "--eps", "0.05",
+                         "--seed", "7"], 0),
+    ("verify-parallel", ["verify-theorems", "--suite", "parallel"], 0),
     ("usage-error", ["search", "--n", "2"], 2),
     ("bad-s-grid", ["analyze", "../../sam.json", "--s-grid", "1,nan"], 2),
 ]
@@ -124,3 +129,43 @@ def test_closed_stdout_exits_as_the_interpreter_does(work):
     assert re.fullmatch(r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' mode='w' "
                         r"encoding='[\w-]+'>\nBrokenPipeError: \[Errno 32\] Broken pipe\n",
                         proc.stderr.decode())
+
+
+def probe(cwd, argv, before="", extra=""):
+    """Words of the line that an atexit callback prints after `before` and run(argv) ran in a
+    child: whether _hashlib is loaded, numpy.random is loaded and libcrypto is mapped, then
+    `extra`."""
+    script = ("import atexit, sys\n"
+              f"{before}"
+              "def show():\n"
+              "    maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+              "    print(sys.modules.get('_hashlib') is not None, 'numpy.random' in sys.modules,\n"
+              f"          'libcrypto' in maps, {extra})\n"
+              "atexit.register(show)\n"
+              "from hermlie.cli import run\n"
+              f"sys.exit(run({argv!r}))\n")
+    proc = python("-c", script, cwd=cwd)
+    assert proc.returncode == 0 and proc.stderr == b""
+    return proc.stdout.decode().splitlines()[-1].split()
+
+
+HUNT = ["search", "--n", "2", "--s", "1.5", "--restarts", "2", "--hunt"]
+
+
+def test_a_search_child_draws_its_starts_without_openssl(tmp_path):
+    assert probe(tmp_path, HUNT) == ["False", "True", "False"]
+
+
+def test_the_block_never_evicts_a_loaded_hashlib(tmp_path):
+    pytest.importorskip("_hashlib")
+    words = probe(tmp_path, HUNT, "import hashlib\n", "hashlib.sha256(b'hermlie').hexdigest()")
+    mapped = str(sys.platform == "linux")  # only Linux has the /proc/self/maps the probe reads
+    assert words == ["True", "True", mapped, hashlib.sha256(b"hermlie").hexdigest()]
+
+
+@pytest.mark.parametrize("argv", [["validate", "bdf4.json"],
+                                  ["analyze", "sam.json", "--s-grid", "0,1.5"]],
+                         ids=["validate", "analyze"])
+def test_commands_that_draw_nothing_never_load_numpy_random(argv, work):
+    root, _ = work
+    assert probe(root, argv) == ["False", "False", "False"]

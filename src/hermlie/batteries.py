@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, theorems
-from ._config import RHO_MAX
+from ._config import RHO_MAX, kahler_ratio
 from .core import _parallel_frame, chern_torsion, curvature, jacobi_residual_tensors
 from .realform import to_unitary_structure
-from .tensors import antisymmetrize_lower
+from .tensors import antisymmetrize_lower, frobenius_rows
 
 RESIDUAL_TOL = 1e-10
 S_GRID_SIX = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -80,25 +80,24 @@ def surface() -> tuple:
 
 def parallel() -> tuple:
     """Parallel-frame rigidity; the first record's value counts the valid non-Kahler draws:
-    those whose largest Jacobi residual is at most RHO_MAX |T|^2.  Its detail prints the
-    smallest ratio largest Jacobi residual / |T|^2 over the draws."""
+    those whose Kahler ratio is at most RHO_MAX.  Its detail prints the smallest ratio
+    over the draws."""
     hits = draws = 0
     smallest = np.inf
     for T in _draws():  # Gaussian draws, so every |T| > 0
-        size = np.square(np.linalg.norm(T.reshape(len(T), -1), axis=1))
         for s in (0.5, 1.0, 1.5, 3.0):
-            worst = _worst_jacobi(T, s)
-            hits += int(np.count_nonzero(worst <= RHO_MAX * size))
-            smallest = min(smallest, float(np.min(worst / size)))
+            rho = _ratios(T, s)
+            hits += int(np.count_nonzero(rho <= RHO_MAX))
+            smallest = min(smallest, float(rho.min()))
             draws += len(T)
     tor = chern_torsion(catalog.samelson_su2_r(1.0))
     U, jacobi = theorems.parallel_frame_reduction(tor, 2.0)
-    regenerated = max(jacobi.max_abs, curvature(U, 2.0).max_abs)
+    flatness = curvature(U, 2.0).max_abs
     return (
         Check("random parallel-frame draws: no valid non-Kahler structure at s outside {0,2}",
               hits == 0, hits, f"{draws} draws, smallest ratio {smallest:.3g}"),
         Check("samelson torsion regenerates a valid flat structure at s=2",
-              regenerated <= RESIDUAL_TOL, regenerated),
+              jacobi.valid and flatness <= RESIDUAL_TOL, flatness),
         Check("descent skips the out-of-scope parameter s=2",
               theorems.torsion_descent(tor, 2.0).status == "skipped"),
     )
@@ -113,20 +112,16 @@ def _draws():
         yield T
 
 
-def _worst_jacobi(T: np.ndarray, s: float) -> np.ndarray:
-    """Largest Jacobi residual of the parallel-frame structure of every T[z] at s.
-
-    This is parallel_frame_reduction(T[z], s)[1].max_abs for each z,
-    computed in chunks whose three residual families fit in _CHUNK_BYTES.
-    """
+def _ratios(T: np.ndarray, s: float) -> np.ndarray:
+    """The Kahler ratio of the parallel-frame structure of every T[z] at s: the Frobenius
+    norm of its three Jacobi families, in chunks of draws whose families fit in _CHUNK_BYTES,
+    over |T[z]|^2.  A parallel frame is flat up to rounding: the curvature adds nothing."""
     width = max(1, _CHUNK_BYTES // (3 * 16 * T.shape[-1] ** 4))
-    worst = np.empty(len(T))
+    jacobi = np.empty(len(T))
     for start in range(0, len(T), width):
-        C, D = _parallel_frame(T[start:start + width], s)
-        families = jacobi_residual_tensors(C, D)
-        worst[start:start + width] = np.max(
-            [np.abs(f).reshape(len(f), -1).max(axis=1) for f in families], axis=0)
-    return worst
+        families = jacobi_residual_tensors(*_parallel_frame(T[start:start + width], s))
+        jacobi[start:start + width] = frobenius_rows(np.stack(families, axis=1))
+    return kahler_ratio(jacobi, frobenius_rows(T))
 
 
 SUITES = {"lemma31": lemma31, "surface": surface, "parallel": parallel}

@@ -109,17 +109,15 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """The largest Jacobi residual modulus of a structure.
-
-    When the producing operation was given a tolerance it is recorded
-    here with the threshold it sets, and ``valid`` holds the
-    max_abs <= threshold judgment, made where neither side underflows.
+    """The largest Jacobi residual modulus of a structure, the tolerance it was judged
+    with and the threshold that tolerance sets; ``valid`` holds the max_abs <= threshold
+    judgment, made where neither side underflows.
     """
 
     max_abs: float
-    tol: float | None = None
-    threshold: float | None = None
-    valid: bool | None = None
+    tol: float
+    threshold: float
+    valid: bool
 
 
 @dataclass(frozen=True)

@@ -44,20 +44,19 @@ point: the Jacobi and flatness norms are those of its Jacobi rows and of
 its other class rows (a hunt's slice row left out), which the class
 weights make the Frobenius norms of the full tensors, and |T| = ||M x||.
 tol decides convergence only (Jacobi and flatness residuals <= tol); a converged restart is
-non-Kahler iff the scale-free rho = max(jacobi, flatness) / |T|^2 is <= _config.RHO_MAX.
+non-Kahler iff rho = _config.kahler_ratio(max(jacobi, flatness), |T|) is <= RHO_MAX.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._config import RHO_MAX, finite, positive_finite
+from ._config import RHO_MAX, finite, kahler_ratio, positive_finite
 from .core import (
     UnitaryStructure,
     _CURVATURE_TERMS,
@@ -637,14 +636,12 @@ def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds
     split = np.searchsorted(model.rows, 6 * problem.n**4)
     checks = np.stack([_norms(r[:, :split]), _norms(r[:, split : len(model.rows)]),
                        _norms(_gemm(x, model.torsion.T))], axis=1)
+    if not np.isfinite(checks).all():
+        raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
+    rhos = kahler_ratio(checks[:, :2].max(axis=1), checks[:, 2])
     results = []
-    for point, (jac, flat, torsion), (iterations, reason), seed, history in zip(
-            x, checks.tolist(), stops, seeds, histories):
-        if not all(map(math.isfinite, (jac, flat, torsion))):
-            raise ValidationError(f"the search residuals overflow at s={problem.s!r}")
-        # rho does not depend on scale: the residuals are quadratic and T is linear.  Divided
-        # twice, since torsion ** 2 raises OverflowError at |T| ~ 1e160 where division gives inf.
-        rho = max(jac, flat) / torsion / torsion if torsion else math.inf
+    for point, (jac, flat, torsion), rho, (iterations, reason), seed, history in zip(
+            x, checks.tolist(), rhos.tolist(), stops, seeds, histories):
         cls = NOT_CONVERGED
         if max(jac, flat) <= problem.tol:
             cls = CONVERGED_NONKAHLER if rho <= RHO_MAX else CONVERGED_KAHLER

@@ -245,16 +245,15 @@ def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> Desc
     """The parallel-frame verdict on the torsion, whose rigidity prediction is T = 0:
     "completed" with residual 0.0 when |T| <= tol, else "stuck" with residual |T|.
 
-    Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is Jacobi-valid
-    to tol, else HypothesisError; its connection coefficients D + sT cancel, so
-    it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
+    Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is valid by the scale-free
+    verdict of validate_structure, else HypothesisError; its connection coefficients D + sT
+    cancel, so it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
     apply: the status is "skipped", with residual |T|.
     """
-    jacobi = parallel_frame_reduction(T, s)[1].max_abs
-    if jacobi > tol:
-        raise HypothesisError(
-            f"induced parallel-frame structure is not Jacobi-valid: jacobi {jacobi:.3e}"
-        )
+    jacobi = parallel_frame_reduction(T, s)[1]
+    if not jacobi.valid:
+        raise HypothesisError("induced parallel-frame structure is not Jacobi-valid: "
+                              f"jacobi {jacobi.max_abs:.3e} > {jacobi.threshold:.3e}")
     norm = frobenius(T.T)
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
         return DescentResult(norm, "skipped")

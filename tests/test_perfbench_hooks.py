@@ -62,3 +62,9 @@ def test_analyze_output_passes_its_check(run, catalog_args, truth, tmp_path, cap
     capsys.readouterr()
     command = run.analyze_command(path, [0.3, 0.0, -0.7, 2.0, 3.6, 1.0], getattr(run, truth))
     assert command.check(output(command, capsys)) == []
+
+
+def test_verify_theorems_output_passes_its_check(run, capsys):
+    command = run.workload_commands("verify-analyze", 1)[0]
+    assert command.args == ["verify-theorems", "--suite", "all"]
+    assert command.check(output(command, capsys)) == []

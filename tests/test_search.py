@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hermlie as hl
 from hermlie import core
 from hermlie import search as S
-from hermlie._config import RHO_MAX
+from hermlie._config import RHO_MAX, kahler_ratio
 from hermlie.cli import main
 from hermlie.tensors import frobenius
 
@@ -845,6 +845,12 @@ class TestScaleFreeVerdict:
         assert revalidate(problem, x * 2.0**k).rho == rho
         moved = revalidate(problem, frame_changed(problem, x, random_unitary(n, seed))).rho
         assert moved == pytest.approx(rho, rel=1e-9)
+
+    def test_ratio_is_inf_at_zero_torsion_and_divides_twice(self):
+        # |T|^2 = 1e320 overflows, so the ratio divides by |T| twice
+        rho = kahler_ratio(np.array([1.0, 0.0, 1e300, 4.0]), np.array([0.0, 0.0, 1e160, 2.0]))
+        assert rho.tolist() == [np.inf, np.inf, 1e300 / 1e160 / 1e160, 1.0]
+        assert kahler_ratio(2.0, 0.0) == np.inf and kahler_ratio(2.0, 4.0) == 0.125
 
     @settings(derandomize=True, max_examples=20, deadline=None, database=None)
     @given(which=st.integers(0, 2), k=st.integers(-10, 10), seed=st.integers(0, 2**16))

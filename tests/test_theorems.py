@@ -14,10 +14,10 @@ ROOT_MINUS = 2.0 / 7.0 * (3.0 - np.sqrt(2.0))
 ROOT_PLUS = 2.0 / 7.0 * (3.0 + np.sqrt(2.0))
 
 
-def antisym_random(n, seed, scale=1.0):
+def antisym_random(n, seed):
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    T = 0.5 * scale * (T - T.transpose(0, 2, 1))
+    T = 0.5 * (T - T.transpose(0, 2, 1))
     return hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
 
 
@@ -139,73 +139,112 @@ class TestParallelFrameReduction:
             assert hl.curvature(U, 0.7).max_abs <= 1e-14
 
 
+def scaled(tor, k):
+    return hl.TorsionData(T=k * tor.T, eta=k * tor.eta)
+
+
+NEAR_TWO = 2.0 + 2e-9  # just outside the radius 1e-9 around s = 2 where the descent skips
+
+
 class TestTorsionDescent:
     def test_zero_torsion(self):
         z = hl.TorsionData(T=np.zeros((3, 3, 3), complex), eta=np.zeros(3, complex))
         for s in (0.5, 1.0, 1.5):
-            assert hl.torsion_descent(z, s).residual_norm == 0.0
+            res = hl.torsion_descent(z, s)
+            assert (res.status, res.residual_norm) == ("completed", 0.0)
 
     def test_single_entry_s1_fails_hypothesis(self):
+        # invalid at every scale; at lam = 5e-5 the Jacobi residual is 2.5e-9, below the
+        # descent's tol, but the precondition is validate_structure's relative verdict
         T = np.zeros((3, 3, 3), complex)
-        T[2, 0, 1], T[2, 1, 0] = 0.7, -0.7
+        T[2, 0, 1], T[2, 1, 0] = 1.0, -1.0
         tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        with pytest.raises(hl.exceptions.HypothesisError):
-            hl.torsion_descent(tor, 1.0)
+        for lam in (0.7, 5e-5):
+            with pytest.raises(hl.exceptions.HypothesisError):
+                hl.torsion_descent(scaled(tor, lam), 1.0, tol=1e-8)
 
     def test_samelson_out_of_scope(self, samelson):
         res = hl.torsion_descent(hl.chern_torsion(samelson), 2.0)
         assert res.status == "skipped"
 
-    def test_near_zero_passes(self):
-        tor = antisym_random(3, 5, scale=1e-10)
-        res = hl.torsion_descent(tor, 1.0, tol=1e-8)
-        assert res.residual_norm == 0.0
+    def test_near_zero_passes(self, samelson):
+        # a valid torsion far below tol: the samelson torsion just outside s = 2, at 1e-10
+        tor = scaled(hl.chern_torsion(samelson), 1e-10)
+        res = hl.torsion_descent(tor, NEAR_TWO, tol=1e-8)
+        assert (res.status, res.residual_norm) == ("completed", 0.0)
 
-    def test_near_hypothesis_torsion_reported_not_zeroed(self):
-        # |lam|^2 below the tolerance lets the precondition pass while the
-        # torsion itself is ~sqrt(tol); the descent must refuse to zero it
-        lam = 5e-5
-        T = np.zeros((3, 3, 3), complex)
-        T[2, 0, 1], T[2, 1, 0] = lam, -lam
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        res = hl.torsion_descent(tor, 1.0, tol=1e-8)
+    def test_near_hypothesis_torsion_reported_not_zeroed(self, samelson):
+        # just outside s = 2 the samelson torsion barely passes the precondition
+        # (5.0e-10 <= 2.0e-9), and |T| = 0.5: the descent reports it rather than zero it
+        tor = hl.chern_torsion(samelson)
+        _, jacobi = hl.parallel_frame_reduction(tor, NEAR_TWO)
+        assert jacobi.valid
+        assert jacobi.max_abs == pytest.approx(5.0e-10, rel=1e-6)
+        assert jacobi.threshold == pytest.approx(2.0e-9, rel=1e-6)
+        res = hl.torsion_descent(tor, NEAR_TWO)
+        assert (res.status, res.residual_norm) == ("stuck", tor.norm)
+
+    def test_torsion_above_tol_is_stuck_though_each_piece_is_below(self, samelson):
+        # |T| = 1.2e-8 with every entry below tol: the verdict reads |T| itself
+        tor = hl.chern_torsion(samelson)
+        tor = scaled(tor, 1.2e-8 / tor.norm)
+        assert np.abs(tor.T).max() < 1e-8 < tor.norm
+        res = hl.torsion_descent(tor, NEAR_TWO, tol=1e-8)
         assert res.status == "stuck"
-        assert res.residual_norm == pytest.approx(lam * np.sqrt(2), rel=1e-6)
-
-    def test_torsion_above_tol_is_stuck_though_each_piece_is_below(self):
-        # |T| = 1.2e-8 in two orthogonal pieces of 0.85e-8 each, one along a common-kernel
-        # direction: the verdict reads |T| itself, not the pieces
+        assert res.residual_norm == pytest.approx(1.2e-8, rel=1e-12)
+        # two pieces of 0.85e-8 at s = 1 induce a structure that is invalid at every scale
         a = 0.6e-8
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0], T[0, 0, 1], T[0, 1, 0] = a, -a, a, -a
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        res = hl.torsion_descent(tor, 1.0, tol=1e-8)
-        assert res.status == "stuck"
-        assert res.residual_norm == pytest.approx(2 * a, rel=1e-12)
+        with pytest.raises(hl.exceptions.HypothesisError):
+            hl.torsion_descent(hl.TorsionData(T=T, eta=np.einsum("kkr->r", T)), 1.0, tol=1e-8)
+
+
+def test_verdicts_do_not_depend_on_the_scale_of_the_torsion(samelson):
+    # the samelson torsion at s = 1.5 induces an invalid structure at every scale (once read
+    # as HypothesisError at scale 1, stuck at 1e-6 and completed at 1e-9)
+    tor = hl.chern_torsion(samelson)
+    for k in (1.0, 1e-6, 1e-9, 1e6):
+        with pytest.raises(hl.exceptions.HypothesisError):
+            hl.torsion_descent(scaled(tor, k), 1.5)
+    # the battery's ratio: its Jacobi norms are quadratic in T, |T| is linear, and every
+    # step scales exactly by powers of two
+    for T in batteries._draws():
+        for s in (0.5, 3.0):
+            ratios = batteries._ratios(T, s)
+            for k in (-100, 100):
+                assert np.array_equal(batteries._ratios(T * 2.0**k, s), ratios)
+
+
+def oracle_ratio(T, s):
+    """Frobenius norm of the Jacobi residuals of parallel_frame_reduction(T, s) over |T|^2,
+    summed entry by entry from core.jacobi_residual_tensors."""
+    tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
+    U, _ = hl.parallel_frame_reduction(tor, s)
+    squares = sum(np.sum(np.square(np.abs(f))) for f in core.jacobi_residual_tensors(U.C, U.D))
+    return np.sqrt(squares) / tor.norm**2
 
 
 class TestParallelBattery:
     def test_per_draw_worst_matches_the_reduction(self):
-        # every 37th draw of each stack against its own parallel_frame_reduction
+        # every 37th draw of each stack against the oracle on its own parallel_frame_reduction
         for T in batteries._draws():
             for s in (0.5, 1.0, 1.5, 3.0):
-                worst = batteries._worst_jacobi(T, s)
+                ratios = batteries._ratios(T, s)
                 for z in range(0, len(T), 37):
-                    tor = hl.TorsionData(T=T[z], eta=np.einsum("kkr->r", T[z]))
-                    _, jacobi = hl.parallel_frame_reduction(tor, s)
-                    assert worst[z] == pytest.approx(jacobi.max_abs, rel=1e-13, abs=0.0)
+                    assert ratios[z] == pytest.approx(oracle_ratio(T[z], s), rel=1e-13, abs=0.0)
 
     def test_samelson_slot_reads_zero_at_two(self, samelson):
         T = next(batteries._draws())[:7].copy()
         T[3] = hl.chern_torsion(samelson).T
-        assert batteries._worst_jacobi(T, 2.0)[3] <= 1e-10
-        assert batteries._worst_jacobi(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
+        assert batteries._ratios(T, 2.0)[3] <= 1e-10
+        assert batteries._ratios(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
 
     def test_chunk_width_does_not_change_the_residuals(self, monkeypatch):
         T = list(batteries._draws())[1]  # n = 3, several chunks at the default width
-        wide = batteries._worst_jacobi(T, 1.5)
+        wide = batteries._ratios(T, 1.5)
         monkeypatch.setattr(batteries, "_CHUNK_BYTES", 1)  # chunks of one draw
-        assert np.array_equal(batteries._worst_jacobi(T, 1.5), wide)
+        assert np.array_equal(batteries._ratios(T, 1.5), wide)
 
     def test_reduction_runs_only_for_the_fixed_checks(self, monkeypatch):
         calls = []
@@ -223,37 +262,28 @@ class TestParallelBattery:
         assert 0 < len(calls) <= 2
 
     def test_detail_prints_the_smallest_ratio(self):
-        # worst Jacobi / |T|^2, each draw against its own parallel_frame_reduction
-        ratios = []
-        for T in batteries._draws():
-            for s in (0.5, 1.0, 1.5, 3.0):
-                for z in range(len(T)):
-                    tor = hl.TorsionData(T=T[z], eta=np.einsum("kkr->r", T[z]))
-                    ratios.append(hl.parallel_frame_reduction(tor, s)[1].max_abs / tor.norm**2)
+        # the oracle over every draw; the smallest is n = 3 at s = 0.5
+        ratios = [oracle_ratio(T[z], s) for T in batteries._draws()
+                  for s in (0.5, 1.0, 1.5, 3.0) for z in range(len(T))]
         assert len(ratios) == 1600
         detail = batteries.parallel()[0].detail
         assert detail == f"1600 draws, smallest ratio {min(ratios):.3g}" == (
-            "1600 draws, smallest ratio 0.106")
+            "1600 draws, smallest ratio 0.614")
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0, 0.3, 2.7, -1.0])
     def test_n2_draws_sit_at_the_exact_gap(self, s):
         # at n = 2 the parallel-frame Jacobi residuals are s(s-2) times quadratics in T
-        # (tests/test_exact.py), and ||residuals||_F / |T|^2 = |s(s-2)| on every draw
+        # (tests/test_exact.py), and the battery's ratio is |s(s-2)| on every draw
         T = next(batteries._draws())
         assert T.shape[1:] == (2, 2, 2)
-        residuals = core.jacobi_residual_tensors(*core._parallel_frame(T, s))
-        frob = np.sqrt(sum(np.square(np.abs(f)).reshape(len(T), -1).sum(axis=1)
-                           for f in residuals))
-        ratio = frob / np.square(np.abs(T)).reshape(len(T), -1).sum(axis=1)
-        assert np.abs(ratio / abs(s * (s - 2)) - 1).max() <= 1e-14
+        assert np.abs(batteries._ratios(T, s) / abs(s * (s - 2)) - 1).max() <= 1e-14
 
     def test_n3_draws_stay_far_above_the_kahler_ratio(self):
-        # the battery's ratio worst Jacobi / |T|^2 against RHO_MAX = 1e-4
+        # the battery's ratio against RHO_MAX = 1e-4: at least 0.61, at s = 0.5
         T = list(batteries._draws())[1]
         assert T.shape[1:] == (3, 3, 3)
-        size = np.square(np.abs(T)).reshape(len(T), -1).sum(axis=1)
         for s in (0.5, 1.0, 1.5, 3.0):
-            assert (batteries._worst_jacobi(T, s) / size).min() > 0.1
+            assert batteries._ratios(T, s).min() > 0.6
 
 
 def test_parallel_battery_passes():

@@ -12,7 +12,6 @@ from .exceptions import ValidationError
 
 # ~1000x accumulated double-precision rounding at n <= 6
 VALIDITY_TOL = 1e-9
-FLATNESS_TOL = 1e-8
 # Non-Kahler iff kahler_ratio <= RHO_MAX, in the search and the parallel battery.
 # Measured: rho <= 3.2e-8 at the hunts' finds, >= 0.43 at rigid-s points, >= 0.61 on battery draws.
 RHO_MAX = 1e-4

@@ -34,7 +34,7 @@ def abelian(n: int) -> UnitaryStructure:
     return UnitaryStructure(n=n, C=_zeros(n), D=_zeros(n))
 
 
-def complex_group(C, n: int | None = None) -> UnitaryStructure:
+def complex_group(C) -> UnitaryStructure:
     """Left-invariant frame on a complex Lie group: given C, D = 0.
 
     The holomorphic and antiholomorphic left-invariant fields commute,
@@ -43,10 +43,7 @@ def complex_group(C, n: int | None = None) -> UnitaryStructure:
     purely holomorphic Jacobi identity, judged as validate_structure judges
     it (with D = 0 the other two families vanish) at tolerance 1e-12.
     """
-    C = np.asarray(C, dtype=complex)
-    if n is None:
-        n = C.shape[0]
-    U = UnitaryStructure(n=n, C=C, D=_zeros(n))
+    U = UnitaryStructure(n=len(C), C=C, D=_zeros(len(C)))
     report = validate_structure(U, 1e-12)
     if not report.valid:
         raise ValidationError(f"C violates the holomorphic Jacobi identity (residual "
@@ -61,7 +58,7 @@ def affine_complex_group(c: float = 1.0, n: int = 2) -> UnitaryStructure:
     C = _zeros(n)
     C[1, 0, 1] = c
     C[1, 1, 0] = -c
-    return complex_group(C, n)
+    return complex_group(C)
 
 
 def samelson_su2_r(c: float) -> UnitaryStructure:

@@ -7,7 +7,7 @@ Each prints its report to standard output and returns 0 on success,
 Every command runs in a fresh process that compiles the modules it
 imports from source, so each subcommand imports only the modules it
 runs.  The parser spells out the --mode and --suite choices; a test
-keeps them equal to the modes of search and the suites of batteries.
+keeps them equal to the modes of search and the suites of theorems.
 A command run through run() imports no OpenSSL and ends once its output
 is flushed.  numpy.random imports secrets, hmac and so _hashlib, which maps
 libcrypto (3.4 MB of every command that draws random numbers) although no
@@ -267,12 +267,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import batteries
-    chosen = list(batteries.SUITES) if args.suite == "all" else [args.suite]
+    from . import theorems
+    chosen = list(theorems.SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in chosen:
         print(f"== suite {name} ==")
-        for check in batteries.SUITES[name]():
+        for check in theorems.SUITES[name]():
             suffix = f"  ({check.detail})" if check.detail else ""
             print(f"{'PASS' if check.ok else 'FAIL'}  {check.label}{suffix}")
             ok &= check.ok

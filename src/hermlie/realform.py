@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import validity_tol
+from ._config import VALIDITY_TOL
 from .core import UnitaryStructure
 from .exceptions import (
     DimensionMismatchError,
@@ -150,17 +150,16 @@ def complex_structure_constants(P: RealPresentation):
     return C, D, offdiag
 
 
-def to_unitary_structure(P: RealPresentation, tol: float | None = None) -> UnitaryStructure:
+def to_unitary_structure(P: RealPresentation) -> UnitaryStructure:
     """UnitaryStructure of a valid real presentation in its adapted frame.
 
     Raises IntegrabilityError (carrying the largest offending component)
-    when [e_i, e_k] has a (0,1) part above tol.
+    when [e_i, e_k] has a (0,1) part above VALIDITY_TOL.
     """
-    tol = validity_tol(tol)
     C, D, offdiag = complex_structure_constants(P)
-    if offdiag > tol:
+    if offdiag > VALIDITY_TOL:
         raise IntegrabilityError(
-            f"(0,1) part of a holomorphic bracket is {offdiag:.3e} > {tol:.1e}",
+            f"(0,1) part of a holomorphic bracket is {offdiag:.3e} > {VALIDITY_TOL:.1e}",
             residual=offdiag,
         )
     return UnitaryStructure(n=P.n, C=C, D=D)

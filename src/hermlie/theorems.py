@@ -1,11 +1,20 @@
-"""Executable forms of the flat-case identities and rigidity arguments.
+"""Executable forms of the flat-case identities and rigidity arguments, and their check suites.
 
 Operations here replay, numerically, the mechanisms that force a flat
 structure (at parameter s outside {0, 2}) to be Kahler: identity
 families satisfied by the torsion of flat structures, the surface
 (n = 2) obstruction chain, the parallel-frame reduction in general
-dimension, and the descent's verdict on its torsion: zero (Kahler) or
-not, up to a tolerance.
+dimension, and the descent's verdict on its torsion: zero (Kahler) or not.
+
+Each suite returns a tuple of Check records built from fixed fixtures,
+grids and seeds; `hermlie verify-theorems` prints them and the
+acceptance tests assert on them.  lemma31: flat-case torsion identities
+on bdf4 (q = 1, 5) over S_GRID_SIX, su(2) x R at s = 2 and the complex
+group at s = 0.  surface: the n = 2 obstruction chain on 1000 points of
+[-3, 5], at s = 0, 2 and at the quadratic roots.  parallel: 1600 random
+parallel-frame draws, the su(2) x R torsion at s = 2 and the descent;
+the draws are evaluated as stacks, one batched Jacobi residual per (n, s)
+and chunk of draws, and judged by the search's Kahler ratio rule (RHO_MAX).
 """
 
 from __future__ import annotations
@@ -15,17 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import FLATNESS_TOL, finite
+from . import catalog
+from ._config import RHO_MAX, finite, kahler_ratio
 from .core import (
-    TorsionData,
     UnitaryStructure,
     _parallel_frame,
     chern_torsion,
     covariant_torsion_derivatives,
+    curvature,
+    jacobi_residual_tensors,
     validate_structure,
 )
 from .exceptions import HypothesisError, ValidationError
-from .tensors import antisymmetrize_lower, frobenius, max_abs
+from .realform import to_unitary_structure
+from .tensors import antisymmetrize_lower, frobenius, frobenius_rows, max_abs
 
 _SPECIAL_RADIUS = 1e-9  # neighbourhood radius around excluded parameter values
 _QUADRATIC_TOL = 1e-12
@@ -222,15 +234,15 @@ def surface_obstruction(s: float) -> ObstructionReport:
 # parallel-frame reduction and the descent
 
 
-def parallel_frame_reduction(T: TorsionData, s: float):
+def parallel_frame_reduction(T: np.ndarray, s: float):
     """Structure with identically-zero connection coefficients at parameter s.
 
-    A parallel left-invariant frame forces D = -s T and C = 2(s-1) T.
-    Returns that structure U and its Jacobi report, the only genuine
-    constraint left: the coefficients D + sT of U cancel, so its
+    A parallel left-invariant frame forces D = -s T and C = 2(s-1) T on the torsion T[j, i, k].
+    Returns that structure U and its Jacobi report, the only
+    genuine constraint left: the coefficients D + sT of U cancel, so its
     curvature vanishes up to rounding (exactly 0.0 at s in {0, 1/2, 1, 2}).
     """
-    Tm = antisymmetrize_lower(np.asarray(T.T, dtype=complex))
+    Tm = antisymmetrize_lower(np.asarray(T, dtype=complex))
     U = UnitaryStructure(Tm.shape[0], *_parallel_frame(Tm, s))
     return U, validate_structure(U)
 
@@ -241,22 +253,127 @@ class DescentResult:
     status: str
 
 
-def torsion_descent(T: TorsionData, s: float, tol: float = FLATNESS_TOL) -> DescentResult:
-    """The parallel-frame verdict on the torsion, whose rigidity prediction is T = 0:
-    "completed" with residual 0.0 when |T| <= tol, else "stuck" with residual |T|.
+def torsion_descent(T: np.ndarray, s: float) -> DescentResult:
+    """The parallel-frame verdict on the torsion T[j, i, k], whose rigidity prediction is
+    T = 0: "completed" when T = 0, else "stuck"; the residual is |T| in every status.
 
     Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is valid by the scale-free
     verdict of validate_structure, else HypothesisError; its connection coefficients D + sT
     cancel, so it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
-    apply: the status is "skipped", with residual |T|.
+    apply: the status is "skipped".
     """
     jacobi = parallel_frame_reduction(T, s)[1]
     if not jacobi.valid:
         raise HypothesisError("induced parallel-frame structure is not Jacobi-valid: "
                               f"jacobi {jacobi.max_abs:.3e} > {jacobi.threshold:.3e}")
-    norm = frobenius(T.T)
-    if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return DescentResult(norm, "skipped")
-    if norm <= tol:
-        return DescentResult(0.0, "completed")
-    return DescentResult(norm, "stuck")
+    norm = frobenius(T)
+    skipped = min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS
+    return DescentResult(norm, "skipped" if skipped else "stuck" if norm else "completed")
+
+
+# ---------------------------------------------------------------------------
+# the verification suites
+
+
+RESIDUAL_TOL = 1e-10
+S_GRID_SIX = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+QUADRATIC_ROOTS = (2.0 / 7.0 * (3.0 - np.sqrt(2.0)), 2.0 / 7.0 * (3.0 + np.sqrt(2.0)))
+_CHUNK_BYTES = 100_000  # working-set budget of the Jacobi residuals of one chunk of draws
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ok, the measured value and that value as printed."""
+
+    label: str
+    ok: bool
+    value: object = None
+    detail: str = ""
+
+
+def lemma31() -> tuple:
+    """Identity residuals; an s = 0 fixture that fails them must be out of hypothesis."""
+    fixtures = [(f"bdf4(q={q:g})", to_unitary_structure(catalog.bdf_flat_kahler_4d(q)), S_GRID_SIX)
+                for q in (1.0, 5.0)]
+    fixtures += [("samelson(1)", catalog.samelson_su2_r(1.0), (2.0,)),
+                 ("complex-group", catalog.affine_complex_group(1.0), (0.0,))]
+    checks = []
+    for label, U, grid in fixtures:
+        for s in grid:
+            suite = flat_torsion_identities(U, s)
+            where, worst = f"on {label} at s={s}", suite.max_abs
+            if suite.out_of_hypothesis and worst > RESIDUAL_TOL:
+                checks.append(Check(f"torsion identities {where} flagged out of hypothesis",
+                                    s == 0.0, worst, f"max {worst:.2e}"))
+                continue
+            checks.append(Check(f"torsion identities {where}", worst <= RESIDUAL_TOL, worst,
+                                f"max {worst:.2e}"))
+            if U.n == 2:
+                cyc = suite.statuses["cyclic"]
+                checks.append(Check(f"cyclic identity vacuous {where}", cyc == "vacuous", cyc))
+    return tuple(checks)
+
+
+def surface() -> tuple:
+    """Obstruction stages; the first record's value lists those seen on the dense grid."""
+    stages = sorted({surface_obstruction(float(s)).excluded_by
+                     for s in np.linspace(-3.0, 5.0, 1000)} - {OUT_OF_SCOPE})
+    checks = [Check("dense grid: every admissible s is obstructed",
+                    NO_OBSTRUCTION not in stages, stages, f"stages seen: {stages}")]
+    for s in (0.0, 2.0):
+        stage = surface_obstruction(s).excluded_by
+        checks.append(Check(f"s={s} out of scope", stage == OUT_OF_SCOPE, stage))
+    for root in QUADRATIC_ROOTS:
+        stage = surface_obstruction(root).excluded_by
+        checks.append(Check(f"quadratic root s={root:.6f} obstructed at the Jacobi stage",
+                            stage == JACOBI_CONTRADICTION, stage))
+    return tuple(checks)
+
+
+def parallel() -> tuple:
+    """Parallel-frame rigidity; the first record's value counts the valid non-Kahler draws:
+    those whose Kahler ratio is at most RHO_MAX.  Its detail prints the smallest ratio
+    over the draws."""
+    hits = draws = 0
+    smallest = np.inf
+    for T in _draws():  # Gaussian draws, so every |T| > 0
+        for s in (0.5, 1.0, 1.5, 3.0):
+            rho = _ratios(T, s)
+            hits += int(np.count_nonzero(rho <= RHO_MAX))
+            smallest = min(smallest, float(rho.min()))
+            draws += len(T)
+    tor = chern_torsion(catalog.samelson_su2_r(1.0)).T
+    U, jacobi = parallel_frame_reduction(tor, 2.0)
+    flatness = curvature(U, 2.0).max_abs
+    return (
+        Check("random parallel-frame draws: no valid non-Kahler structure at s outside {0,2}",
+              hits == 0, hits, f"{draws} draws, smallest ratio {smallest:.3g}"),
+        Check("samelson torsion regenerates a valid flat structure at s=2",
+              jacobi.valid and flatness <= RESIDUAL_TOL, flatness),
+        Check("descent skips the out-of-scope parameter s=2",
+              torsion_descent(tor, 2.0).status == "skipped"),
+    )
+
+
+def _draws():
+    """The battery's random torsions: a stack of 200 antisymmetric draws at n = 2, then n = 3."""
+    rng = np.random.default_rng(20240811)
+    for n in (2, 3):
+        T = rng.standard_normal((200, 2, n, n, n))  # draw z is T[z, 0] + i T[z, 1]
+        T = antisymmetrize_lower(T[:, 0] + 1j * T[:, 1])  # the real draws are not kept
+        yield T
+
+
+def _ratios(T: np.ndarray, s: float) -> np.ndarray:
+    """The Kahler ratio of the parallel-frame structure of every T[z] at s: the Frobenius
+    norm of its three Jacobi families, in chunks of draws whose families fit in _CHUNK_BYTES,
+    over |T[z]|^2.  A parallel frame is flat up to rounding: the curvature adds nothing."""
+    width = max(1, _CHUNK_BYTES // (3 * 16 * T.shape[-1] ** 4))
+    jacobi = np.empty(len(T))
+    for start in range(0, len(T), width):
+        families = jacobi_residual_tensors(*_parallel_frame(T[start:start + width], s))
+        jacobi[start:start + width] = frobenius_rows(np.stack(families, axis=1))
+    return kahler_ratio(jacobi, frobenius_rows(T))
+
+
+SUITES = {"lemma31": lemma31, "surface": surface, "parallel": parallel}

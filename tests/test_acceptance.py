@@ -8,7 +8,7 @@ import numpy as np
 
 import hermlie as hl
 from hermlie import search as S
-from hermlie import batteries, structio
+from hermlie import structio, theorems
 
 from conftest import (
     connection_flatness_residuals, curvature_as_flatness_families, from_unitary_structure,
@@ -16,8 +16,8 @@ from conftest import (
 )
 
 SEED = 20240810
-ROOT_MINUS, ROOT_PLUS = batteries.QUADRATIC_ROOTS
-S_GRID_SIX = batteries.S_GRID_SIX
+ROOT_MINUS, ROOT_PLUS = theorems.QUADRATIC_ROOTS
+S_GRID_SIX = theorems.S_GRID_SIX
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = ""):
@@ -66,7 +66,7 @@ def test_criterion_03_chern_flat_fixture():
 
 
 def test_criterion_04_torsion_identity_suite():
-    checks = batteries.lemma31()
+    checks = theorems.lemma31()
     ok = all(c.ok for c in checks)
     # in-hypothesis residuals; the non-Kahler Chern-flat pair at s = 0 must
     # only be flagged out of hypothesis
@@ -149,7 +149,7 @@ def test_criterion_07_parallel_frame_search():
 
 
 def test_criterion_08_obstruction_grid():
-    checks = batteries.surface()
+    checks = theorems.surface()
     ok = all(c.ok for c in checks)
     stages = checks[0].value  # the dense-grid check comes first
     verdict(8, "every admissible parameter on the dense grid is obstructed",

@@ -236,6 +236,25 @@ def test_every_catalog_output_is_valid():
         assert hl.validate_structure(U, 1e-12).max_abs <= 1e-12
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hl.BdfSpec(p=1, h_dim=1, c_dim=1, q=[np.nan]), hl.exceptions.ValidationError,
+     "q must be finite"),
+    (lambda: hl.BdfSpec(p=1, h_dim=0, c_dim=0), hl.exceptions.ValidationError,
+     "rotating planes need a nonzero h to act"),
+    (lambda: hl.BdfSpec(p=0, h_dim=1, c_dim=1), hl.exceptions.ValidationError,
+     "h without planes to act on cannot be flat Kahler"),
+    (lambda: hl.bdf_general(hl.BdfSpec(p=0, h_dim=0, c_dim=0)), hl.exceptions.ValidationError,
+     "total dimension 0 is not a positive even number"),
+    (lambda: hl.perturb(hl.abelian(2), -0.1, 0), hl.exceptions.DegenerateParameterError,
+     "eps must be nonnegative"),
+], ids=["nan-q", "planes-without-h", "h-without-planes", "dimension-0", "negative-eps"])
+def test_rejections_name_the_fault(call, error, message):
+    # an odd total dimension cannot pass BdfSpec: its pairing makes h + c even
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestPerturb:
     def test_eps_zero_is_identity(self):
         U = hl.samelson_su2_r(1.0)

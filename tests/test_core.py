@@ -330,6 +330,12 @@ class TestValidateStructure:
         with pytest.raises(hl.exceptions.DimensionMismatchError):
             hl.UnitaryStructure(n=2, C=np.zeros((2, 2, 2)), D=np.zeros((3, 3, 3)))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_is_named(self, n):
+        with pytest.raises(hl.exceptions.DimensionMismatchError) as err:
+            hl.UnitaryStructure(n=n, C=np.zeros((0, 0, 0)), D=np.zeros((0, 0, 0)))
+        assert str(err.value) == f"n must be positive, got {n}"
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_paired_batch_label_matches_each_structure(self, n):
         # the leading axes of C and D are paired: slice z is (C[z], D[z]) alone

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hermlie as hl
-from hermlie import batteries, search, structio
+from hermlie import search, structio, theorems
 from hermlie.cli import _build_parser, main
 
 from conftest import random_structure
@@ -87,6 +87,41 @@ class TestParse:
         with pytest.raises(hl.exceptions.ParseError) as err:
             structio.parse_structure(json.dumps(doc).encode())
         assert "(j=2, i=1, k=2)" in str(err.value)
+
+
+def _document(**fields):
+    return json.dumps({"schema_version": 1, "n": 2, "C": [], "D": [], **fields}).encode()
+
+
+_ENTRY = {"j": 1, "i": 1, "k": 1, "re": 1, "im": 0}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: structio.parse_structure(b"\xff\xfe"), hl.exceptions.ParseError,
+     "file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda: structio.parse_structure(b"[1, 2]"), hl.exceptions.ParseError,
+     "top level must be a JSON object"),
+    (lambda: structio.parse_structure(b'{"schema_version": 1, "n": 2, "C": []}'),
+     hl.exceptions.ParseError, "missing required field 'D'"),
+    (lambda: structio.parse_structure(_document(metadata="s")), hl.exceptions.ParseError,
+     "metadata must be an object with keys name/provenance"),
+    (lambda: structio.parse_structure(_document(metadata={"name": 3})),
+     hl.exceptions.ParseError, "metadata.name must be a string"),
+    (lambda: structio.parse_structure(_document(C="s")), hl.exceptions.ParseError,
+     "C must be a list of entries"),
+    (lambda: structio.parse_structure(_document(D=[1])), hl.exceptions.ParseError,
+     "D[0]: entry must be an object"),
+    (lambda: structio.parse_structure(_document(D=[{**_ENTRY, "re": "1"}])),
+     hl.exceptions.ParseError, "D[0]: re must be a number"),
+    (lambda: structio.parse_structure(_document(D=[_ENTRY]).replace(b'"re": 1', b'"re": 1e999')),
+     hl.exceptions.ParseError, "D[0]: re must be finite"),
+    (lambda: structio.emit_report([], "xml"), ValueError, "unknown report format 'xml'"),
+], ids=["not-utf8", "top-level-list", "missing-D", "metadata-string", "metadata-name-int",
+        "C-string", "entry-int", "re-string", "re-1e999", "format-xml"])
+def test_rejections_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 @st.composite
@@ -198,7 +233,7 @@ class TestCli:
                         if option in a.option_strings)
 
         assert choices("search", "--mode") == (search.FULL, search.PARALLEL_FRAME)
-        assert choices("verify-theorems", "--suite") == (*batteries.SUITES, "all")
+        assert choices("verify-theorems", "--suite") == (*theorems.SUITES, "all")
 
     def test_catalog_analyze_pipeline(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -291,8 +326,8 @@ class TestCli:
         assert lines[-1] == "all checks passed"
 
     def test_verify_theorems_reports_failure(self, capsys, monkeypatch):
-        failing = (batteries.Check("injected failure", False),)
-        monkeypatch.setitem(batteries.SUITES, "surface", lambda: failing)
+        failing = (theorems.Check("injected failure", False),)
+        monkeypatch.setitem(theorems.SUITES, "surface", lambda: failing)
         assert main(["verify-theorems", "--suite", "surface"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL  injected failure" in lines

@@ -86,7 +86,7 @@ from hermlie import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([bare, loaded(), code]))
 """
-HEAVY = {"hermlie.search", "hermlie.theorems", "hermlie.batteries"}
+HEAVY = {"hermlie.search", "hermlie.theorems"}
 
 
 @pytest.mark.parametrize(

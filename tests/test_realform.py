@@ -78,6 +78,16 @@ class TestValidateReal:
         with pytest.raises(hl.exceptions.DimensionMismatchError):
             hl.RealPresentation(dim=3, f=np.zeros((3, 3, 3)), G=np.eye(3), J=np.eye(3))
 
+    @pytest.mark.parametrize("f, G, J, message", [
+        (np.zeros((2, 2)), np.eye(2), np.eye(2), "f: expected (2, 2, 2), got (2, 2)"),
+        (np.zeros((2, 2, 2)), np.eye(3), np.eye(2), "G: expected (2, 2), got (3, 3)"),
+        (np.zeros((2, 2, 2)), np.eye(2), np.zeros(2), "J: expected (2, 2), got (2,)"),
+    ], ids=["f", "G", "J"])
+    def test_wrong_shape_is_named(self, f, G, J, message):
+        with pytest.raises(hl.exceptions.DimensionMismatchError) as err:
+            hl.RealPresentation(dim=2, f=f, G=G, J=J)
+        assert str(err.value) == message
+
     def test_non_spd_flagged_not_raised(self):
         P = hl.RealPresentation(
             dim=2, f=np.zeros((2, 2, 2)), G=np.diag([1.0, -1.0]), J=standard_j(2)

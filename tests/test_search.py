@@ -408,6 +408,18 @@ class TestCodec:
             S._quadratic_model(150, 1.0, S.FULL, False)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: S.SearchProblem(n=2, s=1.0, mode="diagonal"), hl.exceptions.ValidationError,
+     "unknown mode 'diagonal'"),
+    (lambda: S.structure_from_point(S.SearchProblem(n=2, s=1.0), np.zeros(3)),
+     hl.exceptions.DimensionMismatchError, "point has (3,), problem wants (20,)"),
+], ids=["unknown-mode", "point-length"])
+def test_rejections_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestLmMinimize:
     def test_zero_iterations_on_solution(self, samelson):
         prob = S.SearchProblem(n=2, s=2.0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hermlie as hl
-from hermlie import batteries, core, theorems
+from hermlie import core, theorems
+from hermlie.tensors import frobenius
 
 from conftest import random_structure
 
@@ -17,8 +18,7 @@ ROOT_PLUS = 2.0 / 7.0 * (3.0 + np.sqrt(2.0))
 def antisym_random(n, seed):
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    T = 0.5 * (T - T.transpose(0, 2, 1))
-    return hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
+    return 0.5 * (T - T.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("s, message", [
@@ -101,15 +101,13 @@ class TestSurfaceObstruction:
 
 class TestParallelFrameReduction:
     def test_zero_torsion(self):
-        z = hl.TorsionData(T=np.zeros((3, 3, 3), complex), eta=np.zeros(3, complex))
-        U, jacobi = hl.parallel_frame_reduction(z, 1.5)
+        U, jacobi = hl.parallel_frame_reduction(np.zeros((3, 3, 3), complex), 1.5)
         assert np.abs(U.C).max() == 0.0
         assert jacobi.max_abs == 0.0
         assert hl.curvature(U, 1.5).max_abs == 0.0
 
     def test_samelson_at_two(self, samelson):
-        tor = hl.chern_torsion(samelson)
-        U, jacobi = hl.parallel_frame_reduction(tor, 2.0)
+        U, jacobi = hl.parallel_frame_reduction(hl.chern_torsion(samelson).T, 2.0)
         assert np.abs(U.C - samelson.C).max() <= 1e-14
         assert np.abs(U.D - samelson.D).max() <= 1e-14
         assert jacobi.max_abs <= 1e-14
@@ -118,8 +116,7 @@ class TestParallelFrameReduction:
     def test_single_entry_s1_anticommutes(self):
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0] = 0.7, -0.7
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-        U, jacobi = hl.parallel_frame_reduction(tor, 1.0)
+        U, jacobi = hl.parallel_frame_reduction(T, 1.0)
         assert np.abs(U.C).max() == 0.0  # C = 2(s-1)T = 0 at s=1
         assert np.abs(U.D + T).max() == 0.0  # D = -T
         fam = T.transpose(1, 0, 2)  # fam[i][k, j] = T^k_{ij}, the operator A_{e_i}
@@ -131,16 +128,12 @@ class TestParallelFrameReduction:
         # connection coefficients vanish by construction: curvature must too,
         # exactly where the parameter-s scalings of T round exactly
         for seed in range(5):
-            tor = antisym_random(2 + seed % 2, 80 + seed)
+            T = antisym_random(2 + seed % 2, 80 + seed)
             for s in (0.0, 0.5, 1.0, 2.0):
-                U, _ = hl.parallel_frame_reduction(tor, s)
+                U, _ = hl.parallel_frame_reduction(T, s)
                 assert hl.curvature(U, s).max_abs == 0.0
-            U, _ = hl.parallel_frame_reduction(tor, 0.7)
+            U, _ = hl.parallel_frame_reduction(T, 0.7)
             assert hl.curvature(U, 0.7).max_abs <= 1e-14
-
-
-def scaled(tor, k):
-    return hl.TorsionData(T=k * tor.T, eta=k * tor.eta)
 
 
 NEAR_TWO = 2.0 + 2e-9  # just outside the radius 1e-9 around s = 2 where the descent skips
@@ -148,48 +141,48 @@ NEAR_TWO = 2.0 + 2e-9  # just outside the radius 1e-9 around s = 2 where the des
 
 class TestTorsionDescent:
     def test_zero_torsion(self):
-        z = hl.TorsionData(T=np.zeros((3, 3, 3), complex), eta=np.zeros(3, complex))
         for s in (0.5, 1.0, 1.5):
-            res = hl.torsion_descent(z, s)
+            res = hl.torsion_descent(np.zeros((3, 3, 3), complex), s)
             assert (res.status, res.residual_norm) == ("completed", 0.0)
 
     def test_single_entry_s1_fails_hypothesis(self):
-        # invalid at every scale; at lam = 5e-5 the Jacobi residual is 2.5e-9, below the
-        # descent's tol, but the precondition is validate_structure's relative verdict
+        # invalid at every scale; at lam = 5e-5 the Jacobi residual is 2.5e-9, but the
+        # precondition is validate_structure's relative verdict
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0] = 1.0, -1.0
-        tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
         for lam in (0.7, 5e-5):
             with pytest.raises(hl.exceptions.HypothesisError):
-                hl.torsion_descent(scaled(tor, lam), 1.0, tol=1e-8)
+                hl.torsion_descent(lam * T, 1.0)
 
     def test_samelson_out_of_scope(self, samelson):
-        res = hl.torsion_descent(hl.chern_torsion(samelson), 2.0)
+        res = hl.torsion_descent(hl.chern_torsion(samelson).T, 2.0)
         assert res.status == "skipped"
 
     def test_near_zero_passes(self, samelson):
-        # a valid torsion far below tol: the samelson torsion just outside s = 2, at 1e-10
-        tor = scaled(hl.chern_torsion(samelson), 1e-10)
-        res = hl.torsion_descent(tor, NEAR_TWO, tol=1e-8)
-        assert (res.status, res.residual_norm) == ("completed", 0.0)
+        # a valid torsion just outside s = 2 is nonzero at every scale, so it is stuck at
+        # every scale (once read as completed at 1e-10, where |T| fell below a fixed 1e-8)
+        T = hl.chern_torsion(samelson).T
+        for k in (1.0, 1e-10, 2.0**-100, 2.0**100):
+            res = hl.torsion_descent(k * T, NEAR_TWO)
+            assert (res.status, res.residual_norm) == ("stuck", frobenius(k * T))
 
     def test_near_hypothesis_torsion_reported_not_zeroed(self, samelson):
         # just outside s = 2 the samelson torsion barely passes the precondition
         # (5.0e-10 <= 2.0e-9), and |T| = 0.5: the descent reports it rather than zero it
-        tor = hl.chern_torsion(samelson)
-        _, jacobi = hl.parallel_frame_reduction(tor, NEAR_TWO)
+        T = hl.chern_torsion(samelson).T
+        _, jacobi = hl.parallel_frame_reduction(T, NEAR_TWO)
         assert jacobi.valid
         assert jacobi.max_abs == pytest.approx(5.0e-10, rel=1e-6)
         assert jacobi.threshold == pytest.approx(2.0e-9, rel=1e-6)
-        res = hl.torsion_descent(tor, NEAR_TWO)
-        assert (res.status, res.residual_norm) == ("stuck", tor.norm)
+        res = hl.torsion_descent(T, NEAR_TWO)
+        assert (res.status, res.residual_norm) == ("stuck", frobenius(T))
 
     def test_torsion_above_tol_is_stuck_though_each_piece_is_below(self, samelson):
-        # |T| = 1.2e-8 with every entry below tol: the verdict reads |T| itself
-        tor = hl.chern_torsion(samelson)
-        tor = scaled(tor, 1.2e-8 / tor.norm)
-        assert np.abs(tor.T).max() < 1e-8 < tor.norm
-        res = hl.torsion_descent(tor, NEAR_TWO, tol=1e-8)
+        # |T| = 1.2e-8 with every entry below 1e-8: the verdict reads T itself
+        T = hl.chern_torsion(samelson).T
+        T = T * (1.2e-8 / frobenius(T))
+        assert np.abs(T).max() < 1e-8 < frobenius(T)
+        res = hl.torsion_descent(T, NEAR_TWO)
         assert res.status == "stuck"
         assert res.residual_norm == pytest.approx(1.2e-8, rel=1e-12)
         # two pieces of 0.85e-8 at s = 1 induce a structure that is invalid at every scale
@@ -197,54 +190,53 @@ class TestTorsionDescent:
         T = np.zeros((3, 3, 3), complex)
         T[2, 0, 1], T[2, 1, 0], T[0, 0, 1], T[0, 1, 0] = a, -a, a, -a
         with pytest.raises(hl.exceptions.HypothesisError):
-            hl.torsion_descent(hl.TorsionData(T=T, eta=np.einsum("kkr->r", T)), 1.0, tol=1e-8)
+            hl.torsion_descent(T, 1.0)
 
 
 def test_verdicts_do_not_depend_on_the_scale_of_the_torsion(samelson):
     # the samelson torsion at s = 1.5 induces an invalid structure at every scale (once read
     # as HypothesisError at scale 1, stuck at 1e-6 and completed at 1e-9)
-    tor = hl.chern_torsion(samelson)
+    T = hl.chern_torsion(samelson).T
     for k in (1.0, 1e-6, 1e-9, 1e6):
         with pytest.raises(hl.exceptions.HypothesisError):
-            hl.torsion_descent(scaled(tor, k), 1.5)
+            hl.torsion_descent(k * T, 1.5)
     # the battery's ratio: its Jacobi norms are quadratic in T, |T| is linear, and every
     # step scales exactly by powers of two
-    for T in batteries._draws():
+    for T in theorems._draws():
         for s in (0.5, 3.0):
-            ratios = batteries._ratios(T, s)
+            ratios = theorems._ratios(T, s)
             for k in (-100, 100):
-                assert np.array_equal(batteries._ratios(T * 2.0**k, s), ratios)
+                assert np.array_equal(theorems._ratios(T * 2.0**k, s), ratios)
 
 
 def oracle_ratio(T, s):
     """Frobenius norm of the Jacobi residuals of parallel_frame_reduction(T, s) over |T|^2,
     summed entry by entry from core.jacobi_residual_tensors."""
-    tor = hl.TorsionData(T=T, eta=np.einsum("kkr->r", T))
-    U, _ = hl.parallel_frame_reduction(tor, s)
+    U, _ = hl.parallel_frame_reduction(T, s)
     squares = sum(np.sum(np.square(np.abs(f))) for f in core.jacobi_residual_tensors(U.C, U.D))
-    return np.sqrt(squares) / tor.norm**2
+    return np.sqrt(squares) / frobenius(T)**2
 
 
 class TestParallelBattery:
     def test_per_draw_worst_matches_the_reduction(self):
         # every 37th draw of each stack against the oracle on its own parallel_frame_reduction
-        for T in batteries._draws():
+        for T in theorems._draws():
             for s in (0.5, 1.0, 1.5, 3.0):
-                ratios = batteries._ratios(T, s)
+                ratios = theorems._ratios(T, s)
                 for z in range(0, len(T), 37):
                     assert ratios[z] == pytest.approx(oracle_ratio(T[z], s), rel=1e-13, abs=0.0)
 
     def test_samelson_slot_reads_zero_at_two(self, samelson):
-        T = next(batteries._draws())[:7].copy()
+        T = next(theorems._draws())[:7].copy()
         T[3] = hl.chern_torsion(samelson).T
-        assert batteries._ratios(T, 2.0)[3] <= 1e-10
-        assert batteries._ratios(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
+        assert theorems._ratios(T, 2.0)[3] <= 1e-10
+        assert theorems._ratios(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
 
     def test_chunk_width_does_not_change_the_residuals(self, monkeypatch):
-        T = list(batteries._draws())[1]  # n = 3, several chunks at the default width
-        wide = batteries._ratios(T, 1.5)
-        monkeypatch.setattr(batteries, "_CHUNK_BYTES", 1)  # chunks of one draw
-        assert np.array_equal(batteries._ratios(T, 1.5), wide)
+        T = list(theorems._draws())[1]  # n = 3, several chunks at the default width
+        wide = theorems._ratios(T, 1.5)
+        monkeypatch.setattr(theorems, "_CHUNK_BYTES", 1)  # chunks of one draw
+        assert np.array_equal(theorems._ratios(T, 1.5), wide)
 
     def test_reduction_runs_only_for_the_fixed_checks(self, monkeypatch):
         calls = []
@@ -255,7 +247,7 @@ class TestParallelBattery:
             return reduction(*args, **kwargs)
 
         monkeypatch.setattr(theorems, "parallel_frame_reduction", counted)
-        checks = batteries.parallel()
+        checks = theorems.parallel()
         assert [c.ok for c in checks] == [True] * 3
         assert checks[0].value == 0
         assert checks[0].detail.startswith("1600 draws, smallest ratio ")
@@ -263,10 +255,10 @@ class TestParallelBattery:
 
     def test_detail_prints_the_smallest_ratio(self):
         # the oracle over every draw; the smallest is n = 3 at s = 0.5
-        ratios = [oracle_ratio(T[z], s) for T in batteries._draws()
+        ratios = [oracle_ratio(T[z], s) for T in theorems._draws()
                   for s in (0.5, 1.0, 1.5, 3.0) for z in range(len(T))]
         assert len(ratios) == 1600
-        detail = batteries.parallel()[0].detail
+        detail = theorems.parallel()[0].detail
         assert detail == f"1600 draws, smallest ratio {min(ratios):.3g}" == (
             "1600 draws, smallest ratio 0.614")
 
@@ -274,20 +266,20 @@ class TestParallelBattery:
     def test_n2_draws_sit_at_the_exact_gap(self, s):
         # at n = 2 the parallel-frame Jacobi residuals are s(s-2) times quadratics in T
         # (tests/test_exact.py), and the battery's ratio is |s(s-2)| on every draw
-        T = next(batteries._draws())
+        T = next(theorems._draws())
         assert T.shape[1:] == (2, 2, 2)
-        assert np.abs(batteries._ratios(T, s) / abs(s * (s - 2)) - 1).max() <= 1e-14
+        assert np.abs(theorems._ratios(T, s) / abs(s * (s - 2)) - 1).max() <= 1e-14
 
     def test_n3_draws_stay_far_above_the_kahler_ratio(self):
         # the battery's ratio against RHO_MAX = 1e-4: at least 0.61, at s = 0.5
-        T = list(batteries._draws())[1]
+        T = list(theorems._draws())[1]
         assert T.shape[1:] == (3, 3, 3)
         for s in (0.5, 1.0, 1.5, 3.0):
-            assert batteries._ratios(T, s).min() > 0.6
+            assert theorems._ratios(T, s).min() > 0.6
 
 
 def test_parallel_battery_passes():
     # random parallel-frame torsion never induces a Jacobi-valid non-Kahler
     # structure at s outside {0, 2}; the su(2) x R torsion does at s = 2
-    failed = [c.label for c in batteries.parallel() if not c.ok]
+    failed = [c.label for c in theorems.parallel() if not c.ok]
     assert not failed

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import UnitaryStructure, validate_structure
 from .exceptions import DegenerateParameterError, ValidationError
-from .tensors import antisymmetrize_lower
+from .tensors import antisymmetrize_lower, standard_normal
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -195,9 +195,10 @@ def bdf_general(spec: BdfSpec) -> RealPresentation:
 def perturb(U: UnitaryStructure, eps: float, seed: int) -> UnitaryStructure:
     """Add seeded complex Gaussian noise of size eps to C and D.
 
-    The C noise is antisymmetrized.  Output generally violates the
-    Jacobi identities; this is the negative-control generator for the
-    residual detectors.
+    The noise is tensors.standard_normal at seed, read as the real and then
+    the imaginary part of C, then of D; the C noise is antisymmetrized.
+    Output generally violates the Jacobi identities; this is the
+    negative-control generator for the residual detectors.
     """
     if eps < 0:
         raise DegenerateParameterError("eps must be nonnegative")
@@ -206,7 +207,7 @@ def perturb(U: UnitaryStructure, eps: float, seed: int) -> UnitaryStructure:
     if eps == 0:
         return U
     n = U.n
-    X = np.random.default_rng(seed).standard_normal((2, 2, n, n, n))  # C, then D: re, im parts
+    X = standard_normal(seed, (2, 2, n, n, n))  # C, then D: re, im parts
     with np.errstate(over="ignore", invalid="ignore"):
         noise = eps * (X[:, 0] + 1j * X[:, 1])
         C = U.C + antisymmetrize_lower(noise[0])

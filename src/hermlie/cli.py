@@ -8,14 +8,11 @@ Every command runs in a fresh process that compiles the modules it
 imports from source, so each subcommand imports only the modules it
 runs.  The parser spells out the --mode and --suite choices; a test
 keeps them equal to the modes of search and the suites of theorems.
-A command run through run() imports no OpenSSL and ends once its output
-is flushed.  numpy.random imports secrets, hmac and so _hashlib, which maps
-libcrypto (3.4 MB of every command that draws random numbers) although no
-command hashes anything; run() blocks _hashlib unless it is already loaded,
-and hashlib falls back to CPython's built-in hashes.  It then runs the
+A command run through run() ends once its output is flushed: it runs the
 atexit callbacks, flushes and skips the interpreter's teardown, and exits
-normally under a tracer or profiler, with -i, or when a flush fails.
-main() and importing hermlie change no import.
+normally under a tracer or profiler, with -i, or when a flush fails.  No
+command imports numpy's random module or hashlib: seeded numbers come from
+the stdlib generator (tensors.standard_normal), so no OpenSSL is mapped.
 """
 
 from __future__ import annotations
@@ -110,25 +107,16 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """main(argv) as a process: load no OpenSSL, and end with os._exit once
-    the output is flushed.
+    """main(argv) as a process: end with os._exit once the output is flushed.
 
-    First _hashlib is blocked in sys.modules, unless it is already
-    loaded: numpy.random imports secrets, which imports hmac and so
-    _hashlib, mapping OpenSSL's libcrypto (3.4 MB) into a process that
-    hashes nothing.  hashlib and hmac then use CPython's built-in hashes;
-    the seeded streams never read secrets, so every output stays the same.
-    main() itself and importing hermlie leave the imports alone.
-
-    Tearing the interpreter down after a report (numpy and its random
-    module) costs more than many commands compute, and nothing hermlie
-    holds needs it.  The atexit callbacks run first, as the interpreter
-    would run them.  Returns main's code, for a normal exit, when a trace,
-    profile or monitoring tool is installed, under -i, or when a flush
-    fails, so that the interpreter reports it as it would anyway; an
-    exception escaping main() takes the normal path too.
+    Tearing the interpreter down after a report (numpy) costs more than
+    many commands compute, and nothing hermlie holds needs it.  The
+    atexit callbacks run first, as the interpreter would run them.
+    Returns main's code, for a normal exit, when a trace, profile or
+    monitoring tool is installed, under -i, or when a flush fails, so
+    that the interpreter reports it as it would anyway; an exception
+    escaping main() takes the normal path too.
     """
-    sys.modules.setdefault("_hashlib", None)
     code = main(argv)
     if sys.gettrace() or sys.getprofile() or sys.flags.inspect or _monitored():
         return code

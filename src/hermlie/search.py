@@ -67,7 +67,7 @@ from .core import (
     _torsion,
 )
 from .exceptions import DimensionMismatchError, ValidationError
-from .tensors import frozen
+from .tensors import frozen, standard_normal
 
 FULL = "full"
 PARALLEL_FRAME = "parallel_frame"
@@ -655,8 +655,9 @@ def _classify(problem: SearchProblem, x: np.ndarray, r: np.ndarray, stops, seeds
 
 
 def random_start(problem: SearchProblem, seed: int) -> np.ndarray:
-    """Unit complex-Gaussian start (antisymmetrized through the layout)."""
-    return np.random.default_rng(seed).standard_normal(unknown_count(problem))
+    """Unit complex-Gaussian start (antisymmetrized through the layout): the first
+    unknown_count(problem) numbers of tensors.standard_normal at seed."""
+    return standard_normal(seed, unknown_count(problem))
 
 
 def multistart_search(problem: SearchProblem) -> MultistartSummary:

@@ -1,4 +1,4 @@
-"""Dense complex tensor helpers shared by the whole package.
+"""Dense complex tensor helpers and the seeded Gaussian generator, shared by the whole package.
 
 Index convention, used everywhere: a rank-3 coefficient tensor is a
 dense complex array ``X[j, i, k]`` holding the coefficient X^j_{ik},
@@ -8,6 +8,8 @@ are written 1-based; storage is 0-based.  Dimensions stay small
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -59,3 +61,18 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     out.flags.writeable = False
     return out
 
+
+def standard_normal(seed: int, shape) -> np.ndarray:
+    """Seeded standard Gaussian draws of the given shape, in float64.
+
+    Box-Muller on the uniforms u of the stdlib random.Random(seed), whose
+    stream Python keeps fixed for integer seeds: the pair (u, v) gives
+    r cos(2 pi v) and r sin(2 pi v) with r = sqrt(-2 log(1 - u)), in that
+    order, so a smaller count draws a prefix of a larger one.  Every random
+    number of the package comes from here, and loads no generator module.
+    """
+    count = int(np.prod(shape))
+    u, v = np.fromiter(iter(random.Random(seed).random, None), float,
+                       count=2 * ((count + 1) // 2)).reshape(-1, 2).T
+    r, angle = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+    return np.stack((r * np.cos(angle), r * np.sin(angle)), axis=1).ravel()[:count].reshape(shape)

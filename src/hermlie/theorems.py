@@ -37,7 +37,14 @@ from .core import (
 )
 from .exceptions import HypothesisError, ValidationError
 from .realform import to_unitary_structure
-from .tensors import antisymmetrize_lower, frobenius, frobenius_rows, max_abs
+from .tensors import (
+    antisymmetrize_lower,
+    as_coefficient_tensor,
+    frobenius,
+    frobenius_rows,
+    max_abs,
+    standard_normal,
+)
 
 _SPECIAL_RADIUS = 1e-9  # neighbourhood radius around excluded parameter values
 _QUADRATIC_TOL = 1e-12
@@ -260,15 +267,18 @@ def torsion_descent(T: np.ndarray, s: float) -> DescentResult:
     Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is valid by the scale-free
     verdict of validate_structure, else HypothesisError; its connection coefficients D + sT
     cancel, so it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
-    apply: the status is "skipped".
+    apply: the status is "skipped", before the precondition is tested.  Raises
+    DimensionMismatchError or ValidationError, whatever s, unless T is a finite n x n x n array.
     """
+    T = as_coefficient_tensor(T, np.shape(T)[0], "torsion")
+    norm = frobenius(T)
+    if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
+        return DescentResult(norm, "skipped")
     jacobi = parallel_frame_reduction(T, s)[1]
     if not jacobi.valid:
         raise HypothesisError("induced parallel-frame structure is not Jacobi-valid: "
                               f"jacobi {jacobi.max_abs:.3e} > {jacobi.threshold:.3e}")
-    norm = frobenius(T)
-    skipped = min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS
-    return DescentResult(norm, "skipped" if skipped else "stuck" if norm else "completed")
+    return DescentResult(norm, "stuck" if norm else "completed")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +366,13 @@ def parallel() -> tuple:
 
 
 def _draws():
-    """The battery's random torsions: a stack of 200 antisymmetric draws at n = 2, then n = 3."""
-    rng = np.random.default_rng(20240811)
-    for n in (2, 3):
-        T = rng.standard_normal((200, 2, n, n, n))  # draw z is T[z, 0] + i T[z, 1]
-        T = antisymmetrize_lower(T[:, 0] + 1j * T[:, 1])  # the real draws are not kept
-        yield T
+    """The battery's random torsions: a stack of 200 antisymmetric draws at n = 2, then n = 3,
+    cut in that order from one call of tensors.standard_normal at seed 20240811."""
+    sizes = [200 * 2 * n**3 for n in (2, 3)]
+    X = standard_normal(20240811, sum(sizes))
+    for n, part in zip((2, 3), np.split(X, [sizes[0]])):
+        T = part.reshape(200, 2, n, n, n)  # draw z is T[z, 0] + i T[z, 1]
+        yield antisymmetrize_lower(T[:, 0] + 1j * T[:, 1])  # the real draws are not kept
 
 
 def _ratios(T: np.ndarray, s: float) -> np.ndarray:

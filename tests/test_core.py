@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import hermlie as hl
 from hermlie import core
 from hermlie.core import connection_endomorphisms
-from hermlie.tensors import frobenius
+from hermlie.tensors import frobenius, standard_normal
 
 from conftest import (
     connection_flatness_residuals, curvature_as_flatness_families, levi_civita,
@@ -671,3 +671,33 @@ class TestSummaryAndGauge:
         back = unitary_change(unitary_change(U, V), np.conj(V).T)
         assert np.abs(back.C - U.C).max() <= 1e-13
         assert np.abs(back.D - U.D).max() <= 1e-13
+
+
+class TestStandardNormal:
+    # odd and even sizes, then the shapes that the search (unknown_count at n = 2, 3, 4 in
+    # both modes), perturb at n = 1 to 4 and the parallel battery draw
+    SHAPES = [1, 2, 7, (3, 5), 20, 4, 72, 18, 176, 48,
+              *((2, 2, n, n, n) for n in (1, 2, 3, 4)), 14_000]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_a_seed_gives_the_same_bits(self, shape):
+        x = standard_normal(20240811, shape)
+        assert x.shape == np.empty(shape).shape and x.dtype == np.float64
+        assert np.isfinite(x).all()
+        assert x.tobytes() == standard_normal(20240811, shape).tobytes()
+        # a smaller count draws a prefix of a larger one
+        assert np.array_equal(x.ravel(), standard_normal(20240811, x.size + 3)[:x.size])
+
+    def test_distinct_seeds_draw_distinct_numbers(self):
+        draws = [standard_normal(seed, 7) for seed in (0, 1, 2, 3, 2**40, 20240811)]
+        assert len({x.tobytes() for x in draws}) == len(draws)
+        assert all(len(np.intersect1d(a, b)) == 0 for i, a in enumerate(draws)
+                   for b in draws[i + 1:])
+
+    def test_the_draws_are_standard_normal(self):
+        stats = pytest.importorskip("scipy.stats")
+        x = standard_normal(7, 100_000)
+        assert stats.kstest(x, "norm").pvalue > 1e-3
+        # five standard errors of the sample mean and of the sample variance
+        assert abs(x.mean()) <= 5 / np.sqrt(x.size)
+        assert abs(x.var() - 1) <= 5 * np.sqrt(2 / x.size)

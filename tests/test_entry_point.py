@@ -1,7 +1,7 @@
-"""The process entry point: `python -m hermlie.cli` loads no OpenSSL and ends with os._exit once
-its output is flushed, and must say and write exactly what an in-process main() says and writes."""
+"""The process entry point: `python -m hermlie.cli` ends with os._exit once its output is flushed,
+and must say and write exactly what an in-process main() says and writes.  No command, and no
+library call that draws random numbers, loads numpy.random or OpenSSL."""
 
-import hashlib
 import os
 import re
 import subprocess
@@ -26,7 +26,7 @@ CASES = [
     ("search-hunt", ["search", "--n", "2", "--s", "1.5", "--restarts", "2", "--seed", "3",
                      "--hunt"], 0),
     ("verify-surface", ["verify-theorems", "--suite", "surface"], 0),
-    # the two below import numpy.random, so their child runs without OpenSSL
+    # the two below draw seeded numbers, as search-hunt does
     ("catalog-perturb", ["catalog", "perturb", "--base", "../../sam.json", "--eps", "0.05",
                          "--seed", "7"], 0),
     ("verify-parallel", ["verify-theorems", "--suite", "parallel"], 0),
@@ -131,41 +131,43 @@ def test_closed_stdout_exits_as_the_interpreter_does(work):
                         proc.stderr.decode())
 
 
-def probe(cwd, argv, before="", extra=""):
-    """Words of the line that an atexit callback prints after `before` and run(argv) ran in a
-    child: whether _hashlib is loaded, numpy.random is loaded and libcrypto is mapped, then
-    `extra`."""
+def probe(cwd, code):
+    """Words of the line that an atexit callback prints after `code` ran in a child: whether
+    _hashlib is loaded, numpy.random is loaded and libcrypto is mapped."""
     script = ("import atexit, sys\n"
-              f"{before}"
               "def show():\n"
               "    maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
               "    print(sys.modules.get('_hashlib') is not None, 'numpy.random' in sys.modules,\n"
-              f"          'libcrypto' in maps, {extra})\n"
+              "          'libcrypto' in maps)\n"
               "atexit.register(show)\n"
-              "from hermlie.cli import run\n"
-              f"sys.exit(run({argv!r}))\n")
+              f"{code}")
     proc = python("-c", script, cwd=cwd)
     assert proc.returncode == 0 and proc.stderr == b""
     return proc.stdout.decode().splitlines()[-1].split()
 
 
-HUNT = ["search", "--n", "2", "--s", "1.5", "--restarts", "2", "--hunt"]
-
-
-def test_a_search_child_draws_its_starts_without_openssl(tmp_path):
-    assert probe(tmp_path, HUNT) == ["False", "True", "False"]
-
-
-def test_the_block_never_evicts_a_loaded_hashlib(tmp_path):
-    pytest.importorskip("_hashlib")
-    words = probe(tmp_path, HUNT, "import hashlib\n", "hashlib.sha256(b'hermlie').hexdigest()")
-    mapped = str(sys.platform == "linux")  # only Linux has the /proc/self/maps the probe reads
-    assert words == ["True", "True", mapped, hashlib.sha256(b"hermlie").hexdigest()]
-
-
-@pytest.mark.parametrize("argv", [["validate", "bdf4.json"],
-                                  ["analyze", "sam.json", "--s-grid", "0,1.5"]],
-                         ids=["validate", "analyze"])
+# every subcommand, and every command that draws seeded numbers
+@pytest.mark.parametrize("argv", [
+    ["validate", "bdf4.json"],
+    ["analyze", "sam.json", "--s-grid", "0,1.5"],
+    ["search", "--n", "2", "--s", "1.5", "--restarts", "2", "--hunt"],
+    ["catalog", "samelson"],
+    ["catalog", "perturb", "--base", "sam.json", "--eps", "0.05", "--seed", "7"],
+    ["verify-theorems", "--suite", "parallel"],
+], ids=["validate", "analyze", "search-hunt", "catalog", "catalog-perturb", "verify-parallel"])
 def test_commands_that_draw_nothing_never_load_numpy_random(argv, work):
+    # seeded draws come from the stdlib generator, so the commands that draw load no more
+    # than those that draw nothing: neither numpy.random nor, through it, OpenSSL
     root, _ = work
-    assert probe(root, argv) == ["False", "False", "False"]
+    assert probe(root, f"from hermlie.cli import run\nsys.exit(run({argv!r}))\n") == [
+        "False", "False", "False"]
+
+
+def test_library_callers_never_load_numpy_random(tmp_path):
+    # without run() too: the search, the noise generator and the parallel battery
+    code = ("import hermlie as hl\n"
+            "from hermlie import theorems\n"
+            "hl.multistart_search(hl.SearchProblem(n=2, s=1.5, restarts=2, hunt=True))\n"
+            "hl.perturb(hl.samelson_su2_r(1.0), 0.1, 4)\n"
+            "assert all(check.ok for check in theorems.parallel())\n")
+    assert probe(tmp_path, code) == ["False", "False", "False"]

@@ -52,6 +52,36 @@ def test_a_difference_in_bytes_alone_is_reported():
     assert same_output.differences({"a": b"x\n"}, {"a": b"x"}) == ["differs: a"]
 
 
+def search_report(*rows):
+    """A search's stdout: its CSV rows of (stop reason, classification), then the counts."""
+    lines = ["restart,seed_used,iterations,stop_reason,final_jacobi,final_flatness,"
+             "torsion_norm,classification,rho"]
+    lines += [f"{i},{i + 3},{10 + i},{stop},1e-11,1e-11,0.5,{cls},0.1"
+              for i, (stop, cls) in enumerate(rows)]
+    lines += [f"{cls}: {sum(c == cls for _, c in rows)}"
+              for cls in ("converged_kahler", "converged_nonkahler", "not_converged")]
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def test_a_differing_search_report_shows_both_sides_verdicts():
+    found, stuck = ("tol", "converged_nonkahler"), ("stagnation", "not_converged")
+    parent = {"search --n 2: stdout": search_report(found, stuck, found)}
+    change = {"search --n 2: stdout": search_report(found, ("max_iters", "not_converged"),
+                                                    ("tol", "converged_kahler"))}
+    lines = same_output.differences(parent, change)
+    assert lines[:4] == [
+        "differs: search --n 2: stdout",
+        "  parent classifications converged_nonkahler 2, not_converged 1; "
+        "stop reasons stagnation 1, tol 2",
+        "  change classifications converged_kahler 1, converged_nonkahler 1, not_converged 1; "
+        "stop reasons max_iters 1, tol 2",
+        "--- parent"]
+    # other outputs, and a search report against something else, show no verdicts
+    assert same_output.search_verdicts(b"x\ny\n") is None
+    lines = same_output.differences({"a": parent["search --n 2: stdout"]}, {"a": b"error\n"})
+    assert lines[:2] == ["differs: a", "--- parent"]
+
+
 def test_long_diffs_are_cut():
     parent = {"a": "".join(f"{i}\n" for i in range(100)).encode()}
     change = {"a": "".join(f"{i}.0\n" for i in range(100)).encode()}

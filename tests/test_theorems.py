@@ -158,6 +158,26 @@ class TestTorsionDescent:
         res = hl.torsion_descent(hl.chern_torsion(samelson).T, 2.0)
         assert res.status == "skipped"
 
+    @pytest.mark.parametrize("s", [0.0, 2.0, 2.0 + 5e-10])
+    def test_scope_is_tested_before_the_precondition(self, s):
+        # a random n = 3 torsion induces an invalid structure at s = 1, and at s = 0 and 2 too,
+        # but there the argument does not apply: skipped, not HypothesisError
+        T = antisym_random(3, 1)
+        with pytest.raises(hl.exceptions.HypothesisError):
+            hl.torsion_descent(T, 1.0)
+        assert not hl.parallel_frame_reduction(T, s)[1].valid
+        res = hl.torsion_descent(T, s)
+        assert (res.status, res.residual_norm) == ("skipped", frobenius(T))
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @pytest.mark.parametrize("T, error", [
+        (np.full((3, 3, 3), np.nan), hl.exceptions.ValidationError),
+        (np.zeros((3, 3, 2)), hl.exceptions.DimensionMismatchError),
+    ], ids=["nan", "shape"])
+    def test_a_bad_torsion_raises_in_and_out_of_scope(self, T, error, s):
+        with pytest.raises(error, match="torsion"):
+            hl.torsion_descent(T, s)
+
     def test_near_zero_passes(self, samelson):
         # a valid torsion just outside s = 2 is nonzero at every scale, so it is stuck at
         # every scale (once read as completed at 1e-10, where |T| fell below a fixed 1e-8)
@@ -260,7 +280,7 @@ class TestParallelBattery:
         assert len(ratios) == 1600
         detail = theorems.parallel()[0].detail
         assert detail == f"1600 draws, smallest ratio {min(ratios):.3g}" == (
-            "1600 draws, smallest ratio 0.614")
+            "1600 draws, smallest ratio 0.578")
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0, 0.3, 2.7, -1.0])
     def test_n2_draws_sit_at_the_exact_gap(self, s):
@@ -271,11 +291,12 @@ class TestParallelBattery:
         assert np.abs(theorems._ratios(T, s) / abs(s * (s - 2)) - 1).max() <= 1e-14
 
     def test_n3_draws_stay_far_above_the_kahler_ratio(self):
-        # the battery's ratio against RHO_MAX = 1e-4: at least 0.61, at s = 0.5
+        # no n = 3 draw beats the infimum kappa of the ratio that the parallel-frame hunts
+        # polish to (kappa^2 is rational), which stands far above RHO_MAX = 1e-4
         T = list(theorems._draws())[1]
         assert T.shape[1:] == (3, 3, 3)
-        for s in (0.5, 1.0, 1.5, 3.0):
-            assert theorems._ratios(T, s).min() > 0.6
+        for s, kappa_squared in ((0.5, 5 / 24), (1.0, 2 / 3), (1.5, 27 / 64), (3.0, 27 / 4)):
+            assert theorems._ratios(T, s).min() >= np.sqrt(kappa_squared) * (1 - 1e-12)
 
 
 def test_parallel_battery_passes():

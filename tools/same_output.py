@@ -23,10 +23,13 @@ tree_of and extract), where it runs
 
 It prints the md5 of the verify-theorems stdout and of the verdict lines of
 each side, then every output that differs with a unified diff of its lines,
-and exits 1 if any output differs, else 0.
+and exits 1 if any output differs, else 0.  When a search report differs,
+each side's classification counts and stop-reason histogram come before its
+diff, so that a change of the random stream is judged by its verdicts.
 """
 
 import argparse
+import csv
 import difflib
 import hashlib
 import importlib.util
@@ -36,6 +39,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from bench_pairs import extract, tree_of
@@ -67,9 +71,25 @@ def verdict_lines(text):
     return VERDICT.findall(text)
 
 
+def search_verdicts(stdout):
+    """The classification counts and stop-reason histogram of a search report (its CSV
+    rows, then one count line per class), or None when stdout is no search report."""
+    lines = stdout.decode(errors="replace").splitlines()
+    if not lines or not lines[0].startswith("restart,seed_used,"):
+        return None
+    rows = list(csv.DictReader(line for line in lines if "," in line))
+
+    def histogram(column):
+        return ", ".join(f"{key} {count}" for key, count in
+                         sorted(Counter(row[column] for row in rows).items()))
+
+    return f"classifications {histogram('classification')}; stop reasons {histogram('stop_reason')}"
+
+
 def differences(parent, change):
     """One heading and the first DIFF_LINES lines of a unified diff for every output
-    (name -> bytes) that differs between the sides or exists on one side only."""
+    (name -> bytes) that differs between the sides or exists on one side only; for a
+    search report, each side's verdicts (search_verdicts) come between them."""
     lines = []
     for name in [*parent, *(name for name in change if name not in parent)]:
         old, new = parent.get(name), change.get(name)
@@ -79,6 +99,9 @@ def differences(parent, change):
             lines.append(f"only in {'change' if old is None else 'parent'}: {name}")
             continue
         lines.append(f"differs: {name}")
+        verdicts = [search_verdicts(old), search_verdicts(new)]
+        if None not in verdicts:
+            lines += [f"  parent {verdicts[0]}", f"  change {verdicts[1]}"]
         diff = difflib.unified_diff(old.decode(errors="replace").splitlines(),
                                     new.decode(errors="replace").splitlines(),
                                     "parent", "change", lineterm="", n=1)

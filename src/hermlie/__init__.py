@@ -17,7 +17,7 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "CurvatureReport", "FlatnessSummary", "ResidualReport", "TorsionData", "UnitaryStructure",
+        "FlatnessSummary", "ResidualReport", "UnitaryStructure",
         "bracket_tables", "chern_torsion", "covariant_torsion_derivatives", "curvature",
         "gauduchon_connection", "kahler_flatness_summary", "validate_structure",
     ),

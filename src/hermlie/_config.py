@@ -13,7 +13,8 @@ from .exceptions import ValidationError
 # ~1000x accumulated double-precision rounding at n <= 6
 VALIDITY_TOL = 1e-9
 # Non-Kahler iff kahler_ratio <= RHO_MAX, in the search and the parallel battery.
-# Measured: rho <= 3.2e-8 at the hunts' finds, >= 0.43 at rigid-s points, >= 0.57 on battery draws.
+# Measured: rho <= 3.2e-8 at the hunts' finds, >= 0.57 on battery draws and, at rigid-s points,
+# >= 0.18 |s(s-2)| (0.29 for n = 2 at s = 0.3): the gap narrows as s nears 0 or 2 (README).
 RHO_MAX = 1e-4
 
 

@@ -125,6 +125,8 @@ class BdfSpec:
         q = np.atleast_2d(q)
         if not np.isfinite(q).all():
             raise ValidationError("q must be finite")
+        if (np.abs(q) > np.finfo(float).max / 2).any():  # the presentation forms q - (-q)
+            raise ValidationError("q must be finite, and so must 2q")
         if self.h_dim == 0 and self.p > 0:
             raise ValidationError("rotating planes need a nonzero h to act")
         if self.h_dim > 0:

@@ -228,7 +228,7 @@ def _cmd_catalog(args) -> int:
         label = f"samelson(c={args.c})"
     elif name == "bdf4":
         from .realform import to_unitary_structure
-        U = to_unitary_structure(catalog.bdf_flat_kahler_4d(q[0]))
+        U = to_unitary_structure(_built_from("--q", args.q, catalog.bdf_flat_kahler_4d, q[0]))
         label = f"bdf4(q={q[0]})"
     elif name == "bdf-general":
         spec = catalog.BdfSpec(p=args.p, h_dim=args.h_dim, c_dim=args.c_dim, q=q,

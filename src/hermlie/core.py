@@ -72,42 +72,6 @@ class UnitaryStructure:
 
 
 @dataclass(frozen=True)
-class TorsionData:
-    """Chern torsion T^j_{ik} (antisymmetric in i,k) and its trace eta_r = sum_k T^k_{kr}."""
-
-    T: np.ndarray
-    eta: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return frobenius(self.T)
-
-    @property
-    def eta_norm(self) -> float:
-        return frobenius(self.eta)
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Curvature of the parameter-s connection on the (1,0) frame.
-
-    R[a, b, x, y] is entry (x, y) of R(dir_a, dir_b) restricted to the
-    (1,0) frame (x = output index), with directions 0..n-1 = e_1..e_n
-    and n..2n-1 = ebar_1..ebar_n; shape (2n, 2n, n, n), read-only.
-    max_abs is the flatness residual: the largest entry modulus of R.
-    """
-
-    s: float
-    R: np.ndarray
-    max_abs: float
-
-    @property
-    def frobenius(self) -> float:
-        """Frame-change invariant size of the whole curvature tensor."""
-        return frobenius(self.R)
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     """The largest Jacobi residual modulus of a structure, the tolerance it was judged
     with and the threshold that tolerance sets; ``valid`` holds the max_abs <= threshold
@@ -135,11 +99,10 @@ class FlatnessSummary:
     kahler: bool
 
 
-def chern_torsion(U: UnitaryStructure) -> TorsionData:
-    """Chern torsion T^j_{ik} = (-D^j_{ik} + D^j_{ki} - C^j_{ik}) / 2 and its trace."""
-    T = _torsion(U.C, U.D)
-    eta = np.einsum("kkr->r", T)
-    return TorsionData(T=frozen(T), eta=frozen(eta))
+def chern_torsion(U: UnitaryStructure) -> np.ndarray:
+    """The read-only Chern torsion T[j, i, k] = T^j_{ik} = (-D^j_{ik} + D^j_{ki} - C^j_{ik}) / 2,
+    antisymmetric in i, k; its trace is eta_r = sum_k T^k_{kr}."""
+    return frozen(_torsion(U.C, U.D))
 
 
 def _torsion(C: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -159,7 +122,7 @@ def gauduchon_connection(U: UnitaryStructure, s: float) -> np.ndarray:
     coefficients -conj(gamma^i_{jk}) (metric compatibility in a unitary
     frame) are the blocks A[n + k][:n, :n] of connection_endomorphisms.
     """
-    return frozen(U.D + s * chern_torsion(U).T)
+    return frozen(U.D + s * _torsion(U.C, U.D))
 
 
 def bracket_tables(U: UnitaryStructure) -> np.ndarray:
@@ -246,11 +209,12 @@ def _curvature_tensor(A: np.ndarray, brk: np.ndarray, A2=None) -> np.ndarray:
     return comm - lin
 
 
-def curvature(U: UnitaryStructure, s: float) -> CurvatureReport:
-    """Curvature tensor R[a, b] of the parameter-s connection on the (1,0) frame."""
-    n = U.n
-    R = _curvature_tensor(connection_endomorphisms(U, s), bracket_tables(U))[:, :, :n, :n]
-    return CurvatureReport(s=float(s), R=frozen(R), max_abs=max_abs(R))
+def curvature(U: UnitaryStructure, s: float) -> np.ndarray:
+    """The read-only curvature R[a, b, x, y], shape (2n, 2n, n, n), of the parameter-s connection:
+    entry (x, y) (x = output index) of R(dir_a, dir_b) on the (1,0) frame, with directions
+    0..n-1 = e_1..e_n and n..2n-1 = ebar_1..ebar_n.  max_abs(R) is the flatness residual."""
+    A, brk = connection_endomorphisms(U, s), bracket_tables(U)
+    return frozen(_curvature_tensor(A, brk)[:, :, :U.n, :U.n])
 
 
 def validate_structure(U: UnitaryStructure, tol: float | None = None) -> ResidualReport:
@@ -331,7 +295,7 @@ def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
                                              + T^j_{ir} conj(G^k_{rl})
                                              - T^r_{ik} conj(G^r_{jl}) )
     """
-    T = chern_torsion(U).T
+    T = _torsion(U.C, U.D)
     G = gauduchon_connection(U, s)
     cG = np.conj(G)
     Td = (
@@ -367,7 +331,7 @@ def kahler_flatness_summary(
     The connection is affine in s, so its curvature is exactly the
     quadratic R(s) = R0 + s R1 + s^2 R2; the rows are the Frobenius norms of
     R0 + s (R1 + s R2), taken _CURVE_CHUNK grid points at a time.  Each agrees
-    with curvature(U, s).frobenius within 1e-13 (|C| + |D| + |A0| + |s| |T|)^2,
+    with frobenius(curvature(U, s)) within 1e-13 (|C| + |D| + |A0| + |s| |T|)^2,
     A0 the Chern endomorphisms; when T = 0, R1 = R2 = 0 exactly and the two
     agree bitwise.
     Raises ValidationError when a flatness residual overflows.

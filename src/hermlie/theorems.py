@@ -125,7 +125,7 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
 def _identity_residuals(U: UnitaryStructure, s: float) -> dict:
     """The four residuals of flat_torsion_identities, by family."""
     n = U.n
-    T = chern_torsion(U).T
+    T = chern_torsion(U)
     cT = np.conj(T)
     Td, Tdbar = covariant_torsion_derivatives(U, s)
 
@@ -352,9 +352,9 @@ def parallel() -> tuple:
             hits += int(np.count_nonzero(rho <= RHO_MAX))
             smallest = min(smallest, float(rho.min()))
             draws += len(T)
-    tor = chern_torsion(catalog.samelson_su2_r(1.0)).T
+    tor = chern_torsion(catalog.samelson_su2_r(1.0))
     U, jacobi = parallel_frame_reduction(tor, 2.0)
-    flatness = curvature(U, 2.0).max_abs
+    flatness = max_abs(curvature(U, 2.0))
     return (
         Check("random parallel-frame draws: no valid non-Kahler structure at s outside {0,2}",
               hits == 0, hits, f"{draws} draws, smallest ratio {smallest:.3g}"),

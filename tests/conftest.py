@@ -11,7 +11,7 @@ from hermlie._config import validity_tol
 from hermlie import core
 from hermlie.core import _curvature_tensor, jacobi_residual_tensors
 from hermlie.exceptions import DimensionMismatchError
-from hermlie.tensors import antisymmetrize_lower, frozen, max_abs
+from hermlie.tensors import antisymmetrize_lower, frobenius, frozen, max_abs
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def connection_flatness_residuals(U: hl.UnitaryStructure, s: float):
     with G the parameter-s coefficients, returned as arrays indexed
     [i, j, k, l] (0-based).  Written out from the paper's flatness
     equations rather than from the curvature commutator, they serve as
-    an oracle for curvature(): with R = curvature(U, s).R,
+    an oracle for curvature(): with R = curvature(U, s),
 
         holo[i, j, k, l]  = -R[i, k, l, j]
         mixed[i, j, k, l] = -R[i, n + j, l, k]
@@ -140,7 +140,7 @@ def quadratic_part(x: np.ndarray, problem) -> np.ndarray:
         flat = fam.ravel()
         parts.append(flat.real)
         parts.append(flat.imag)
-    R = hl.curvature(U, problem.s).R.reshape(-1, 1, problem.n**2)
+    R = hl.curvature(U, problem.s).reshape(-1, 1, problem.n**2)
     parts.append(np.concatenate([R.real, R.imag], axis=1).ravel())
     return np.concatenate(parts)
 
@@ -304,7 +304,7 @@ def residual_vector(x, problem) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = quadratic_part(x, problem)
     if problem.hunt:
-        T = hl.chern_torsion(S.structure_from_point(problem, x)).norm
+        T = frobenius(hl.chern_torsion(S.structure_from_point(problem, x)))
         r = np.append(r, S._SLICE_WEIGHT * (T * T - S._SLICE))
     return r
 

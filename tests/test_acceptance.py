@@ -9,6 +9,7 @@ import numpy as np
 import hermlie as hl
 from hermlie import search as S
 from hermlie import structio, theorems
+from hermlie.tensors import frobenius, max_abs
 
 from conftest import (
     connection_flatness_residuals, curvature_as_flatness_families, from_unitary_structure,
@@ -32,10 +33,10 @@ def test_criterion_01_flat_kahler_fixture():
     for q in (1.0, 5.0):
         P = hl.bdf_flat_kahler_4d(q)
         U = hl.to_unitary_structure(P)
-        ok &= hl.chern_torsion(U).norm <= 1e-12
+        ok &= frobenius(hl.chern_torsion(U)) <= 1e-12
         ok &= levi_civita(U).curvature_residual <= 1e-12
         for s in S_GRID_SIX:
-            res = hl.curvature(U, s).max_abs
+            res = max_abs(hl.curvature(U, s))
             worst = max(worst, res)
             ok &= res <= 1e-12
     verdict(1, "flat Kahler family is torsion-free and flat at every parameter",
@@ -44,10 +45,10 @@ def test_criterion_01_flat_kahler_fixture():
 
 def test_criterion_02_bismut_flat_fixture():
     U = hl.samelson_su2_r(1.0)
-    tnorm = hl.chern_torsion(U).norm
-    at2 = hl.curvature(U, 2.0).max_abs
-    at0 = hl.curvature(U, 0.0).max_abs
-    at1 = hl.curvature(U, 1.0).max_abs
+    tnorm = frobenius(hl.chern_torsion(U))
+    at2 = max_abs(hl.curvature(U, 2.0))
+    at0 = max_abs(hl.curvature(U, 0.0))
+    at1 = max_abs(hl.curvature(U, 1.0))
     # torsion norm recorded by the contraction oracle at first implementation
     ok = at2 <= 1e-12 and at0 >= 0.1 and at1 >= 0.1 and tnorm > 0.3
     ok &= abs(tnorm - 0.5) <= 1e-12
@@ -57,9 +58,9 @@ def test_criterion_02_bismut_flat_fixture():
 
 def test_criterion_03_chern_flat_fixture():
     U = hl.affine_complex_group(1.0)
-    at0 = hl.curvature(U, 0.0).max_abs
-    others = {s: hl.curvature(U, s).max_abs for s in (0.5, 1.0, 2.0)}
-    tnorm = hl.chern_torsion(U).norm
+    at0 = max_abs(hl.curvature(U, 0.0))
+    others = {s: max_abs(hl.curvature(U, s)) for s in (0.5, 1.0, 2.0)}
+    tnorm = frobenius(hl.chern_torsion(U))
     ok = at0 <= 1e-12 and all(v >= 0.1 for v in others.values()) and tnorm > 0
     verdict(3, "complex-group frame is flat exactly at the Chern parameter",
             ok, f"s=0:{at0:.1e}, min other residual {min(others.values()):.2f}")
@@ -87,9 +88,9 @@ def test_criterion_05_identity_curvature_oracle():
         U = random_structure(n, int(rng.integers(2**31)))
         for s in (0.0, 0.5, 1.0, 2.0, 3.0):
             holo, mixed = connection_flatness_residuals(U, s)
-            rep = hl.curvature(U, s)
-            want_holo, want_mixed = curvature_as_flatness_families(rep.R)
-            scale = max(1.0, rep.max_abs)
+            R = hl.curvature(U, s)
+            want_holo, want_mixed = curvature_as_flatness_families(R)
+            scale = max(1.0, max_abs(R))
             worst = max(
                 worst,
                 np.abs(holo - want_holo).max() / scale,
@@ -140,7 +141,7 @@ def test_criterion_07_parallel_frame_search():
             details.append(f"n={n},s={s}:{bad}")
             ok &= bad == 0
     prob2 = S.SearchProblem(n=2, s=2.0, mode=S.PARALLEL_FRAME, tol=1e-13)
-    T = hl.chern_torsion(hl.samelson_su2_r(1.0)).T
+    T = hl.chern_torsion(hl.samelson_su2_r(1.0))
     res = S.lm_minimize(prob2, point_from_torsion(prob2, T))
     ok &= res.classification == S.CONVERGED_NONKAHLER
     details.append(f"s=2 seeded:{res.classification}")

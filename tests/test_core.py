@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import hermlie as hl
 from hermlie import core
 from hermlie.core import connection_endomorphisms
-from hermlie.tensors import frobenius, standard_normal
+from hermlie.tensors import frobenius, max_abs, standard_normal
 
 from conftest import (
     connection_flatness_residuals, curvature_as_flatness_families, levi_civita,
@@ -33,36 +33,43 @@ def torsion_by_loops(C, D):
 
 class TestChernTorsion:
     def test_abelian_zero(self):
-        tor = hl.chern_torsion(hl.abelian(2))
-        assert tor.norm == 0.0
-        assert tor.eta_norm == 0.0
+        T = hl.chern_torsion(hl.abelian(2))
+        assert frobenius(T) == 0.0
+        assert frobenius(np.einsum("kkr->r", T)) == 0.0
 
     def test_affine_values(self, affine):
-        tor = hl.chern_torsion(affine)
-        assert tor.T[1, 0, 1] == pytest.approx(-0.5)
-        assert tor.T[1, 1, 0] == pytest.approx(0.5)
+        T = hl.chern_torsion(affine)
+        assert T[1, 0, 1] == pytest.approx(-0.5)
+        assert T[1, 1, 0] == pytest.approx(0.5)
         # trace over the upper/first-lower pair: eta_r = sum_k T^k_{kr}
-        assert tor.eta == pytest.approx(np.array([0.5, 0.0]))
-        assert tor.eta_norm == pytest.approx(0.5)
+        eta = np.einsum("kkr->r", T)
+        assert eta == pytest.approx(np.array([0.5, 0.0]))
+        assert frobenius(eta) == pytest.approx(0.5)
 
     def test_samelson_component(self, samelson):
-        tor = hl.chern_torsion(samelson)
-        assert tor.T[1, 0, 1] == pytest.approx(1j / (2 * SQ2))
+        T = hl.chern_torsion(samelson)
+        assert T[1, 0, 1] == pytest.approx(1j / (2 * SQ2))
         mask = np.ones((2, 2, 2), bool)
         mask[1, 0, 1] = mask[1, 1, 0] = False
-        assert np.abs(tor.T[mask]).max() == 0.0
+        assert np.abs(T[mask]).max() == 0.0
 
     def test_matches_loop_oracle(self):
         for seed in range(5):
             U = random_structure(3, seed)
-            tor = hl.chern_torsion(U)
+            got = hl.chern_torsion(U)
             T, eta = torsion_by_loops(U.C, U.D)
-            assert np.allclose(tor.T, T, atol=0, rtol=0)
-            assert np.allclose(tor.eta, eta, atol=1e-15)
+            assert np.allclose(got, T, atol=0, rtol=0)
+            assert np.allclose(np.einsum("kkr->r", got), eta, atol=1e-15)
+
+    def test_returns_the_read_only_tensor(self):
+        U = random_structure(3, 11)
+        T = hl.chern_torsion(U)
+        assert type(T) is np.ndarray and not T.flags.writeable
+        assert T.tobytes() == ((-U.D + U.D.swapaxes(-1, -2) - U.C) / 2).tobytes()
 
     def test_antisymmetry_exact(self):
         for seed in range(10):
-            T = hl.chern_torsion(random_structure(3, 100 + seed)).T
+            T = hl.chern_torsion(random_structure(3, 100 + seed))
             assert np.all(T + T.transpose(0, 2, 1) == 0)
 
     @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
@@ -71,10 +78,12 @@ class TestChernTorsion:
         for U in (samelson, affine, random_structure(3, 7)):
             scaled = hl.UnitaryStructure(n=U.n, C=U.C * 2.0**k, D=U.D * 2.0**k)
             a, b = hl.chern_torsion(U), hl.chern_torsion(scaled)
-            assert b.norm == np.ldexp(a.norm, k) and b.eta_norm == np.ldexp(a.eta_norm, k)
+            assert frobenius(b) == np.ldexp(frobenius(a), k)
+            eta_a, eta_b = (np.einsum("kkr->r", T) for T in (a, b))
+            assert frobenius(eta_b) == np.ldexp(frobenius(eta_a), k)
             if abs(k) < 500:  # the curvature is quadratic in (C, D)
-                assert hl.curvature(scaled, 1.5).frobenius == np.ldexp(
-                    hl.curvature(U, 1.5).frobenius, 2 * k)
+                assert frobenius(hl.curvature(scaled, 1.5)) == np.ldexp(
+                    frobenius(hl.curvature(U, 1.5)), 2 * k)
 
     def test_frobenius_keeps_the_bytes(self):
         # dividing by a power of two before squaring is exact: the unscaled sum in range
@@ -204,32 +213,31 @@ def curvature_by_realification(U, s):
 class TestCurvature:
     def test_abelian_flat_everywhere(self):
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            assert hl.curvature(hl.abelian(3), s).max_abs == 0.0
+            assert max_abs(hl.curvature(hl.abelian(3), s)) == 0.0
 
     def test_bdf_flat_all_s(self, bdf4_structure):
         for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0):
-            assert hl.curvature(bdf4_structure, s).max_abs <= 1e-14
+            assert max_abs(hl.curvature(bdf4_structure, s)) <= 1e-14
 
     def test_samelson_flat_exactly_at_two(self, samelson):
-        assert hl.curvature(samelson, 2.0).max_abs <= 1e-14
-        assert hl.curvature(samelson, 0.0).max_abs > 0.1
-        assert hl.curvature(samelson, 1.0).max_abs > 0.1
+        assert max_abs(hl.curvature(samelson, 2.0)) <= 1e-14
+        assert max_abs(hl.curvature(samelson, 0.0)) > 0.1
+        assert max_abs(hl.curvature(samelson, 1.0)) > 0.1
         # frozen from the realified commutator oracle
-        assert hl.curvature(samelson, 0.0).max_abs == pytest.approx(0.5)
+        assert max_abs(hl.curvature(samelson, 0.0)) == pytest.approx(0.5)
         assert curvature_by_realification(samelson, 0.0) == pytest.approx(0.5)
 
     def test_matches_realified_oracle(self):
         for seed in range(6):
             U = random_structure(2, 300 + seed)
             for s in (0.0, 1.0, 2.7):
-                rep = hl.curvature(U, s)
-                assert rep.max_abs == pytest.approx(
+                assert max_abs(hl.curvature(U, s)) == pytest.approx(
                     curvature_by_realification(U, s), rel=1e-12
                 )
 
     def test_block_antisymmetry_and_conjugate_relation(self):
         U = random_structure(3, 41)
-        R = hl.curvature(U, 1.4).R
+        R = hl.curvature(U, 1.4)
         n = U.n
         assert R.shape == (2 * n, 2 * n, n, n)
         # R(a, b) = -R(b, a) and R(ebar_i, ebar_k) = -R(e_i, e_k)^H
@@ -237,8 +245,11 @@ class TestCurvature:
         assert np.allclose(R[n:, n:], -np.conj(R[:n, :n]).swapaxes(2, 3), atol=1e-13)
 
     def test_tensor_is_read_only(self, samelson):
-        with pytest.raises(ValueError):
-            hl.curvature(samelson, 1.0).R[0, 0, 0, 0] = 1.0
+        for U in (samelson, random_structure(3, 12)):
+            R = hl.curvature(U, 1.0)
+            assert type(R) is np.ndarray and R.shape == (2 * U.n, 2 * U.n, U.n, U.n)
+            with pytest.raises(ValueError):
+                R[0, 0, 0, 0] = 1.0
 
 
 class TestFlatConnectionIdentities:
@@ -261,9 +272,9 @@ class TestFlatConnectionIdentities:
             U = random_structure(n, 500 + seed)
             s = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)[seed % 6]
             holo, mixed = connection_flatness_residuals(U, s)
-            rep = hl.curvature(U, s)
-            want_holo, want_mixed = curvature_as_flatness_families(rep.R)
-            scale = max(1.0, rep.max_abs)
+            R = hl.curvature(U, s)
+            want_holo, want_mixed = curvature_as_flatness_families(R)
+            scale = max(1.0, max_abs(R))
             assert np.abs(holo - want_holo).max() <= 1e-12 * scale
             assert np.abs(mixed - want_mixed).max() <= 1e-12 * scale
 
@@ -396,10 +407,10 @@ class TestRepresentation:
             U = random_structure(n, 700 + seed)
             s = (0.0, 0.5, 1.0, 2.0)[seed % 4]
             _, defect, skew = unitary_representation(U, s)
-            curv = hl.curvature(U, s)
-            assert np.abs(defect).max() == pytest.approx(curv.max_abs, rel=1e-12)
-            scale = max(1.0, curv.max_abs)
-            assert np.abs(defect - curv.R.swapaxes(2, 3)).max() <= 1e-12 * scale
+            R = hl.curvature(U, s)
+            assert np.abs(defect).max() == pytest.approx(max_abs(R), rel=1e-12)
+            scale = max(1.0, max_abs(R))
+            assert np.abs(defect - R.swapaxes(2, 3)).max() <= 1e-12 * scale
             assert np.abs(skew).max() <= 1e-13 * scale
 
 
@@ -423,7 +434,7 @@ class TestCovariantDerivatives:
         D = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
         C = D.transpose(0, 2, 1) - D - 2 * T
         U = hl.UnitaryStructure(n=2, C=C, D=D)
-        assert np.abs(hl.chern_torsion(U).T - T).max() <= 1e-14
+        assert np.abs(hl.chern_torsion(U) - T).max() <= 1e-14
         for s in (0.3, 1.0, 2.0):
             G = hl.gauduchon_connection(U, s)
             Td, Tdbar = hl.covariant_torsion_derivatives(U, s)
@@ -444,7 +455,7 @@ def levi_civita_splitting(U):
     endomorphisms [a][out, in] in the layout of levi_civita().endo.
     """
     n = U.n
-    T = hl.chern_torsion(U).T
+    T = hl.chern_torsion(U)
     gamma_ops = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
     beta_ops = np.zeros_like(gamma_ops)
     for k in range(n):
@@ -481,7 +492,7 @@ class TestLeviCivita:
         half_ad = 0.5 * hl.bracket_tables(samelson).transpose(0, 2, 1)
         assert np.abs(rep.endo - half_ad).max() <= 1e-13
         assert rep.curvature_residual > 0.1
-        assert hl.curvature(samelson, 2.0).max_abs <= 1e-14
+        assert max_abs(hl.curvature(samelson, 2.0)) <= 1e-14
 
     def test_decomposition_on_random(self):
         for seed in range(6):
@@ -519,26 +530,26 @@ class TestSummaryAndGauge:
         # every row against a fresh curvature(U, s), on perturbed catalog fixtures
         for seed, base in enumerate((samelson, bdf4_structure, affine, hl.abelian(3))):
             U = hl.perturb(base, eps, 500 + seed) if eps else base
-            tor = hl.chern_torsion(U)
+            torsion = frobenius(hl.chern_torsion(U))
             size = sum(map(frobenius, (U.C, U.D, connection_endomorphisms(U, 0.0))))
             summary = hl.kahler_flatness_summary(U, self.ORACLE_GRID)
             assert [s for s, _ in summary.rows] == self.ORACLE_GRID
             for s, flat in summary.rows:
-                bound = 1e-13 * (size + abs(s) * tor.norm) ** 2
-                assert abs(flat - hl.curvature(U, s).frobenius) <= bound, (eps, seed, s)
+                bound = 1e-13 * (size + abs(s) * torsion) ** 2
+                assert abs(flat - frobenius(hl.curvature(U, s))) <= bound, (eps, seed, s)
 
     def test_torsion_free_rows_are_exact(self, bdf4_structure):
         # D symmetric in its lower indices with C = D^T - D gives T = 0 exactly
         D = random_structure(3, 31).D
         U = hl.UnitaryStructure(n=3, C=D.transpose(0, 2, 1) - D, D=D)
-        assert not hl.chern_torsion(U).T.any()
+        assert not hl.chern_torsion(U).any()
         summary = hl.kahler_flatness_summary(U, self.ORACLE_GRID)
-        assert all(flat == hl.curvature(U, s).frobenius for s, flat in summary.rows)
+        assert all(flat == frobenius(hl.curvature(U, s)) for s, flat in summary.rows)
         assert min(flat for _, flat in summary.rows) > 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             flat_kahler = hl.kahler_flatness_summary(bdf4_structure, [0.0, 1e200, -1e200])
-        assert not hl.chern_torsion(bdf4_structure).T.any()
+        assert not hl.chern_torsion(bdf4_structure).any()
         assert flat_kahler.rows == ((0.0, 0.0), (1e200, 0.0), (-1e200, 0.0))
 
     def test_curvature_kernel_calls_do_not_grow_with_the_grid(self, samelson, monkeypatch):

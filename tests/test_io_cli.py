@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import hermlie as hl
 from hermlie import search, structio, theorems
-from hermlie.cli import _build_parser, main
+from hermlie.cli import _build_parser, _cmd_catalog, main
+from hermlie.tensors import frobenius
 
 from conftest import random_structure
 
@@ -116,8 +117,14 @@ _ENTRY = {"j": 1, "i": 1, "k": 1, "re": 1, "im": 0}
     (lambda: structio.parse_structure(_document(D=[_ENTRY]).replace(b'"re": 1', b'"re": 1e999')),
      hl.exceptions.ParseError, "D[0]: re must be finite"),
     (lambda: structio.emit_report([], "xml"), ValueError, "unknown report format 'xml'"),
+    (lambda: _cmd_catalog(_build_parser().parse_args(["catalog", "bdf4", "--q", "1e308"])),
+     hl.exceptions.ValidationError, "--q '1e308': q must be finite, and so must 2q"),
+    (lambda: _cmd_catalog(_build_parser().parse_args(
+        ["catalog", "bdf-general", "--p", "2", "--h-dim", "1", "--c-dim", "1", "--q", "1,-1e308"])),
+     hl.exceptions.ValidationError, "q must be finite, and so must 2q"),
 ], ids=["not-utf8", "top-level-list", "missing-D", "metadata-string", "metadata-name-int",
-        "C-string", "entry-int", "re-string", "re-1e999", "format-xml"])
+        "C-string", "entry-int", "re-string", "re-1e999", "format-xml", "bdf4-q-huge",
+        "bdf-general-q-huge"])
 def test_rejections_name_the_fault(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -455,7 +462,7 @@ class TestCli:
         assert code == 0
         U = structio.parse_structure(path.read_bytes())
         assert U.n == 3
-        assert hl.chern_torsion(U).norm <= 1e-12
+        assert frobenius(hl.chern_torsion(U)) <= 1e-12
 
     def test_tolerance_env_var_is_ignored(self, tmp_path, capsys, monkeypatch):
         # HERMLIE_TOL is not read: at 0.5 it would pass the noisy file, whose quadratic

@@ -15,7 +15,7 @@ from hermlie import structio
 
 EXPORTS = {
     "core": (
-        "CurvatureReport", "FlatnessSummary", "ResidualReport", "TorsionData", "UnitaryStructure",
+        "FlatnessSummary", "ResidualReport", "UnitaryStructure",
         "bracket_tables", "chern_torsion", "covariant_torsion_derivatives", "curvature",
         "gauduchon_connection", "kahler_flatness_summary", "validate_structure",
     ),
@@ -40,7 +40,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def test_exports_the_same_names():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 39
+    assert len(names) == 37
     assert sorted(hermlie.__all__) == sorted(names)
 
 

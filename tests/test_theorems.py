@@ -7,7 +7,7 @@ import pytest
 
 import hermlie as hl
 from hermlie import core, theorems
-from hermlie.tensors import frobenius
+from hermlie.tensors import frobenius, max_abs
 
 from conftest import random_structure
 
@@ -104,14 +104,14 @@ class TestParallelFrameReduction:
         U, jacobi = hl.parallel_frame_reduction(np.zeros((3, 3, 3), complex), 1.5)
         assert np.abs(U.C).max() == 0.0
         assert jacobi.max_abs == 0.0
-        assert hl.curvature(U, 1.5).max_abs == 0.0
+        assert max_abs(hl.curvature(U, 1.5)) == 0.0
 
     def test_samelson_at_two(self, samelson):
-        U, jacobi = hl.parallel_frame_reduction(hl.chern_torsion(samelson).T, 2.0)
+        U, jacobi = hl.parallel_frame_reduction(hl.chern_torsion(samelson), 2.0)
         assert np.abs(U.C - samelson.C).max() <= 1e-14
         assert np.abs(U.D - samelson.D).max() <= 1e-14
         assert jacobi.max_abs <= 1e-14
-        assert hl.curvature(U, 2.0).max_abs <= 1e-14
+        assert max_abs(hl.curvature(U, 2.0)) <= 1e-14
 
     def test_single_entry_s1_anticommutes(self):
         T = np.zeros((3, 3, 3), complex)
@@ -131,9 +131,9 @@ class TestParallelFrameReduction:
             T = antisym_random(2 + seed % 2, 80 + seed)
             for s in (0.0, 0.5, 1.0, 2.0):
                 U, _ = hl.parallel_frame_reduction(T, s)
-                assert hl.curvature(U, s).max_abs == 0.0
+                assert max_abs(hl.curvature(U, s)) == 0.0
             U, _ = hl.parallel_frame_reduction(T, 0.7)
-            assert hl.curvature(U, 0.7).max_abs <= 1e-14
+            assert max_abs(hl.curvature(U, 0.7)) <= 1e-14
 
 
 NEAR_TWO = 2.0 + 2e-9  # just outside the radius 1e-9 around s = 2 where the descent skips
@@ -155,7 +155,7 @@ class TestTorsionDescent:
                 hl.torsion_descent(lam * T, 1.0)
 
     def test_samelson_out_of_scope(self, samelson):
-        res = hl.torsion_descent(hl.chern_torsion(samelson).T, 2.0)
+        res = hl.torsion_descent(hl.chern_torsion(samelson), 2.0)
         assert res.status == "skipped"
 
     @pytest.mark.parametrize("s", [0.0, 2.0, 2.0 + 5e-10])
@@ -181,7 +181,7 @@ class TestTorsionDescent:
     def test_near_zero_passes(self, samelson):
         # a valid torsion just outside s = 2 is nonzero at every scale, so it is stuck at
         # every scale (once read as completed at 1e-10, where |T| fell below a fixed 1e-8)
-        T = hl.chern_torsion(samelson).T
+        T = hl.chern_torsion(samelson)
         for k in (1.0, 1e-10, 2.0**-100, 2.0**100):
             res = hl.torsion_descent(k * T, NEAR_TWO)
             assert (res.status, res.residual_norm) == ("stuck", frobenius(k * T))
@@ -189,7 +189,7 @@ class TestTorsionDescent:
     def test_near_hypothesis_torsion_reported_not_zeroed(self, samelson):
         # just outside s = 2 the samelson torsion barely passes the precondition
         # (5.0e-10 <= 2.0e-9), and |T| = 0.5: the descent reports it rather than zero it
-        T = hl.chern_torsion(samelson).T
+        T = hl.chern_torsion(samelson)
         _, jacobi = hl.parallel_frame_reduction(T, NEAR_TWO)
         assert jacobi.valid
         assert jacobi.max_abs == pytest.approx(5.0e-10, rel=1e-6)
@@ -199,7 +199,7 @@ class TestTorsionDescent:
 
     def test_torsion_above_tol_is_stuck_though_each_piece_is_below(self, samelson):
         # |T| = 1.2e-8 with every entry below 1e-8: the verdict reads T itself
-        T = hl.chern_torsion(samelson).T
+        T = hl.chern_torsion(samelson)
         T = T * (1.2e-8 / frobenius(T))
         assert np.abs(T).max() < 1e-8 < frobenius(T)
         res = hl.torsion_descent(T, NEAR_TWO)
@@ -216,7 +216,7 @@ class TestTorsionDescent:
 def test_verdicts_do_not_depend_on_the_scale_of_the_torsion(samelson):
     # the samelson torsion at s = 1.5 induces an invalid structure at every scale (once read
     # as HypothesisError at scale 1, stuck at 1e-6 and completed at 1e-9)
-    T = hl.chern_torsion(samelson).T
+    T = hl.chern_torsion(samelson)
     for k in (1.0, 1e-6, 1e-9, 1e6):
         with pytest.raises(hl.exceptions.HypothesisError):
             hl.torsion_descent(k * T, 1.5)
@@ -248,7 +248,7 @@ class TestParallelBattery:
 
     def test_samelson_slot_reads_zero_at_two(self, samelson):
         T = next(theorems._draws())[:7].copy()
-        T[3] = hl.chern_torsion(samelson).T
+        T[3] = hl.chern_torsion(samelson)
         assert theorems._ratios(T, 2.0)[3] <= 1e-10
         assert theorems._ratios(T, 1.5)[3] > 1e-3  # s = 2 is what makes it valid
 
@@ -262,9 +262,9 @@ class TestParallelBattery:
         calls = []
         reduction = theorems.parallel_frame_reduction
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return reduction(*args, **kwargs)
+        def counted(T, s):
+            calls.append(T)
+            return reduction(T, s)
 
         monkeypatch.setattr(theorems, "parallel_frame_reduction", counted)
         checks = theorems.parallel()
@@ -272,6 +272,10 @@ class TestParallelBattery:
         assert checks[0].value == 0
         assert checks[0].detail.startswith("1600 draws, smallest ratio ")
         assert 0 < len(calls) <= 2
+        # the samelson torsion in its own orientation: its axis reversal, antisymmetrized,
+        # is half of it and still regenerates a valid flat structure at s = 2
+        want = hl.chern_torsion(hl.samelson_su2_r(1.0))
+        assert all(T.shape == want.shape and T.tobytes() == want.tobytes() for T in calls)
 
     def test_detail_prints_the_smallest_ratio(self):
         # the oracle over every draw; the smallest is n = 3 at s = 0.5

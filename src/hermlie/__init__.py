@@ -27,8 +27,8 @@ _EXPORTS = {
         "complex_group", "perturb", "samelson_su2_r",
     ),
     "theorems": (
-        "DescentResult", "ObstructionReport", "TorsionIdentitySuite", "flat_torsion_identities",
-        "parallel_frame_reduction", "surface_obstruction", "torsion_descent",
+        "ObstructionReport", "flat_torsion_identities", "parallel_frame_reduction",
+        "surface_obstruction", "torsion_descent",
     ),
     "search": (
         "SearchProblem", "SearchResult", "MultistartSummary", "jacobian", "lm_minimize",

@@ -217,6 +217,9 @@ def _cmd_catalog(args) -> int:
     q = _numbers(args.q, "--q") if name.startswith("bdf") else ()
     if q is None:
         return 2
+    if name == "bdf4" and len(q) > 1:
+        print(f"error: --q takes one weight for bdf4, got {len(q)}", file=sys.stderr)
+        return 2
     if name == "abelian":
         U = catalog.abelian(args.n)
         label = f"abelian(n={args.n})"

@@ -296,7 +296,12 @@ def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
                                              - T^r_{ik} conj(G^r_{jl}) )
     """
     T = _torsion(U.C, U.D)
-    G = gauduchon_connection(U, s)
+    return tuple(map(frozen, _torsion_derivatives(T, U.D + s * T)))
+
+
+def _torsion_derivatives(T: np.ndarray, G: np.ndarray):
+    """The (Td, Tdbar) of covariant_torsion_derivatives for the torsion T and the
+    connection coefficients G = D + s T."""
     cG = np.conj(G)
     Td = (
         -np.einsum("jrk,ril->jikl", T, G)
@@ -308,7 +313,7 @@ def covariant_torsion_derivatives(U: UnitaryStructure, s: float):
         + np.einsum("jir,krl->jikl", T, cG)
         - np.einsum("rik,rjl->jikl", T, cG)
     )
-    return frozen(Td), frozen(Tdbar)
+    return Td, Tdbar
 
 
 def kahler_flatness_summary(

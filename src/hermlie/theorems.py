@@ -29,8 +29,8 @@ from ._config import RHO_MAX, finite, kahler_ratio
 from .core import (
     UnitaryStructure,
     _parallel_frame,
+    _torsion_derivatives,
     chern_torsion,
-    covariant_torsion_derivatives,
     curvature,
     jacobi_residual_tensors,
     validate_structure,
@@ -40,7 +40,6 @@ from .realform import to_unitary_structure
 from .tensors import (
     antisymmetrize_lower,
     as_coefficient_tensor,
-    frobenius,
     frobenius_rows,
     max_abs,
     standard_normal,
@@ -54,40 +53,22 @@ _QUADRATIC_TOL = 1e-12
 # identities satisfied by the torsion of flat structures
 
 
-@dataclass(frozen=True)
-class TorsionIdentitySuite:
-    """Four residual families, with per-family applicability status.
-
-    statuses: "evaluated", "vacuous" (identically-zero prefactor) or
-    "reduced-form-only" notes; out_of_hypothesis flags s = 0, where the
-    identities carry no content.
-    """
-
-    s: float
-    n: int
-    out_of_hypothesis: bool
-    residuals: dict  # family -> max |residual|
-    statuses: dict
-
-    @property
-    def max_abs(self) -> float:
-        return max(self.residuals.values())
-
-
-def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySuite:
-    """Residuals of the four flat-structure torsion identities.
+def flat_torsion_identities(U: UnitaryStructure, s: float) -> dict:
+    """Residuals of the four flat-structure torsion identities: family -> max |residual|.
 
     With T the Chern torsion, its covariant derivatives taken along the
-    parameter-s connection and sums over r implicit:
+    parameter-s connection (covariant_torsion_derivatives) and sums over r implicit:
 
       exchange:  T^l_{ij,k} - T^l_{ik,j}
                    - [ 2(1-s) T^l_{ir} T^r_{jk} + s T^l_{jr} T^r_{ik}
                        - s T^l_{kr} T^r_{ij} ]
       cyclic:    (n-2)(s-1) ( T^l_{ir} T^r_{jk} + T^l_{jr} T^r_{ki}
                               + T^l_{kr} T^r_{ij} )
+                 (vacuous, exactly 0.0, when (n-2)(s-1) = 0)
       exchange_reduced:  T^l_{ij,k} - T^l_{ik,j} - (2-s) T^l_{ir} T^r_{jk}
                          (content only when n >= 3 and s != 1)
-      conjugate (cleared-denominator form, kept finite at s in {1/2, 1}):
+      conjugate (cleared-denominator form, kept finite where its prefactor
+                 4(s-1)(2s-1) is zero, at s in {1/2, 1}):
                  4(s-1)(2s-1) T^k_{ij,lbar}
                    - [ -4s(s-1)^2 T^r_{ij} conj(T^r_{kl})
                        - s(5s^2-10s+4) ( T^k_{ir} conj(T^j_{lr})
@@ -96,9 +77,8 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
                                - T^l_{jr} conj(T^i_{kr}) ) ]
 
     All residuals are expected to be ~0 only on structures flat at s
-    with s != 0; the suite evaluates everything regardless and lets the
-    caller interpret applicability.  The cyclic family is reported
-    "vacuous" (not "passed") whenever its prefactor vanishes.  Raises
+    with s != 0; at s = 0 the identities carry no content.  Every family
+    is evaluated regardless and the caller judges applicability.  Raises
     ValidationError when s is not finite or a residual overflows.
     """
     finite("s", s)
@@ -108,17 +88,7 @@ def flat_torsion_identities(U: UnitaryStructure, s: float) -> TorsionIdentitySui
         residuals = None
     if residuals is None or not all(map(math.isfinite, residuals.values())):
         raise ValidationError(f"a torsion identity residual overflows at s={s!r}")
-    n = U.n
-    statuses = {
-        "exchange": "evaluated",
-        "cyclic": "vacuous" if (n - 2) * (s - 1) == 0 else "evaluated",
-        "exchange_reduced": "evaluated" if (n >= 3 and s != 1) else "not_applicable",
-        "conjugate": "evaluated (cleared-denominator form)"
-        if s not in (0.5, 1)
-        else "evaluated (cleared-denominator form; prefactor zero)",
-    }
-    return TorsionIdentitySuite(s=float(s), n=n, out_of_hypothesis=(s == 0),
-                                residuals=residuals, statuses=statuses)
+    return residuals
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -127,7 +97,7 @@ def _identity_residuals(U: UnitaryStructure, s: float) -> dict:
     n = U.n
     T = chern_torsion(U)
     cT = np.conj(T)
-    Td, Tdbar = covariant_torsion_derivatives(U, s)
+    Td, Tdbar = _torsion_derivatives(T, U.D + s * T)
 
     # Td[j,i,k,l] = T^j_{ik,l}, so viewed as [l,i,j,k] arrays:
     # T^l_{ij,k} is Td itself and T^l_{ik,j} swaps the last two axes
@@ -254,31 +224,24 @@ def parallel_frame_reduction(T: np.ndarray, s: float):
     return U, validate_structure(U)
 
 
-@dataclass(frozen=True)
-class DescentResult:
-    residual_norm: float
-    status: str
-
-
-def torsion_descent(T: np.ndarray, s: float) -> DescentResult:
+def torsion_descent(T: np.ndarray, s: float) -> str:
     """The parallel-frame verdict on the torsion T[j, i, k], whose rigidity prediction is
-    T = 0: "completed" when T = 0, else "stuck"; the residual is |T| in every status.
+    T = 0: "completed" when T = 0, else "stuck".
 
     Precondition: the induced structure (C, D) = (2(s-1)T, -sT) is valid by the scale-free
     verdict of validate_structure, else HypothesisError; its connection coefficients D + sT
     cancel, so it is flat up to rounding.  Within 1e-9 of s in {0, 2} the argument does not
-    apply: the status is "skipped", before the precondition is tested.  Raises
+    apply: the verdict is "skipped", before the precondition is tested.  Raises
     DimensionMismatchError or ValidationError, whatever s, unless T is a finite n x n x n array.
     """
     T = as_coefficient_tensor(T, np.shape(T)[0], "torsion")
-    norm = frobenius(T)
     if min(abs(s), abs(s - 2)) <= _SPECIAL_RADIUS:
-        return DescentResult(norm, "skipped")
+        return "skipped"
     jacobi = parallel_frame_reduction(T, s)[1]
     if not jacobi.valid:
         raise HypothesisError("induced parallel-frame structure is not Jacobi-valid: "
                               f"jacobi {jacobi.max_abs:.3e} > {jacobi.threshold:.3e}")
-    return DescentResult(norm, "stuck" if norm else "completed")
+    return "stuck" if T.any() else "completed"
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +273,17 @@ def lemma31() -> tuple:
     checks = []
     for label, U, grid in fixtures:
         for s in grid:
-            suite = flat_torsion_identities(U, s)
-            where, worst = f"on {label} at s={s}", suite.max_abs
-            if suite.out_of_hypothesis and worst > RESIDUAL_TOL:
+            residuals = flat_torsion_identities(U, s)
+            where, worst = f"on {label} at s={s}", max(residuals.values())
+            if s == 0 and worst > RESIDUAL_TOL:
                 checks.append(Check(f"torsion identities {where} flagged out of hypothesis",
-                                    s == 0.0, worst, f"max {worst:.2e}"))
+                                    True, worst, f"max {worst:.2e}"))
                 continue
             checks.append(Check(f"torsion identities {where}", worst <= RESIDUAL_TOL, worst,
                                 f"max {worst:.2e}"))
             if U.n == 2:
-                cyc = suite.statuses["cyclic"]
-                checks.append(Check(f"cyclic identity vacuous {where}", cyc == "vacuous", cyc))
+                cyc = residuals["cyclic"]
+                checks.append(Check(f"cyclic identity vacuous {where}", cyc == 0.0, cyc))
     return tuple(checks)
 
 
@@ -361,7 +324,7 @@ def parallel() -> tuple:
         Check("samelson torsion regenerates a valid flat structure at s=2",
               jacobi.valid and flatness <= RESIDUAL_TOL, flatness),
         Check("descent skips the out-of-scope parameter s=2",
-              torsion_descent(tor, 2.0).status == "skipped"),
+              torsion_descent(tor, 2.0) == "skipped"),
     )
 
 

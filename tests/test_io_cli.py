@@ -299,6 +299,7 @@ class TestCli:
         assert main(["unknown-subcommand"]) == 2
         assert main(["search", "--n", "2"]) == 2  # missing required --s
         assert main(["analyze"]) == 2
+        assert main(["catalog", "bdf4", "--q", "1,2"]) == 2  # bdf4 has one weight
 
     def test_negative_grid_values_parse(self, tmp_path, capsys):
         path = tmp_path / "b.json"
@@ -358,6 +359,7 @@ class TestCli:
             ["catalog", "perturb", "--base", "{file}", "--eps", "nan"],
             ["catalog", "perturb", "--base", "{file}", "--eps", "1e308"],
             ["catalog", "bdf4", "--q", "1e308"],
+            ["catalog", "bdf4", "--q", "1,2"],
             ["validate", "{file}", "--tol", "nan"],
             ["analyze", "{file}", "--s-grid", "nan,1"],
             ["analyze", "{file}", "--s-grid", "1e308"],
@@ -373,7 +375,7 @@ class TestCli:
             "search-seed-negative", "search-s-huge", "search-n-huge", "bdf4-q-abc",
             "bdf-general-q-x",
             "samelson-c-nan", "complex-group-c-nan", "complex-group-c-huge", "perturb-eps-nan",
-            "perturb-eps-huge", "bdf4-q-huge",
+            "perturb-eps-huge", "bdf4-q-huge", "bdf4-q-two",
             "validate-tol-nan", "analyze-grid-nan", "analyze-grid-huge",
             "perturb-seed-negative", "complex-group-n1", "abelian-n-huge", "complex-group-n-huge",
             "bdf-general-pairs-negative", "bdf-general-p-negative",
@@ -422,6 +424,9 @@ class TestCli:
              "flatness residual at s=1e+308 is not finite"),
             (["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
              "the search model overflows at s=1e+200"),
+            # the d x d basis of the model is 743 TiB, past a 47-bit address space
+            (["search", "--n", "150", "--s", "1", "--restarts", "1"],
+             "error: n=150 is too large: its model does not fit in memory"),
             (["catalog", "perturb", "--base", "{file}", "--seed", "-1"],
              "seed must be nonnegative, got -1"),
             (["catalog", "complex-group", "--n", "1"], "affine example needs n >= 2"),
@@ -435,12 +440,15 @@ class TestCli:
              "h_internal_pairs, c_internal_pairs must be nonnegative"),
             (["catalog", "bdf-general", "--p", "-1"], "error: p must be nonnegative"),
             (["catalog", "bdf-general", "--p", "2", "--q", "1,2,3"], "q must be 1x2 (2 values)"),
+            (["catalog", "bdf4", "--q", "1,2"], "error: --q takes one weight for bdf4, got 2"),
         ],
         ids=["samelson-c", "complex-group-c", "complex-group-c-huge", "perturb-eps",
-             "perturb-eps-huge", "analyze-s", "search-s-huge", "perturb-seed-negative",
+             "perturb-eps-huge", "analyze-s", "search-s-huge", "search-n-model-huge",
+             "perturb-seed-negative",
              "complex-group-n1", "bool-index", "abelian-n-huge", "complex-group-n-huge",
              "bdf-general-p-huge",
-             "bdf-general-pairs-negative", "bdf-general-p-negative", "bdf-general-q-count"],
+             "bdf-general-pairs-negative", "bdf-general-p-negative", "bdf-general-q-count",
+             "bdf4-q-count"],
     )
     def test_error_names_the_bad_value(self, argv, named, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -25,8 +25,8 @@ EXPORTS = {
         "complex_group", "perturb", "samelson_su2_r",
     ),
     "theorems": (
-        "DescentResult", "ObstructionReport", "TorsionIdentitySuite", "flat_torsion_identities",
-        "parallel_frame_reduction", "surface_obstruction", "torsion_descent",
+        "ObstructionReport", "flat_torsion_identities", "parallel_frame_reduction",
+        "surface_obstruction", "torsion_descent",
     ),
     "search": (
         "SearchProblem", "SearchResult", "MultistartSummary", "jacobian", "lm_minimize",
@@ -40,7 +40,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def test_exports_the_same_names():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 37
+    assert len(names) == 35
     assert sorted(hermlie.__all__) == sorted(names)
 
 

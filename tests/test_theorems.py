@@ -36,26 +36,26 @@ def test_non_finite_or_overflowing_s_raises(check, s, message, samelson):
 class TestTorsionIdentities:
     def test_kahler_trivially_zero(self, bdf4_structure):
         for s in (-1.0, 0.5, 1.0, 2.0, 3.0):
-            suite = hl.flat_torsion_identities(bdf4_structure, s)
-            assert suite.max_abs <= 1e-12
+            residuals = hl.flat_torsion_identities(bdf4_structure, s)
+            assert max(residuals.values()) <= 1e-12
 
     def test_samelson_flat_case(self, samelson):
-        suite = hl.flat_torsion_identities(samelson, 2.0)
-        assert suite.max_abs <= 1e-12
-        assert suite.statuses["cyclic"] == "vacuous"
-        assert not suite.out_of_hypothesis
+        residuals = hl.flat_torsion_identities(samelson, 2.0)
+        assert list(residuals) == ["exchange", "cyclic", "exchange_reduced", "conjugate"]
+        assert all(type(v) is float for v in residuals.values())
+        assert max(residuals.values()) <= 1e-12
+        assert residuals["cyclic"] == 0.0  # prefactor (n-2)(s-1) = 0 at n = 2
 
     def test_out_of_hypothesis_flag(self, affine):
-        suite = hl.flat_torsion_identities(affine, 0.0)
-        assert suite.out_of_hypothesis
+        # flat at s = 0 and not Kahler, yet not a counterexample: at s = 0 the
+        # identities carry no content, which is why lemma31 flags it
+        assert max(hl.flat_torsion_identities(affine, 0.0).values()) > 1e-10
 
     def test_cyclic_not_vacuous_in_higher_dim(self):
+        # the residual itself reads the prefactor (n-2)(s-1): 0.0 at s = 1, not at s = 0.5
         U = random_structure(3, 9)
-        suite = hl.flat_torsion_identities(U, 0.5)
-        assert suite.statuses["cyclic"] == "evaluated"
-        suite1 = hl.flat_torsion_identities(U, 1.0)
-        assert suite1.statuses["cyclic"] == "vacuous"
-        assert suite1.statuses["exchange_reduced"] == "not_applicable"
+        assert hl.flat_torsion_identities(U, 0.5)["cyclic"] > 1.0
+        assert hl.flat_torsion_identities(U, 1.0)["cyclic"] == 0.0
 
 
 class TestSurfaceDerivativeTable:
@@ -142,8 +142,7 @@ NEAR_TWO = 2.0 + 2e-9  # just outside the radius 1e-9 around s = 2 where the des
 class TestTorsionDescent:
     def test_zero_torsion(self):
         for s in (0.5, 1.0, 1.5):
-            res = hl.torsion_descent(np.zeros((3, 3, 3), complex), s)
-            assert (res.status, res.residual_norm) == ("completed", 0.0)
+            assert hl.torsion_descent(np.zeros((3, 3, 3), complex), s) == "completed"
 
     def test_single_entry_s1_fails_hypothesis(self):
         # invalid at every scale; at lam = 5e-5 the Jacobi residual is 2.5e-9, but the
@@ -155,8 +154,7 @@ class TestTorsionDescent:
                 hl.torsion_descent(lam * T, 1.0)
 
     def test_samelson_out_of_scope(self, samelson):
-        res = hl.torsion_descent(hl.chern_torsion(samelson), 2.0)
-        assert res.status == "skipped"
+        assert hl.torsion_descent(hl.chern_torsion(samelson), 2.0) == "skipped"
 
     @pytest.mark.parametrize("s", [0.0, 2.0, 2.0 + 5e-10])
     def test_scope_is_tested_before_the_precondition(self, s):
@@ -166,8 +164,7 @@ class TestTorsionDescent:
         with pytest.raises(hl.exceptions.HypothesisError):
             hl.torsion_descent(T, 1.0)
         assert not hl.parallel_frame_reduction(T, s)[1].valid
-        res = hl.torsion_descent(T, s)
-        assert (res.status, res.residual_norm) == ("skipped", frobenius(T))
+        assert hl.torsion_descent(T, s) == "skipped"
 
     @pytest.mark.parametrize("s", [1.0, 2.0])
     @pytest.mark.parametrize("T, error", [
@@ -183,8 +180,7 @@ class TestTorsionDescent:
         # every scale (once read as completed at 1e-10, where |T| fell below a fixed 1e-8)
         T = hl.chern_torsion(samelson)
         for k in (1.0, 1e-10, 2.0**-100, 2.0**100):
-            res = hl.torsion_descent(k * T, NEAR_TWO)
-            assert (res.status, res.residual_norm) == ("stuck", frobenius(k * T))
+            assert hl.torsion_descent(k * T, NEAR_TWO) == "stuck"
 
     def test_near_hypothesis_torsion_reported_not_zeroed(self, samelson):
         # just outside s = 2 the samelson torsion barely passes the precondition
@@ -194,17 +190,14 @@ class TestTorsionDescent:
         assert jacobi.valid
         assert jacobi.max_abs == pytest.approx(5.0e-10, rel=1e-6)
         assert jacobi.threshold == pytest.approx(2.0e-9, rel=1e-6)
-        res = hl.torsion_descent(T, NEAR_TWO)
-        assert (res.status, res.residual_norm) == ("stuck", frobenius(T))
+        assert hl.torsion_descent(T, NEAR_TWO) == "stuck"
 
     def test_torsion_above_tol_is_stuck_though_each_piece_is_below(self, samelson):
         # |T| = 1.2e-8 with every entry below 1e-8: the verdict reads T itself
         T = hl.chern_torsion(samelson)
         T = T * (1.2e-8 / frobenius(T))
         assert np.abs(T).max() < 1e-8 < frobenius(T)
-        res = hl.torsion_descent(T, NEAR_TWO)
-        assert res.status == "stuck"
-        assert res.residual_norm == pytest.approx(1.2e-8, rel=1e-12)
+        assert hl.torsion_descent(T, NEAR_TWO) == "stuck"
         # two pieces of 0.85e-8 at s = 1 induce a structure that is invalid at every scale
         a = 0.6e-8
         T = np.zeros((3, 3, 3), complex)

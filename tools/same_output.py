@@ -63,6 +63,8 @@ EXTRA_COMMANDS = (
      "5"],
     ["search", "--n", "2", "--s", "1.5", "--restarts", "6", "--max-iters", "5"],
     ["search", "--n", "2", "--s", "1e200", "--restarts", "2"],
+    # rejected at once: the d x d basis of its model is 743 TiB
+    ["search", "--n", "150", "--s", "1", "--restarts", "1"],
     # the run behind the smallest rho that README states for n = 2 at s = 0.3
     ["search", "--n", "2", "--s", "0.3", "--restarts", "30", "--seed", "5"],
 )
